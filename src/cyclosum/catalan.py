@@ -106,7 +106,12 @@ def verify_trunk(n: int, R: int) -> bool:
 
 def _log_coeff_list(cs: Sequence[UniPoly], order: int):
     """Formal log of sum c_l t^l with UniPoly('z') coefficients, c_0 = 1.
-    Same recurrence as exactcore.series_log, over the coefficient ring."""
+
+    From a * L' = a':
+    (k+1) L_{k+1} = (k+1) a_{k+1} - sum_{j>=1} a_j (k-j+1) L_{k-j+1}.
+    """
+    if not cs or cs[0] != UniPoly.const(1, ZVAR):
+        raise ValueError("not unit-normalized: Q(z,0) != 1")
     zero = UniPoly((), ZVAR)
     a = [cs[k] if k < len(cs) else zero for k in range(order + 1)]
     out = [zero] * (order + 1)
@@ -123,32 +128,44 @@ def extract_coefficient_family(q_coeffs: Sequence, r: int) -> PowerSumExpr:
     """Stable power-sum presentation of the coefficient of s^r in
     prod_j Q(z, s x_j), for a unit-normalized Q given by its t-coefficients.
 
-    Computed as [s^r] exp(sum_{l=1}^{r} L_l(z) v_l s^l) where the L_l are
-    the coefficients of log Q; only the t-degree <= r part of Q matters.
-    Accepts Q as a plain coefficient sequence (polynomial or truncated
-    series), entries may be ints, rationals, or UniPoly('z').
+    With L_l(z) the coefficients of log Q, the product is
+    exp(sum_l L_l v_l s^l), whose s^r coefficient is the partition sum
+    sum_{lambda |- r} prod_l L_l^(m_l) / m_l! * v_lambda, m_l the
+    multiplicity of l in lambda (Macdonald, Symmetric Functions, I.2).
+    Only the t-degree <= r part of Q matters.  Accepts Q as a plain
+    coefficient sequence (polynomial or truncated series), entries may be
+    ints, rationals, or UniPoly('z').
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    cs = [coeff_poly(c) for c in q_coeffs]
-    if not cs or cs[0] != UniPoly.const(1, ZVAR):
-        raise ValueError("not unit-normalized: Q(z,0) != 1")
-    if r == 0:
-        return PowerSumExpr.const(1)
-    L = _log_coeff_list(cs, r)
-    X = [PowerSumExpr.zero()] * (r + 1)
+    L = _log_coeff_list([coeff_poly(c) for c in q_coeffs], r)
+    one = UniPoly.const(1, ZVAR)
+    # weights[l][m] = L_l^m / m!
+    weights = [[one] for _ in range(r + 1)]
     for l in range(1, r + 1):
-        if not L[l].is_zero():
-            X[l] = PowerSumExpr.gen(l) * L[l]
-    # exp recurrence: k b_k = sum_{j=1}^{k} j X_j b_{k-j}
-    b = [PowerSumExpr.const(1)] + [PowerSumExpr.zero()] * r
-    for k in range(1, r + 1):
-        acc = PowerSumExpr.zero()
-        for j in range(1, k + 1):
-            if not X[j].is_zero():
-                acc = acc + X[j].scale(j) * b[k - j]
-        b[k] = acc.scale(Fraction(1, k))
-    return b[r]
+        for m in range(1, r // l + 1):
+            weights[l].append((weights[l][-1] * L[l]).scale(Fraction(1, m)))
+    terms = {}
+    exps = [0] * r
+
+    def walk(top: int, rest: int, weight: UniPoly):
+        # partitions of rest into parts <= top, largest part first
+        if rest == 0:
+            terms[tuple(exps)] = weight
+            return
+        for l in range(min(top, rest), 0, -1):
+            if L[l].is_zero():
+                continue
+            for m in range(1, rest // l + 1):
+                exps[l - 1] = m
+                walk(l - 1, rest - m * l, weight * weights[l][m])
+            exps[l - 1] = 0
+
+    walk(r, r, one)
+    # Decreasing lexicographic order of (m_1, m_2, ...): float_eval sums
+    # the terms of a parsed formula in this order, so it fixes the digits
+    # of the oracle's float value and residual.
+    return PowerSumExpr({exps: terms[exps] for exps in sorted(terms, reverse=True)})
 
 
 def geometric_q(order: int):

@@ -30,13 +30,7 @@ from .invariants import (
     sin_power_sum,
 )
 from .oracle import DEFAULT_PRECISION, cross_check
-from .rigidity import (
-    BelowThresholdError,
-    ProductCaseError,
-    eventual_polynomial,
-    stable_eval,
-    verify_identity,
-)
+from .rigidity import ProductCaseError, evaluate, eventual_polynomial, verify_identity
 from .symfunc import render_powersum
 
 EXIT_OK = 0
@@ -178,7 +172,12 @@ def run(args) -> int:
         return EXIT_OK
     if cmd == "eval":
         F = _load_formula(args)
-        report = stable_eval(F, args.n)
+        if args.n < F.n_star:
+            raise ValueError(
+                f"below stable threshold {F.n_star}; "
+                "'cyclosum oracle' prints the exact value at any n >= 2"
+            )
+        report = evaluate(F, args.n)
         payload = {
             "formula": F.render(),
             "n": str(args.n),
@@ -252,7 +251,7 @@ def main(argv=None) -> int:
     except (FormulaSyntaxError, FormulaSemanticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BelowThresholdError, ProductCaseError, ValueError, OSError) as exc:
+    except (ProductCaseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

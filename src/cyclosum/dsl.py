@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .exactcore import UniPoly
 from .invariants import NVAR, QPoly, TVAR
+from .catalan import extract_coefficient_family, h_family
 from .symfunc import PowerSumExpr, ZVAR, coeff_poly
 from .rigidity import AdmissibleFormula, build_admissible
 
@@ -384,15 +385,11 @@ class _Parser:
         if name == "energy":
             return _FVal(_MPoly.var(ZVAR) * _MPoly.var("p2") - _MPoly.var("p1") ** 2)
         if name == "e":
-            from .symfunc import e_to_powersum
-
             r = self._int_arg()
             self.expect(")")
             self._check_index(r)
-            return _FVal(_psi_to_mpoly(e_to_powersum(r)))
+            return _FVal(_psi_to_mpoly(extract_coefficient_family([1, 1], r)))
         if name == "h":
-            from .catalan import h_family
-
             r = self._int_arg()
             self.expect(")")
             self._check_index(r)
@@ -406,6 +403,8 @@ class _Parser:
             self.advance()
             b = int(tok.text)
             self.expect(")")
+            if a < 1 or b < 1:
+                raise FormulaSemanticError("mixed(a, b) arguments must be >= 1")
             self._check_index(a + b)
             # sum_{i != j} x_i^a x_j^b = p_a p_b - p_{a+b}
             return _FVal(

@@ -1,5 +1,5 @@
 """Exact arithmetic substrate: rationals, dense univariate polynomials,
-Gaussian rationals, and order-truncated formal power series.
+and order-truncated formal power series.
 
 Everything here is immutable after construction and all operations are
 pure, so values can be shared freely between threads.
@@ -8,11 +8,7 @@ pure, so values can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
-
-Rational = Fraction
-
-Scalar = Union[int, Fraction]
+from typing import Iterable, Sequence
 
 
 def rat(x) -> Fraction:
@@ -270,66 +266,6 @@ def resultant(a: UniPoly, b: UniPoly) -> Fraction:
         a, b = b, r
 
 
-class GaussianRational:
-    """Exact complex rational a + b*i with i^2 = -1."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", rat(re))
-        object.__setattr__(self, "im", rat(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    def __add__(self, other):
-        other = _gauss(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-_gauss(other))
-
-    def __mul__(self, other):
-        other = _gauss(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = _gauss(other)
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-
-def _gauss(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    return GaussianRational(rat(x))
-
-
-I_UNIT = GaussianRational(0, 1)
-
-
-def i_power(k: int) -> GaussianRational:
-    """i**k for any integer k."""
-    return (GaussianRational(1), I_UNIT, GaussianRational(-1), GaussianRational(0, -1))[
-        k % 4
-    ]
-
-
 class Series:
     """Formal power series over Q truncated at an explicit order.
 
@@ -354,21 +290,10 @@ class Series:
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
 
-    @classmethod
-    def one(cls, order: int, var: str = "t") -> "Series":
-        return cls([1], order, var)
-
-    @classmethod
-    def from_poly(cls, p: UniPoly, order: int) -> "Series":
-        return cls(list(p.coeffs), order, p.var)
-
     def __getitem__(self, k: int) -> Fraction:
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
         return self.coeffs[k]
-
-    def truncate(self, order: int) -> "Series":
-        return Series(self.coeffs, min(order, self.order), self.var)
 
     def _coerce(self, other):
         if isinstance(other, Series):
@@ -407,9 +332,6 @@ class Series:
         return series_mul(self, o)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        return series_pow(self, k)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -453,55 +375,3 @@ def series_inv(a: Series) -> Series:
                 s += a.coeffs[j] * out[k - j]
         out[k] = -inv0 * s
     return Series(out, n, a.var)
-
-
-def series_log(a: Series) -> Series:
-    """Formal logarithm; requires constant term 1."""
-    if a.coeffs[0] != 1:
-        raise ValueError(
-            f"series_log requires constant term 1, got {rat_str(a.coeffs[0])}"
-        )
-    n = a.order
-    # From a * L' = a':  (k+1) L_{k+1} = (k+1) a_{k+1} - sum_{j>=1} a_j (k-j+1) L_{k-j+1}
-    out = [Fraction(0)] * (n + 1)
-    for k in range(n):
-        s = (k + 1) * a.coeffs[k + 1]
-        for j in range(1, k + 1):
-            if a.coeffs[j]:
-                s -= a.coeffs[j] * (k - j + 1) * out[k - j + 1]
-        out[k + 1] = s / (k + 1)
-    return Series(out, n, a.var)
-
-
-def series_exp(a: Series) -> Series:
-    """Formal exponential; requires constant term 0."""
-    if a.coeffs[0] != 0:
-        raise ValueError(
-            f"series_exp requires constant term 0, got {rat_str(a.coeffs[0])}"
-        )
-    n = a.order
-    out = [Fraction(1)] + [Fraction(0)] * n
-    for k in range(n):
-        s = Fraction(0)
-        for j in range(k + 1):
-            c = a.coeffs[j + 1]
-            if c:
-                s += (j + 1) * c * out[k - j]
-        out[k + 1] = s / (k + 1)
-    return Series(out, n, a.var)
-
-
-def series_pow(a: Series, k: int) -> Series:
-    """Integer power; negative exponents require a unit constant term."""
-    if not isinstance(k, int):
-        raise TypeError("series exponent must be an integer")
-    if k < 0:
-        return series_pow(series_inv(a), -k)
-    result = Series.one(a.order, a.var)
-    base = a
-    while k:
-        if k & 1:
-            result = series_mul(result, base)
-        base = series_mul(base, base)
-        k >>= 1
-    return result

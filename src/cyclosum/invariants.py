@@ -13,14 +13,7 @@ import threading
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .exactcore import (
-    GaussianRational,
-    UniPoly,
-    i_power,
-    poly_divrem,
-    rat,
-    resultant,
-)
+from .exactcore import UniPoly, poly_divrem, rat, resultant
 from .symfunc import ZVAR, coeff_poly
 
 TVAR = "t"
@@ -58,26 +51,32 @@ def cos_power_sum(n: int, h: int) -> Fraction:
 
 
 def sin_power_sum(n: int, h: int) -> Fraction:
-    """S(n,h) via the Gaussian-rational accumulator i^(rn).
+    """S(n,h) via the accumulator sum_r i^(rn) b_r.
 
-    The imaginary part must cancel exactly; a nonzero residue indicates
-    an internal bug and raises.
+    i^(rn) is +-1 for even rn and +-i for odd rn, so the real and
+    imaginary parts are tracked as integers.  The imaginary part must
+    cancel exactly; a nonzero residue indicates an internal bug and raises.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if h < 0:
         raise ValueError("h must be nonnegative")
     bound = h // n
-    acc = GaussianRational(0)
+    re = im = 0
     for r in range(-bound, bound + 1):
         b = parity_binom(h, Fraction(r * n + h, 2))
         if b:
-            acc = acc + i_power(r * n) * Fraction(b)
-    if acc.im != 0:
+            k = r * n
+            signed = b if k % 4 < 2 else -b
+            if k % 2:
+                im += signed
+            else:
+                re += signed
+    if im != 0:
         raise InternalConsistencyError(
-            f"sin power sum has nonzero imaginary part {acc.im} at (n={n}, h={h})"
+            f"sin power sum has nonzero imaginary part {im} at (n={n}, h={h})"
         )
-    return Fraction(n, 2**h) * acc.re
+    return Fraction(n, 2**h) * re
 
 
 def punctured_power_sum(n: int, h: int) -> Fraction:

@@ -17,7 +17,7 @@ import mpmath
 
 from .exactcore import rat, rat_str
 from .invariants import punctured_min_poly
-from .rigidity import AdmissibleFormula, general_eval, stable_eval
+from .rigidity import AdmissibleFormula, evaluate
 
 DEFAULT_PRECISION = 256
 DEFAULT_TOLERANCE = Fraction(1, 10**20)
@@ -145,12 +145,9 @@ def cross_check(
     tolerance: Fraction = DEFAULT_TOLERANCE,
     precision: int = DEFAULT_PRECISION,
 ) -> CheckReport:
-    """Compare float_eval against the exact evaluation (stable when
-    n >= n_star, otherwise the general-regime exact route)."""
+    """Compare float_eval against the exact evaluation at level n."""
     tolerance = rat(tolerance) if not isinstance(tolerance, Fraction) else tolerance
-    exact = (
-        stable_eval(F, n) if n >= F.n_star else general_eval(F, n)
-    ).value
+    exact = evaluate(F, n).value
     with mpmath.workprec(precision):
         fv = float_eval(F, n, precision)
         residual = abs(fv - _to_mpf(exact))

@@ -25,10 +25,6 @@ from .invariants import (
 from .symfunc import PowerSumExpr, render_powersum
 
 
-class BelowThresholdError(ValueError):
-    pass
-
-
 class ProductCaseError(ValueError):
     pass
 
@@ -92,18 +88,6 @@ def build_admissible(psi_star: PowerSumExpr, products=()) -> AdmissibleFormula:
 
 
 @dataclass(frozen=True)
-class PhiExpr:
-    """The rescaled presentation: Phi(u_1..u_d) = psi_star(u_1/2, ..., u_d/2^d),
-    so that Phi(P_1(n)..P_d(n))|_{z=n-1} evaluates the symmetric part."""
-
-    expr: PowerSumExpr
-
-
-def phi_from_psi(psi_star: PowerSumExpr) -> PhiExpr:
-    return PhiExpr(psi_star.rescale_gens(lambda r: Fraction(1, 2**r)))
-
-
-@dataclass(frozen=True)
 class EvalReport:
     """Outcome of an exact evaluation at one level."""
 
@@ -111,8 +95,7 @@ class EvalReport:
     value: Fraction
     power_sums: Tuple[Fraction, ...]  # P_1(n)..P_d(n)
     product_values: Tuple[Fraction, ...]  # M_{Q_i}(n) per factor
-    mode: str  # "stable" or "general"
-    residual: Optional[str] = None
+    mode: str  # "stable" (n >= n_star) or "general"
 
     def breakdown(self) -> dict:
         out = {f"P_{h}": rat_str(v) for h, v in enumerate(self.power_sums, start=1)}
@@ -121,7 +104,15 @@ class EvalReport:
         return out
 
 
-def _assemble(F: AdmissibleFormula, n: int, mode: str) -> EvalReport:
+def evaluate(F: AdmissibleFormula, n: int) -> EvalReport:
+    """Exact evaluation at any level n >= 2.
+
+    The power sums come from the parity-binomial formula, exact in every
+    regime; mode records whether n lies in the stable range n >= n_star,
+    where the value also agrees with the eventual polynomial.
+    """
+    if n < 2:
+        raise ValueError("level n must be >= 2")
     P = tuple(punctured_power_sum(n, h) for h in range(1, F.d + 1))
     gen_values = {h: P[h - 1] / 2**h for h in range(1, F.d + 1)}
     value = F.psi_star.substitute(gen_values, Fraction(n - 1))
@@ -130,29 +121,12 @@ def _assemble(F: AdmissibleFormula, n: int, mode: str) -> EvalReport:
         mq = multiplicative_invariant(Q, n)
         mvals.append(mq)
         value *= mq**mult
+    mode = "stable" if n >= F.n_star else "general"
     return EvalReport(n, value, P, tuple(mvals), mode)
 
 
-def stable_eval(F: AdmissibleFormula, n: int) -> EvalReport:
-    """Exact evaluation through the invariants, guaranteed for n >= n_star."""
-    if n < F.n_star:
-        raise BelowThresholdError(
-            f"below stable threshold {F.n_star}; use oracle_eval"
-        )
-    return _assemble(F, n, "stable")
-
-
-def general_eval(F: AdmissibleFormula, n: int) -> EvalReport:
-    """Exact evaluation at any level n >= 2; the power sums are computed
-    with the full binomial formula, so no stable-range assumption is
-    needed.  This is the exact side of the below-threshold oracle."""
-    if n < 2:
-        raise ValueError("level n must be >= 2")
-    return _assemble(F, n, "general")
-
-
 def eventual_polynomial(F: AdmissibleFormula) -> UniPoly:
-    """The polynomial R(n) agreeing with stable_eval for every n >= n_star.
+    """The polynomial R(n) agreeing with evaluate for every n >= n_star.
     Only defined in the polynomial case."""
     if not F.is_polynomial_case:
         raise ProductCaseError(
@@ -230,7 +204,7 @@ def verify_identity(
     Polynomial case: the eventual polynomial is compared to the
     conjecture symbolically in Q[n], which covers all n >= n_star at
     once; optionally each level 2 <= n < n_star is checked against the
-    exact general-regime evaluation.  With product factors present a
+    exact evaluation.  With product factors present a
     symbolic comparison is refused and an explicit per-level sweep range
     must be supplied instead.
     """
@@ -246,7 +220,7 @@ def verify_identity(
         if check_below_threshold:
             for n in range(2, F.n_star):
                 levels.append(
-                    LevelCheck(n, conjecture(Fraction(n)), general_eval(F, n).value)
+                    LevelCheck(n, conjecture(Fraction(n)), evaluate(F, n).value)
                 )
     else:
         if sweep is None:
@@ -256,7 +230,7 @@ def verify_identity(
             )
         for n in sweep:
             levels.append(
-                LevelCheck(n, conjecture(Fraction(n)), general_eval(F, n).value)
+                LevelCheck(n, conjecture(Fraction(n)), evaluate(F, n).value)
             )
     return VerificationReport(
         formula=F.render(),

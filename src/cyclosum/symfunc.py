@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, Tuple
 
 from .exactcore import UniPoly, rat, rat_str
@@ -201,17 +200,6 @@ class PowerSumExpr:
             return z_value * 0
         return total
 
-    def rescale_gens(self, factor) -> "PowerSumExpr":
-        """Substitute v_r := factor(r) * v_r for a rational-valued factor."""
-        out = {}
-        for exps, c in self.terms.items():
-            f = Fraction(1)
-            for i, e in enumerate(exps):
-                if e:
-                    f *= rat(factor(i + 1)) ** e
-            out[exps] = c.scale(f)
-        return PowerSumExpr(out)
-
     def max_gen(self) -> int:
         return max((len(k) for k in self.terms), default=0)
 
@@ -269,40 +257,6 @@ def render_powersum(psi: PowerSumExpr) -> str:
         else:
             parts.append(f"+ {body}" if sign > 0 else f"- {body}")
     return " ".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# Newton-identity conversions
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def e_to_powersum(r: int) -> PowerSumExpr:
-    """Elementary symmetric e_r in the power sums, via Newton's recurrence
-    r*e_r = sum_{i=1}^{r} (-1)^(i-1) e_{r-i} p_i."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    if r == 0:
-        return PowerSumExpr.const(1)
-    acc = PowerSumExpr.zero()
-    for i in range(1, r + 1):
-        term = e_to_powersum(r - i) * PowerSumExpr.gen(i)
-        acc = acc + (term if i % 2 == 1 else -term)
-    return acc.scale(Fraction(1, r))
-
-
-@lru_cache(maxsize=None)
-def h_to_powersum(r: int) -> PowerSumExpr:
-    """Complete homogeneous h_r in the power sums, via
-    r*h_r = sum_{i=1}^{r} h_{r-i} p_i."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    if r == 0:
-        return PowerSumExpr.const(1)
-    acc = PowerSumExpr.zero()
-    for i in range(1, r + 1):
-        acc = acc + h_to_powersum(r - i) * PowerSumExpr.gen(i)
-    return acc.scale(Fraction(1, r))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -38,6 +39,30 @@ def random_powersum_expr(rng, d, max_terms=3, z_degree=1):
     if psi.is_zero():
         return PowerSumExpr.gen(1)
     return psi
+
+
+@lru_cache(maxsize=None)
+def newton_e(r):
+    """Reference e_r in the power sums, via Newton's recurrence
+    r*e_r = sum_{i=1}^{r} (-1)^(i-1) e_{r-i} p_i."""
+    if r == 0:
+        return PowerSumExpr.const(1)
+    acc = PowerSumExpr.zero()
+    for i in range(1, r + 1):
+        term = newton_e(r - i) * PowerSumExpr.gen(i)
+        acc = acc + (term if i % 2 == 1 else -term)
+    return acc.scale(Fraction(1, r))
+
+
+@lru_cache(maxsize=None)
+def newton_h(r):
+    """Reference h_r in the power sums, via r*h_r = sum_{i=1}^{r} h_{r-i} p_i."""
+    if r == 0:
+        return PowerSumExpr.const(1)
+    acc = PowerSumExpr.zero()
+    for i in range(1, r + 1):
+        acc = acc + newton_h(r - i) * PowerSumExpr.gen(i)
+    return acc.scale(Fraction(1, r))
 
 
 @pytest.fixture

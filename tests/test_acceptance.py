@@ -21,7 +21,7 @@ from cyclosum.catalan import (
     h_stable,
     verify_trunk,
 )
-from cyclosum.exactcore import GaussianRational, Series, UniPoly, i_power, series_mul
+from cyclosum.exactcore import Series, UniPoly, series_mul
 from cyclosum.invariants import (
     QPoly,
     cos_power_sum,
@@ -31,18 +31,8 @@ from cyclosum.invariants import (
     sin_power_sum,
 )
 from cyclosum.oracle import exact_newton_powersums
-from cyclosum.rigidity import (
-    build_admissible,
-    eventual_polynomial,
-    general_eval,
-    stable_eval,
-)
-from cyclosum.symfunc import (
-    PowerSumExpr,
-    e_to_powersum,
-    expand,
-    reduce_to_powersum,
-)
+from cyclosum.rigidity import build_admissible, evaluate, eventual_polynomial
+from cyclosum.symfunc import PowerSumExpr, expand, reduce_to_powersum
 
 from conftest import random_powersum_expr
 
@@ -68,15 +58,11 @@ def _criterion(num, desc):
     return deco
 
 
-def _exact_value(F, n):
-    return (stable_eval(F, n) if n >= F.n_star else general_eval(F, n)).value
-
-
 @_criterion(1, "quadratic energy equals n(n-3)/2 for 3 <= n <= 50, plus Q[n] identity")
 def test_criterion_01_quadratic_energy():
     F = build_admissible(z * v2 - v1**2)
     for n in range(3, 51):
-        assert _exact_value(F, n) == Fraction(n * (n - 3), 2)
+        assert evaluate(F, n).value == Fraction(n * (n - 3), 2)
     assert eventual_polynomial(F) == UniPoly(
         [0, Fraction(-3, 2), Fraction(1, 2)], "n"
     )
@@ -86,13 +72,15 @@ def test_criterion_01_quadratic_energy():
 def test_criterion_02_mixed_cubic():
     F = build_admissible(v2 * v1 - v3)
     for n in range(4, 51):
-        assert _exact_value(F, n) == Fraction(4 - n, 2)
+        assert evaluate(F, n).value == Fraction(4 - n, 2)
 
 
-@_criterion(3, "stable_eval of e(5) at n = 8 equals -1/4")
+@_criterion(3, "evaluate of e(5) at n = 8 equals -1/4")
 def test_criterion_03_elementary_fixture():
-    F = build_admissible(e_to_powersum(5))
-    assert stable_eval(F, 8).value == Fraction(-1, 4)
+    F = build_admissible(extract_coefficient_family([1, 1], 5))
+    report = evaluate(F, 8)
+    assert report.value == Fraction(-1, 4)
+    assert report.mode == "stable"
 
 
 @_criterion(4, "pure products match n^2/2^(n-1) and the parity-split n^2/4^(n-1)")
@@ -118,13 +106,14 @@ def test_criterion_05_heat_kernel_formulas():
                 s = sin_power_sum(n, h)
                 assert abs(c_direct - mpmath.mpf(c.numerator) / c.denominator) < tol
                 assert abs(s_direct - mpmath.mpf(s.numerator) / s.denominator) < tol
-                # replay the Gaussian accumulator and demand an exact zero
-                acc = GaussianRational(0)
+                # replay the accumulator of i^(rn) b_r with integer parity
+                # and demand an exact zero imaginary part
+                im = 0
                 for r in range(-(h // n), h // n + 1):
                     b = parity_binom(h, Fraction(r * n + h, 2))
-                    if b:
-                        acc = acc + i_power(r * n) * Fraction(b)
-                assert acc.im == 0
+                    if b and (r * n) % 2:
+                        im += b if (r * n) % 4 == 1 else -b
+                assert im == 0
 
 
 @_criterion(6, "stable P_h closed form holds exactly for h < n <= 40, h <= 12")
@@ -214,7 +203,7 @@ def test_criterion_11_property_suite():
         F = build_admissible(random_powersum_expr(rng, rng.randint(1, 5)))
         R = eventual_polynomial(F)
         for n in range(F.n_star, 26):
-            assert R(Fraction(n)) == stable_eval(F, n).value
+            assert R(Fraction(n)) == evaluate(F, n).value
     factors = [QPoly([1, -1]), QPoly([1, 1]), QPoly([1, 0, -1])]
     for _ in range(20):
         psi = random_powersum_expr(rng, rng.randint(0, 3))
@@ -225,10 +214,10 @@ def test_criterion_11_property_suite():
         F = build_admissible(psi, prods)
         bare = build_admissible(psi)
         for n in (F.n_star, F.n_star + 3, F.n_star + 7):
-            expected = stable_eval(bare, n).value
+            expected = evaluate(bare, n).value
             for Q, mult in F.products:
                 expected *= multiplicative_invariant(Q, n) ** mult
-            assert stable_eval(F, n).value == expected
+            assert evaluate(F, n).value == expected
 
 
 @_criterion(12, "CLI contract: documented invocations, exit codes, exact JSON values")

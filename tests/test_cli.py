@@ -55,6 +55,8 @@ class TestEvalAndEventual:
         res = run_cli("eval", "--formula", "energy", "--n", "3")
         assert res.returncode == 2
         assert "below stable threshold" in res.stderr
+        assert "oracle_eval" not in res.stderr
+        assert "cyclosum oracle" in res.stderr
 
     def test_eventual(self):
         res = run_cli("eventual", "--formula", "energy")
@@ -176,6 +178,12 @@ class TestErrors:
         assert res.returncode == 2
         assert "error:" in res.stderr
         assert "column" in res.stderr
+
+    def test_mixed_zero_argument_is_exit_2(self):
+        res = run_cli("eventual", "--formula", "mixed(0, 2)")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "error:" in res.stderr
 
     def test_missing_formula_source(self):
         res = run_cli("eval", "--n", "5")

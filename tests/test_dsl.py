@@ -12,7 +12,9 @@ from cyclosum.dsl import (
 )
 from cyclosum.exactcore import UniPoly
 from cyclosum.invariants import QPoly
-from cyclosum.symfunc import PowerSumExpr, e_to_powersum, h_to_powersum
+from cyclosum.symfunc import PowerSumExpr
+
+from conftest import newton_e, newton_h
 
 v1, v2, v3 = (PowerSumExpr.gen(r) for r in (1, 2, 3))
 z = PowerSumExpr.z()
@@ -28,10 +30,10 @@ class TestFormulaParsing:
         assert parse_formula("z*p2 - p1^2").psi_star == z * v2 - v1**2
 
     def test_elementary_builtin(self):
-        assert parse_formula("e(3)").psi_star == e_to_powersum(3)
+        assert parse_formula("e(3)").psi_star == newton_e(3)
 
     def test_homogeneous_builtin(self):
-        assert parse_formula("h(4)").psi_star == h_to_powersum(4)
+        assert parse_formula("h(4)").psi_star == newton_h(4)
 
     def test_mixed_builtin(self):
         F = parse_formula("mixed(2, 1)")
@@ -92,6 +94,12 @@ class TestFormulaErrors:
     def test_unknown_symbol(self):
         with pytest.raises(FormulaSyntaxError, match="unknown symbol"):
             parse_formula("q7")
+
+    def test_mixed_zero_argument_rejected(self):
+        # mixed(0, b) would need the generator p0, which has no meaning
+        for text in ("mixed(0, 2)", "mixed(2, 0)"):
+            with pytest.raises(FormulaSemanticError, match=">= 1"):
+                parse_formula(text)
 
     def test_index_cap(self):
         with pytest.raises(FormulaSemanticError, match="exceeds"):

@@ -10,8 +10,9 @@ from cyclosum.oracle import (
     exact_newton_powersums,
     float_eval,
 )
-from cyclosum.rigidity import build_admissible
-from cyclosum.symfunc import PowerSumExpr, h_to_powersum
+from cyclosum.catalan import h_family
+from cyclosum.rigidity import build_admissible, evaluate
+from cyclosum.symfunc import PowerSumExpr
 
 v1, v2 = PowerSumExpr.gen(1), PowerSumExpr.gen(2)
 z = PowerSumExpr.z()
@@ -65,16 +66,10 @@ class TestFloatEval:
         assert close(float_eval(F, 6), mpmath.mpf(36) / 32)
 
     def test_below_threshold(self):
-        F = build_admissible(h_to_powersum(4))
+        F = build_admissible(h_family(4))
         # exact general-regime value at n = 3, below n_star = 6
-        expected = float(_general_value(F, 3))
+        expected = float(evaluate(F, 3).value)
         assert close(float_eval(F, 3), mpmath.mpf(expected), bits=40)
-
-
-def _general_value(F, n):
-    from cyclosum.rigidity import general_eval
-
-    return general_eval(F, n).value
 
 
 class TestNewtonPowerSums:
@@ -107,7 +102,7 @@ class TestCrossCheck:
         assert rep.exact == 1175
 
     def test_h6_level_nine(self):
-        F = build_admissible(h_to_powersum(6))
+        F = build_admissible(h_family(6))
         rep = cross_check(F, 9)
         assert rep.passed
         assert rep.exact == Fraction(273, 64)
@@ -127,7 +122,7 @@ class TestCrossCheck:
     def test_precision_scaling(self):
         # quadrupling the precision must not hurt; with exact rational
         # output the residual stays within the scaled tolerance
-        F = build_admissible(h_to_powersum(5))
+        F = build_admissible(h_family(5))
         lo = cross_check(F, 12, precision=128)
         hi = cross_check(F, 12, precision=512, tolerance=Fraction(1, 2**100 * 10**20))
         assert lo.passed and hi.passed

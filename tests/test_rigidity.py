@@ -2,19 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+from cyclosum.catalan import h_family
 from cyclosum.exactcore import UniPoly
 from cyclosum.invariants import QPoly, multiplicative_invariant
 from cyclosum.rigidity import (
-    BelowThresholdError,
     ProductCaseError,
     build_admissible,
+    evaluate,
     eventual_polynomial,
-    general_eval,
-    phi_from_psi,
-    stable_eval,
     verify_identity,
 )
-from cyclosum.symfunc import PowerSumExpr, h_to_powersum
+from cyclosum.symfunc import PowerSumExpr
 
 from conftest import random_powersum_expr
 
@@ -57,60 +55,48 @@ class TestBuild:
         assert G.render() == "prod(1 - t^2)^3"
 
 
-class TestPhi:
-    def test_rescaling(self):
-        phi = phi_from_psi(z * v2 - v1**2)
-        expected = z * v2.scale(Fraction(1, 4)) - v1.scale(Fraction(1, 2)) ** 2
-        assert phi.expr == expected
-
-    def test_evaluation_consistency(self):
-        # Phi applied to the raw P_h values must equal psi on P_h / 2^h
-        from cyclosum.invariants import punctured_power_sum
-
-        psi = z * v2 - v1**2 + v1.scale(3)
-        phi = phi_from_psi(psi)
-        for n in (5, 9, 14):
-            P = {h: punctured_power_sum(n, h) for h in (1, 2)}
-            lhs = phi.expr.substitute(P, Fraction(n - 1))
-            rhs = psi.substitute({h: P[h] / 2**h for h in P}, Fraction(n - 1))
-            assert lhs == rhs
-
-
 class TestStableEval:
     def test_energy_values(self):
         F = energy()
-        assert stable_eval(F, 5).value == 5
-        assert stable_eval(F, 10).value == 35
-        assert stable_eval(F, 50).value == 1175
+        assert evaluate(F, 5).value == 5
+        assert evaluate(F, 10).value == 35
+        assert evaluate(F, 50).value == 1175
 
     def test_report_contents(self):
-        rep = stable_eval(energy(), 6)
+        rep = evaluate(energy(), 6)
         assert rep.n == 6
         assert rep.mode == "stable"
         assert rep.power_sums == (Fraction(-2), Fraction(8))
         assert rep.breakdown() == {"P_1": "-2", "P_2": "8"}
 
-    def test_below_threshold_refused(self):
-        with pytest.raises(BelowThresholdError, match="below stable threshold"):
-            stable_eval(energy(), 3)
+    def test_below_threshold_reports_general_mode(self):
+        assert evaluate(energy(), 3).mode == "general"
+        assert evaluate(energy(), 4).mode == "stable"
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            evaluate(energy(), 1)
 
     def test_general_eval_below_threshold(self):
         F = energy()
-        assert general_eval(F, 2).value == 0
-        assert general_eval(F, 3).value == 0
+        assert evaluate(F, 2).value == 0
+        assert evaluate(F, 3).value == 0
 
     def test_general_matches_stable_in_range(self):
-        F = build_admissible(h_to_powersum(4))
+        # in the stable range the evaluation equals the stable closed form
+        # P_h = n*binom(h, h/2) - 2^h substituted into psi_star
+        F = build_admissible(h_family(4))
+        R = eventual_polynomial(F)
         for n in range(F.n_star, 20):
-            assert general_eval(F, n).value == stable_eval(F, n).value
+            rep = evaluate(F, n)
+            assert rep.mode == "stable"
+            assert rep.value == R(Fraction(n))
 
     def test_product_factor_applied(self):
         Q = QPoly([1, -1])
         F = build_admissible(v1, [(Q, 2)])
         for n in (5, 8, 13):
-            expected = stable_eval(build_admissible(v1), n).value
+            expected = evaluate(build_admissible(v1), n).value
             expected *= multiplicative_invariant(Q, n) ** 2
-            assert stable_eval(F, n).value == expected
+            assert evaluate(F, n).value == expected
 
 
 class TestEventualPolynomial:
@@ -121,12 +107,12 @@ class TestEventualPolynomial:
     def test_h6(self):
         from cyclosum.catalan import h_stable
 
-        F = build_admissible(h_to_powersum(6))
+        F = build_admissible(h_family(6))
         assert eventual_polynomial(F) == h_stable(6)
 
     def test_h7_closed_form(self):
         # closed form -n(n+4)(n+5)/384, plus a spot value
-        F = build_admissible(h_to_powersum(7))
+        F = build_admissible(h_family(7))
         got = eventual_polynomial(F)
         expected = UniPoly([0, 1], "n") * UniPoly([4, 1], "n") * UniPoly([5, 1], "n")
         expected = expected.scale(Fraction(-1, 384))
@@ -139,7 +125,7 @@ class TestEventualPolynomial:
             F = build_admissible(psi)
             R = eventual_polynomial(F)
             for n in range(F.n_star, F.n_star + 6):
-                assert R(Fraction(n)) == stable_eval(F, n).value
+                assert R(Fraction(n)) == evaluate(F, n).value
 
     def test_degree_bound(self, rng):
         # deg R <= (number of even-indexed p's counted with weight) + z-degree;

@@ -3,15 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from cyclosum.catalan import extract_coefficient_family, h_family
 from cyclosum.exactcore import UniPoly
 from cyclosum.symfunc import (
     BelowStableCountError,
     NotSymmetricError,
     PowerSumExpr,
     SymMonomialPoly,
-    e_to_powersum,
     expand,
-    h_to_powersum,
     reduce_to_powersum,
     render_powersum,
     truncation_check,
@@ -24,39 +23,44 @@ z = PowerSumExpr.z()
 half = Fraction(1, 2)
 
 
+def e_family(r):
+    # Q = 1 + t generates the elementary symmetric functions
+    return extract_coefficient_family([1, 1], r)
+
+
 class TestNewtonConversions:
     def test_e1(self):
-        assert e_to_powersum(1) == v1
+        assert e_family(1) == v1
 
     def test_e2(self):
-        assert e_to_powersum(2) == (v1**2 - v2).scale(half)
+        assert e_family(2) == (v1**2 - v2).scale(half)
 
     def test_e3(self):
         expected = (v1**3 - 3 * v1 * v2 + 2 * v3).scale(Fraction(1, 6))
-        assert e_to_powersum(3) == expected
+        assert e_family(3) == expected
 
     def test_e0_is_one(self):
-        assert e_to_powersum(0) == PowerSumExpr.const(1)
+        assert e_family(0) == PowerSumExpr.const(1)
 
     def test_h1(self):
-        assert h_to_powersum(1) == v1
+        assert h_family(1) == v1
 
     def test_h2(self):
-        assert h_to_powersum(2) == (v1**2 + v2).scale(half)
+        assert h_family(2) == (v1**2 + v2).scale(half)
 
     def test_h4(self):
         v4 = PowerSumExpr.gen(4)
         expected = (
             v1**4 + 6 * v1**2 * v2 + 3 * v2**2 + 8 * v1 * v3 + 6 * v4
         ).scale(Fraction(1, 24))
-        assert h_to_powersum(4) == expected
+        assert h_family(4) == expected
 
     def test_newton_duality(self):
         # sum_{i=0}^{r} (-1)^i e_i h_{r-i} = 0 for r >= 1
         for r in range(1, 11):
             acc = PowerSumExpr.zero()
             for i in range(r + 1):
-                term = e_to_powersum(i) * h_to_powersum(r - i)
+                term = e_family(i) * h_family(r - i)
                 acc = acc + (term if i % 2 == 0 else -term)
             assert acc.is_zero()
 
@@ -75,7 +79,7 @@ class TestNewtonConversions:
                         row.append(PowerSumExpr.zero())
                 rows.append(row)
             det = _det(rows)
-            assert det.scale(Fraction(1, _factorial(r))) == e_to_powersum(r)
+            assert det.scale(Fraction(1, _factorial(r))) == e_family(r)
 
 
 def _factorial(r):
@@ -116,7 +120,7 @@ class TestExpand:
             assert got == expected
 
     def test_e2_at_two_variables(self):
-        assert expand(e_to_powersum(2), 2) == SymMonomialPoly(2, {(1, 1): 1})
+        assert expand(e_family(2), 2) == SymMonomialPoly(2, {(1, 1): 1})
 
     def test_ring_homomorphism(self, rng):
         for _ in range(20):
@@ -137,11 +141,11 @@ class TestReduce:
         assert reduce_to_powersum(G, 2) == z * v2 - v1**2
 
     def test_h3_round_trip(self):
-        psi = h_to_powersum(3)
+        psi = h_family(3)
         assert reduce_to_powersum(expand(psi, 3), 3) == psi
 
     def test_below_stable_count(self):
-        G = expand(h_to_powersum(3), 2)
+        G = expand(h_family(3), 2)
         with pytest.raises(BelowStableCountError, match="below stable variable count"):
             reduce_to_powersum(G, 3)
 
@@ -165,7 +169,7 @@ class TestTruncation:
         assert truncation_check(v1 * v2, 2)
 
     def test_e3(self):
-        assert truncation_check(e_to_powersum(3), 3)
+        assert truncation_check(e_family(3), 3)
 
     def test_random(self, rng):
         for _ in range(20):
