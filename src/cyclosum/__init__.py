@@ -8,7 +8,6 @@ from .exactcore import (
     poly_divrem,
     rat_str,
     resultant,
-    series_inv,
     series_mul,
 )
 from .symfunc import (
@@ -58,7 +57,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Series", "UniPoly", "poly_divrem", "rat_str", "resultant",
-    "series_inv", "series_mul",
+    "series_mul",
     "PowerSumExpr", "SymMonomialPoly", "expand", "reduce_to_powersum",
     "truncation_check",
     "QPoly", "chebyshev_T", "cos_power_sum", "multiplicative_invariant",

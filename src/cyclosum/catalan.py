@@ -9,12 +9,11 @@ h_r values at level n comes from the Chebyshev factorization of T_n - 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactcore import Series, UniPoly, series_inv, series_mul
-from .invariants import NVAR, TVAR, chebyshev_T
+from .exactcore import Series, UniPoly, series_mul
+from .invariants import NVAR, TVAR, vieta_lucas_coeffs
 from .symfunc import PowerSumExpr, ZVAR, coeff_poly
 
 
@@ -70,36 +69,34 @@ def h_stable(r: int) -> UniPoly:
 H1_VALUE = Fraction(-1)  # sum of the punctured cosine points, any n >= 2
 
 
-@dataclass(frozen=True)
-class HSeriesGlobal:
-    """Generating series sum_r h_r(alpha_{1,n}..alpha_{n-1,n}) s^r."""
+def h_global_series(n: int, order: int) -> Series:
+    """Exact series sum_r h_r(alpha_{1,n}..alpha_{n-1,n}) s^r to the given order.
 
-    n: int
-    series: Series
-
-
-def h_global_series(n: int, order: int) -> HSeriesGlobal:
-    """Exact h_r generating series at level n via the Chebyshev identity
-    H(s) = 2^(n-1) (1-s) / (s^n (T_n(1/s) - 1)), valid for all r <= order."""
+    The points 2 alpha_{k,n} are the roots other than 2 of 2 T_n(x/2) - 2
+    = sum_j beta_j x^(n-j), monic over the integers: beta_(2k) = (-1)^k L_k,
+    beta_n lowered by 2.  So H_r = 2^r h_r are integers, and reversing gives
+    H_r = [r=0] - 2[r=1] - sum_{j=2}^{min(r,n)} beta_j H_(r-j).
+    """
     if n < 2:
         raise ValueError("level n must be >= 2")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    T = chebyshev_T(n)
-    # D(s) = s^n T_n(1/s) - s^n: reverse the Chebyshev coefficients.
-    dcoeffs = [T.coeff(n - j) for j in range(n + 1)]
-    dcoeffs[n] -= 1
-    lead = dcoeffs[0]  # = 2^(n-1), the leading coefficient of T_n
-    unit = Series([c / lead for c in dcoeffs], order, "s")
-    series = series_mul(Series([1, -1], order, "s"), series_inv(unit))
-    return HSeriesGlobal(n, series)
+    beta = [0] * (n + 1)
+    for k, L in enumerate(vieta_lucas_coeffs(n)):
+        beta[2 * k] = -L if k % 2 else L
+    beta[n] -= 2
+    steps = [(j, b) for j, b in enumerate(beta) if j >= 2 and b]
+    H = [1, -2][: order + 1]
+    for r in range(2, order + 1):
+        H.append(-sum(b * H[r - j] for j, b in steps if j <= r))
+    return Series([Fraction(x, 2**r) for r, x in enumerate(H)], order, "s")
 
 
 def verify_trunk(n: int, R: int) -> bool:
     """Check H_n(t) = (1-t) A(t)^n modulo t^(R+1); requires n > R."""
     if n <= R:
         raise TrunkRangeError(f"outside the congruence range: need n > R, got n={n}, R={R}")
-    lhs = h_global_series(n, R).series
+    lhs = h_global_series(n, R)
     rhs = series_mul(Series([1, -1], R, TVAR), a_power_series(n, R))
     return lhs.coeffs == rhs.coeffs
 

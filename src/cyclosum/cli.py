@@ -160,7 +160,7 @@ def run(args) -> int:
               args.fmt, order=["value"] if args.fmt == "text" else None)
         return EXIT_OK
     if cmd == "minpoly":
-        W = punctured_min_poly(args.n).W
+        W = punctured_min_poly(args.n)
         _emit({"n": str(args.n), "W": poly_str(W)},
               args.fmt, order=["W"] if args.fmt == "text" else None)
         return EXIT_OK
@@ -214,7 +214,7 @@ def run(args) -> int:
             _emit(payload, args.fmt)
         return EXIT_OK if report.passed else EXIT_MISMATCH
     if cmd == "hseries":
-        series = h_global_series(args.n, args.order).series
+        series = h_global_series(args.n, args.order)
         coeffs = [rat_str(c) for c in series.coeffs]
         _emit({"n": str(args.n), "order": str(args.order), "coefficients": coeffs},
               args.fmt)

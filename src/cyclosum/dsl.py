@@ -150,19 +150,15 @@ class _MPoly:
 
 
 def _psi_to_mpoly(psi: PowerSumExpr) -> _MPoly:
-    out = _MPoly()
+    # One dict built in one pass; float_eval sums in its insertion order.
+    terms: Dict[Tuple, Fraction] = {}
     for exps, c in psi.terms.items():
+        pkey = [(f"p{i + 1}", e) for i, e in enumerate(exps) if e]
         for zk, zc in enumerate(c.coeffs):
-            if not zc:
-                continue
-            key = []
-            if zk:
-                key.append((ZVAR, zk))
-            for i, e in enumerate(exps):
-                if e:
-                    key.append((f"p{i + 1}", e))
-            out = out + _MPoly({tuple(sorted(key)): zc})
-    return out
+            if zc:
+                key = tuple(sorted(pkey + [(ZVAR, zk)] if zk else pkey))
+                terms[key] = terms.get(key, Fraction(0)) + zc
+    return _MPoly(terms)
 
 
 def _mpoly_to_psi(mp: _MPoly) -> PowerSumExpr:
@@ -381,7 +377,7 @@ class _Parser:
                     f"power-sum index {index} exceeds the configured maximum "
                     f"{self.max_index}"
                 )
-            return _FVal(_MPoly.var(name))
+            return _FVal(_MPoly.var(f"p{index}"))
         if name == "energy":
             return _FVal(_MPoly.var(ZVAR) * _MPoly.var("p2") - _MPoly.var("p1") ** 2)
         if name == "e":

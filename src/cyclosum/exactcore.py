@@ -34,10 +34,6 @@ class ZeroDivisorError(ZeroDivisionError):
     pass
 
 
-class NonInvertibleSeriesError(ValueError):
-    pass
-
-
 class UniPoly:
     """Dense univariate polynomial over Q.
 
@@ -356,22 +352,4 @@ def series_mul(a: Series, b: Series) -> Series:
                 cb = b.coeffs[j]
                 if cb:
                     out[i + j] += ca * cb
-    return Series(out, n, a.var)
-
-
-def series_inv(a: Series) -> Series:
-    """Multiplicative inverse: a * series_inv(a) = 1 to the shared order."""
-    if a.coeffs[0] == 0:
-        raise NonInvertibleSeriesError(
-            "non-invertible series: constant term is 0"
-        )
-    n = a.order
-    inv0 = 1 / a.coeffs[0]
-    out = [inv0] + [Fraction(0)] * n
-    for k in range(1, n + 1):
-        s = Fraction(0)
-        for j in range(1, k + 1):
-            if a.coeffs[j]:
-                s += a.coeffs[j] * out[k - j]
-        out[k] = -inv0 * s
     return Series(out, n, a.var)

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 import threading
+from itertools import accumulate
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import List, Sequence
 
-from .exactcore import UniPoly, poly_divrem, rat, resultant
+from .exactcore import UniPoly, rat, resultant
 from .symfunc import ZVAR, coeff_poly
 
 TVAR = "t"
@@ -96,60 +97,59 @@ def punctured_power_sum_stable(h: int) -> UniPoly:
     return UniPoly([-(2**h)], NVAR)
 
 
-_cheb_lock = threading.Lock()
-_cheb_cache = [UniPoly([1], TVAR), UniPoly([0, 1], TVAR)]
+def vieta_lucas_coeffs(n: int) -> List[int]:
+    """L_k = C(n-k, k) + C(n-k-1, k-1) for 0 <= k <= n/2, the integers of
+    2 T_n(x/2) = sum_k (-1)^k L_k x^(n-2k), so that
+    T_n(t) = sum_k (-1)^k L_k 2^(n-2k-1) t^(n-2k) for n >= 1
+    (Mason & Handscomb, Chebyshev Polynomials, 2003, 2.3)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return [1] + [math.comb(n - k, k) + math.comb(n - k - 1, k - 1)
+                  for k in range(1, n // 2 + 1)]
 
 
 def chebyshev_T(n: int) -> UniPoly:
-    """Chebyshev polynomial of the first kind, T_n(t)."""
+    """Chebyshev polynomial of the first kind, T_n(t), from its closed form."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    with _cheb_lock:
-        two_t = UniPoly([0, 2], TVAR)
-        while len(_cheb_cache) <= n:
-            _cheb_cache.append(two_t * _cheb_cache[-1] - _cheb_cache[-2])
-        return _cheb_cache[n]
-
-
-class PuncturedMinPoly:
-    """W_n(t) = prod_{k=1}^{n-1} (t - cos(2 pi k/n)), monic of degree n-1,
-    obtained from the factorization T_n(t) - 1 = 2^(n-1) (t-1) W_n(t)."""
-
-    __slots__ = ("n", "W")
-
-    def __init__(self, n: int, W: UniPoly):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "W", W)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PuncturedMinPoly is immutable")
-
-    def __repr__(self):
-        return f"PuncturedMinPoly(n={self.n}, W={self.W})"
+    if n == 0:
+        return UniPoly([1], TVAR)
+    coeffs = [0] * (n + 1)
+    for k, L in enumerate(vieta_lucas_coeffs(n)):
+        j = n - 2 * k
+        c = L << j >> 1  # L_k 2^(j-1), an integer: at j = 0, L_k = 2
+        coeffs[j] = -c if k % 2 else c
+    return UniPoly(coeffs, TVAR)
 
 
 _minpoly_lock = threading.Lock()
 _minpoly_cache = {}
 
 
-def punctured_min_poly(n: int) -> PuncturedMinPoly:
+def punctured_min_poly(n: int) -> UniPoly:
+    """W_n(t) = prod_{k=1}^{n-1} (t - cos(2 pi k/n)), monic of degree n-1,
+    from the factorization T_n(t) - 1 = 2^(n-1) (t-1) W_n(t).
+
+    The quotient of T_n - 1 by t - 1 has the suffix sums of T_n's integer
+    coefficients as its coefficients, and T_n(1) = 1 leaves no remainder.
+    """
     if n < 2:
         raise ValueError("level n must be >= 2")
     with _minpoly_lock:
         hit = _minpoly_cache.get(n)
         if hit is not None:
             return hit
-    numerator = chebyshev_T(n) - 1
-    q, r = poly_divrem(numerator, UniPoly([-1, 1], TVAR))
-    if not r.is_zero():
+    c = [x.numerator for x in chebyshev_T(n).coeffs]
+    quotient = list(accumulate(c[:0:-1]))[::-1]  # c_j + ... + c_n for j >= 1
+    if quotient[0] + c[0] != 1:
         raise InternalConsistencyError(f"T_{n} - 1 not divisible by t - 1")
-    W = q.scale(Fraction(1, 2 ** (n - 1)))
+    lead = 2 ** (n - 1)
+    W = UniPoly([Fraction(q, lead) for q in quotient], TVAR)
     if not W.is_monic() or W.degree != n - 1:
         raise InternalConsistencyError(f"W_{n} is not monic of degree {n - 1}")
-    result = PuncturedMinPoly(n, W)
     with _minpoly_lock:
-        _minpoly_cache[n] = result
-    return result
+        _minpoly_cache[n] = W
+    return W
 
 
 class QPoly:
@@ -224,7 +224,7 @@ def multiplicative_invariant(Q: QPoly, n: int) -> Fraction:
     the resultant of the monic W_n against Q with z specialized to n-1."""
     if n < 2:
         raise ValueError("level n must be >= 2")
-    W = punctured_min_poly(n).W
+    W = punctured_min_poly(n)
     qn = Q.specialize_z(n - 1)
     if qn.degree == 0:
         return qn.constant() ** (n - 1)

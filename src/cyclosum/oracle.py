@@ -99,7 +99,7 @@ def exact_newton_powersums(n: int, d: int) -> List[Fraction]:
         raise ValueError("level n must be >= 2")
     if d < 0:
         raise ValueError("d must be nonnegative")
-    W = punctured_min_poly(n).W
+    W = punctured_min_poly(n)
     N = W.degree  # = n - 1, monic
     # elementary symmetric functions of the roots
     e = [Fraction(0)] * (N + 1)

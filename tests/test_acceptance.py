@@ -135,12 +135,12 @@ def test_criterion_07_h_family_suite():
     cubic = UniPoly([0, Fraction(5, 96), Fraction(3, 128), Fraction(1, 384)], "n")
     assert h_stable(6) == cubic
     assert h_stable(7) == -cubic
-    assert h_global_series(9, 7).series.coeffs[7] == Fraction(-273, 64)
+    assert h_global_series(9, 7).coeffs[7] == Fraction(-273, 64)
     eventuals = {
         r: eventual_polynomial(build_admissible(h_family(r))) for r in range(2, 9)
     }
     for n in range(4, 21):
-        H = h_global_series(n, min(8, n - 1)).series
+        H = h_global_series(n, min(8, n - 1))
         for r in range(2, 9):
             if n < r + 2:
                 continue

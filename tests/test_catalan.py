@@ -14,6 +14,7 @@ from cyclosum.catalan import (
     verify_trunk,
 )
 from cyclosum.exactcore import Series, UniPoly, series_mul
+from cyclosum.rigidity import build_admissible, evaluate
 from cyclosum.symfunc import PowerSumExpr, expand
 
 from conftest import newton_e, newton_h, random_rational
@@ -116,7 +117,7 @@ class TestHStable:
     def test_matches_global_series(self):
         # at level n > r the coefficient of s^r in H_n equals h_stable(r)(n)
         for n in range(9, 14):
-            H = h_global_series(n, 8).series
+            H = h_global_series(n, 8)
             assert H.coeffs[0] == 1
             assert H.coeffs[1] == H1_VALUE
             for r in range(2, 9):
@@ -126,17 +127,25 @@ class TestHStable:
 class TestHGlobalSeries:
     def test_level_four_exact(self):
         # the three punctured points at n = 4 are 0, -1, 0
-        H = h_global_series(4, 6).series
+        H = h_global_series(4, 6)
         # h_r of {0, -1, 0} is (-1)^r
         assert H.coeffs == tuple(Fraction((-1) ** r) for r in range(7))
 
     def test_level_nine_spot_value(self):
-        assert h_global_series(9, 7).series.coeffs[7] == Fraction(-273, 64)
+        assert h_global_series(9, 7).coeffs[7] == Fraction(-273, 64)
 
     def test_level_two(self):
         # single point -1
-        H = h_global_series(2, 5).series
+        H = h_global_series(2, 5)
         assert H.coeffs == tuple(Fraction((-1) ** r) for r in range(6))
+
+    def test_matches_exact_evaluation_at_every_r(self):
+        # every coefficient, r >= n included, against the evaluator's
+        # parity-binomial route through the extracted h_r family
+        for n in range(2, 13):
+            H = h_global_series(n, 14)
+            for r in range(1, 15):
+                assert H.coeffs[r] == evaluate(build_admissible(h_family(r)), n).value
 
     def test_trunk_congruence(self):
         for R in range(1, 9):

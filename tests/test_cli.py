@@ -68,6 +68,11 @@ class TestEvalAndEventual:
         assert res.returncode == 2
         assert "polynomial case" in res.stderr
 
+    def test_leading_zero_index_matches_energy(self):
+        res = run_cli("eventual", "--formula", "z*p02 - p1*p01")
+        assert res.returncode == 0
+        assert res.stdout == run_cli("eventual", "--formula", "energy").stdout
+
     def test_extract(self):
         res = run_cli("extract", "--formula", "1 + t", "--r", "2")
         assert res.returncode == 0

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cyclosum.catalan import extract_coefficient_family, h_family
 from cyclosum.dsl import (
     FormulaSemanticError,
     FormulaSyntaxError,
@@ -34,6 +35,16 @@ class TestFormulaParsing:
 
     def test_homogeneous_builtin(self):
         assert parse_formula("h(4)").psi_star == newton_h(4)
+
+    def test_leading_zero_power_sum_index(self):
+        assert parse_formula("p01*p1").psi_star == parse_formula("p1^2").psi_star
+        assert parse_formula("z*p02 - p1*p01").psi_star == z * v2 - v1**2
+
+    def test_builtin_term_order(self):
+        # float_eval sums in this order, so parsing must keep it
+        assert list(parse_formula("h(12)").psi_star.terms) == list(h_family(12).terms)
+        e12 = extract_coefficient_family([1, 1], 12)
+        assert list(parse_formula("e(12)").psi_star.terms) == list(e12.terms)
 
     def test_mixed_builtin(self):
         F = parse_formula("mixed(2, 1)")

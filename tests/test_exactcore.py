@@ -5,7 +5,6 @@ import pytest
 
 from cyclosum.catalan import _log_coeff_list
 from cyclosum.exactcore import (
-    NonInvertibleSeriesError,
     Series,
     UniPoly,
     ZeroDivisorError,
@@ -13,7 +12,6 @@ from cyclosum.exactcore import (
     poly_str,
     rat_str,
     resultant,
-    series_inv,
     series_mul,
 )
 from cyclosum.symfunc import coeff_poly
@@ -165,21 +163,6 @@ class TestSeries:
         a = Series([1, 0, Fraction(1, 4), 0, Fraction(1, 8)], 4)
         sq = series_mul(a, a)
         assert sq == Series([1, 0, Fraction(1, 2), 0, Fraction(5, 16)], 4)
-
-    def test_inv_geometric(self):
-        assert series_inv(Series([1, -1], 6)) == geometric(6)
-
-    def test_inv_identity(self):
-        assert series_inv(Series([1], 5)) == Series([1], 5)
-
-    def test_inv_fibonacci(self):
-        inv = series_inv(Series([1, -1, -1], 4))
-        assert inv == Series([1, 1, 2, 3, 5], 4)
-        assert series_mul(inv, Series([1, -1, -1], 4)) == Series([1], 4)
-
-    def test_inv_requires_unit(self):
-        with pytest.raises(NonInvertibleSeriesError, match="non-invertible"):
-            series_inv(Series([0, 1], 3))
 
     def test_log_geometric(self):
         got = log_series(geometric(4))
