@@ -38,16 +38,42 @@ def parity_binom(h: int, u) -> int:
     return math.comb(h, u)
 
 
+def _stride_binomials(n: int, h: int):
+    """Yield (r, C(h, (r n + h)/2)) for |r| <= h // n with r n + h even,
+    in increasing r.
+
+    Along the stride u -> u + s (s = n/2 for even n, s = n for odd n)
+    each binomial follows from the previous one by the exact integer
+    ratio C(h, u + s) = C(h, u) (h-u)...(h-u-s+1) / ((u+1)...(u+s)).
+    """
+    bound = h // n
+    r = -bound
+    if (r * n + h) % 2:
+        if n % 2 == 0:
+            return  # r n + h is odd for every r
+        r += 1
+    step = 1 if n % 2 == 0 else 2
+    s = step * n // 2
+    u = (r * n + h) // 2
+    b = math.comb(h, u)
+    while True:
+        yield r, b
+        r += step
+        if r > bound:
+            return
+        b = b * math.prod(range(h - u - s + 1, h - u + 1)) // math.prod(
+            range(u + 1, u + s + 1)
+        )
+        u += s
+
+
 def cos_power_sum(n: int, h: int) -> Fraction:
     """C(n,h) = sum_{k=0}^{n-1} cos^h(2 pi k / n), exactly."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if h < 0:
         raise ValueError("h must be nonnegative")
-    bound = h // n
-    total = 0
-    for r in range(-bound, bound + 1):
-        total += parity_binom(h, Fraction(r * n + h, 2))
+    total = sum(b for _, b in _stride_binomials(n, h))
     return Fraction(n, 2**h) * total
 
 
@@ -62,17 +88,14 @@ def sin_power_sum(n: int, h: int) -> Fraction:
         raise ValueError("n must be >= 1")
     if h < 0:
         raise ValueError("h must be nonnegative")
-    bound = h // n
     re = im = 0
-    for r in range(-bound, bound + 1):
-        b = parity_binom(h, Fraction(r * n + h, 2))
-        if b:
-            k = r * n
-            signed = b if k % 4 < 2 else -b
-            if k % 2:
-                im += signed
-            else:
-                re += signed
+    for r, b in _stride_binomials(n, h):
+        k = r * n
+        signed = b if k % 4 < 2 else -b
+        if k % 2:
+            im += signed
+        else:
+            re += signed
     if im != 0:
         raise InternalConsistencyError(
             f"sin power sum has nonzero imaginary part {im} at (n={n}, h={h})"
@@ -81,10 +104,13 @@ def sin_power_sum(n: int, h: int) -> Fraction:
 
 
 def punctured_power_sum(n: int, h: int) -> Fraction:
-    """P_h(n) = 2^h (C(n,h) - 1); exact in every regime of n and h."""
+    """P_h(n) = 2^h (C(n,h) - 1) = n sum_r b_r - 2^h, an integer; exact in
+    every regime of n and h."""
     if n < 2:
         raise ValueError("level n must be >= 2")
-    return 2**h * (cos_power_sum(n, h) - 1)
+    if h < 0:
+        raise ValueError("h must be nonnegative")
+    return Fraction(n * sum(b for _, b in _stride_binomials(n, h)) - 2**h)
 
 
 def punctured_power_sum_stable(h: int) -> UniPoly:

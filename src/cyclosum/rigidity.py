@@ -10,6 +10,7 @@ single eventual polynomial in n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -17,6 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 from .exactcore import UniPoly, rat_str
 from .invariants import (
     NVAR,
+    InternalConsistencyError,
     QPoly,
     multiplicative_invariant,
     punctured_power_sum,
@@ -114,8 +116,7 @@ def evaluate(F: AdmissibleFormula, n: int) -> EvalReport:
     if n < 2:
         raise ValueError("level n must be >= 2")
     P = tuple(punctured_power_sum(n, h) for h in range(1, F.d + 1))
-    gen_values = {h: P[h - 1] / 2**h for h in range(1, F.d + 1)}
-    value = F.psi_star.substitute(gen_values, Fraction(n - 1))
+    value = F.psi_star.substitute([p.numerator for p in P], n - 1)
     mvals = []
     for Q, mult in F.products:
         mq = multiplicative_invariant(Q, n)
@@ -125,22 +126,64 @@ def evaluate(F: AdmissibleFormula, n: int) -> EvalReport:
     return EvalReport(n, value, P, tuple(mvals), mode)
 
 
+def _interpolate(x0: int, values) -> UniPoly:
+    """The polynomial in n of degree <= m = len(values) - 1 taking
+    values[i] at n = x0 + i, by Newton's forward differences in integers
+    (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5).
+
+    With M the lcm of the denominators, M*values is integer-valued, so
+    its differences Delta^k are integers and m! Delta^k / k! too; the
+    Newton form is expanded with integer coefficients over M m!.
+    """
+    m = len(values) - 1
+    M = math.lcm(*(v.denominator for v in values))
+    scale = math.factorial(m)
+    diffs = [v.numerator * (M // v.denominator) for v in values]
+    newton = []  # m! Delta^k (M values)[0] / k!
+    for k in range(m + 1):
+        newton.append(diffs[0] * (scale // math.factorial(k)))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    coeffs = []  # Horner in the Newton basis: p := p * (n - x0 - k) + newton[k]
+    for k in range(m, -1, -1):
+        root = x0 + k
+        coeffs = [newton[k]] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= root * coeffs[i + 1]
+    return UniPoly([Fraction(a, M * scale) for a in coeffs], NVAR)
+
+
 def eventual_polynomial(F: AdmissibleFormula) -> UniPoly:
     """The polynomial R(n) agreeing with evaluate for every n >= n_star.
-    Only defined in the polynomial case."""
+    Only defined in the polynomial case.
+
+    In the stable range P_h(n) is constant for odd h and linear for even
+    h, and z = n - 1, so R has degree at most D, the largest
+    deg c + (sum of the exponents of even generators) over the terms.
+    R interpolates the integer kernel at the D + 1 levels n_star, ...,
+    n_star + D; one level more must agree with it.
+    """
     if not F.is_polynomial_case:
         raise ProductCaseError(
             "eventual polynomiality applies to the polynomial case only"
         )
-    gen_values = {
-        h: punctured_power_sum_stable(h).scale(Fraction(1, 2**h))
-        for h in range(1, F.d + 1)
-    }
-    z_value = UniPoly([-1, 1], NVAR)
-    result = F.psi_star.substitute(gen_values, z_value)
-    if not isinstance(result, UniPoly):
-        result = UniPoly.const(result, NVAR)
-    return result.with_var(NVAR)
+    D = max(
+        (c.degree + sum(exps[1::2]) for exps, c in F.psi_star.terms.items()),
+        default=0,
+    )
+    stable = [punctured_power_sum_stable(h) for h in range(1, F.d + 1)]
+    P = [p(F.n_star).numerator for p in stable]
+    slopes = [p.coeff(1).numerator for p in stable]  # P_h is at most linear
+    values = []
+    for n in range(F.n_star, F.n_star + D + 2):
+        values.append(F.psi_star.substitute(P, n - 1))
+        P = [a + b for a, b in zip(P, slopes)]
+    R = _interpolate(F.n_star, values[:-1])
+    check = F.n_star + D + 1
+    if R(check) != values[-1]:
+        raise InternalConsistencyError(
+            f"eventual polynomial of degree <= {D} misses the kernel at n={check}"
+        )
+    return R
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,18 @@
 """Symmetric polynomials in the power-sum basis over Q[z].
 
 PowerSumExpr is a polynomial in abstract generators v_1..v_d (the power
-sums p_1..p_d) with UniPoly('z') coefficients.  SymMonomialPoly stores a
-concrete symmetric polynomial in m variables in the monomial-symmetric
-(partition-indexed) basis.  The reduction algorithm converts between the
-two by leading-partition elimination in graded-lex order.
+sums p_1..p_d) with UniPoly('z') coefficients; its substitute is the one
+exact evaluation kernel, over integer power sums and an integer z.
+SymMonomialPoly stores a concrete symmetric polynomial in m variables in
+the monomial-symmetric (partition-indexed) basis.  The reduction
+algorithm converts between the two by leading-partition elimination in
+graded-lex order.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Dict, Tuple
 
@@ -49,10 +52,12 @@ class PowerSumExpr:
 
     terms maps trimmed exponent tuples (e_1, e_2, ...) to nonzero
     UniPoly('z') coefficients; the weighted degree of a monomial is
-    sum_r r*e_r.  Equality is structural (canonical form).
+    sum_r r*e_r.  Equality is structural (canonical form).  substitute
+    evaluates at integer power sums P_h and an integer z only; the
+    eventual polynomial in n is interpolated from such values.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_scaled")
 
     def __init__(self, terms: Dict[Tuple[int, ...], UniPoly] = None):
         clean: Dict[Tuple[int, ...], UniPoly] = {}
@@ -182,23 +187,50 @@ class PowerSumExpr:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def substitute(self, gen_values, z_value):
-        """Evaluate with v_r := gen_values[r] and z := z_value.
-
-        Works for any commutative coefficient target (rationals or
-        UniPoly), so the same code serves exact evaluation and the
-        eventual-polynomial substitution.
-        """
-        total = None
+    def _integer_terms(self):
+        """(L, rows): L is the lcm of the coefficient denominators and each
+        row is (nonzero (index, exponent) pairs, weight, integer
+        coefficients of L*c in z).  Built on first use and kept, because
+        one formula is evaluated at many levels."""
+        try:
+            return self._scaled
+        except AttributeError:
+            pass
+        L = math.lcm(*(a.denominator for c in self.terms.values() for a in c.coeffs))
+        rows = []
         for exps, c in self.terms.items():
-            val = c(z_value)
-            for i, e in enumerate(exps):
-                if e:
-                    val = val * gen_values[i + 1] ** e
-            total = val if total is None else total + val
-        if total is None:
-            return z_value * 0
-        return total
+            pairs = [(i, e) for i, e in enumerate(exps) if e]
+            weight = sum((i + 1) * e for i, e in pairs)
+            coeffs = [a.numerator * (L // a.denominator) for a in c.coeffs]
+            rows.append((pairs, weight, coeffs))
+        object.__setattr__(self, "_scaled", (L, rows))
+        return L, rows
+
+    def substitute(self, P, z: int) -> Fraction:
+        """Exact value with v_h := P[h-1] / 2^h and z := z, for integers
+        P[h-1] = P_h and z, where d = len(P) is at least the weighted
+        degree.
+
+        The sum is kept as one integer over the denominator L 2^d (see
+        _integer_terms): each monomial prod P_h^e comes from a table of
+        powers shared by all terms and is shifted left by d - weight.
+        """
+        d = len(P)
+        L, rows = self._integer_terms()
+        powers = [[1] for _ in P]  # powers[h-1][e] = P_h^e, filled on demand
+        total = 0
+        for pairs, weight, coeffs in rows:
+            mono = 1
+            for i, e in pairs:
+                row = powers[i]
+                while len(row) <= e:
+                    row.append(row[-1] * P[i])
+                mono *= row[e]
+            cz = coeffs[-1]
+            for a in reversed(coeffs[:-1]):
+                cz = cz * z + a
+            total += (cz * mono) << (d - weight)
+        return Fraction(total, L << d)
 
     def max_gen(self) -> int:
         return max((len(k) for k in self.terms), default=0)

@@ -3,9 +3,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from cyclosum.exactcore import UniPoly
 from cyclosum.symfunc import PowerSumExpr
+
+# Tier-1 runs are reproducible: every hypothesis test draws the same
+# examples on every run, with no deadline and no example database.
+settings.register_profile("ci", derandomize=True, deadline=None, database=None)
+settings.load_profile("ci")
 
 
 def random_rational(rng, bound=50):
@@ -39,6 +46,38 @@ def random_powersum_expr(rng, d, max_terms=3, z_degree=1):
     if psi.is_zero():
         return PowerSumExpr.gen(1)
     return psi
+
+
+@st.composite
+def powersum_exprs(draw, max_d=18):
+    """Formulas for differential tests: random_powersum_expr with weighted
+    degree <= max_d and z-degree <= 3 (degree 0 gives the constants), or
+    the zero formula."""
+    if draw(st.integers(0, 9)) == 0:
+        return PowerSumExpr.zero()
+    rng = draw(st.randoms(use_true_random=False))
+    return random_powersum_expr(
+        rng,
+        draw(st.sampled_from(range(max_d + 1))),
+        max_terms=draw(st.sampled_from(range(1, 7))),
+        z_degree=draw(st.sampled_from(range(4))),
+    )
+
+
+def reference_substitute(psi, gen_values, z_value):
+    """v_r := gen_values[r] and z := z_value by plain ring arithmetic in
+    any commutative target (rationals or UniPoly): the reference for the
+    integer kernel PowerSumExpr.substitute."""
+    total = None
+    for exps, c in psi.terms.items():
+        val = c(z_value)
+        for i, e in enumerate(exps):
+            if e:
+                val = val * gen_values[i + 1] ** e
+        total = val if total is None else total + val
+    if total is None:
+        return z_value * 0
+    return total
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,8 @@
 """Golden CLI outputs: the exit code and the sha256 of stdout and stderr
-of every README example and of the pinned minpoly/mq/hseries/eval/oracle
-calls, run in-process through cli.main.  Any change to a printed byte
-of these calls fails here; an intended change updates its digest."""
+of every README example and of the pinned minpoly/mq/hseries/eval/
+eventual/verify/oracle calls, run in-process through cli.main.  Any
+change to a printed byte of these calls fails here; an intended change
+updates its digest."""
 
 import contextlib
 import hashlib
@@ -12,6 +13,17 @@ import pytest
 from cyclosum import cli
 
 EMPTY = hashlib.sha256(b"").hexdigest()
+
+# Eventual polynomials of the high-degree formulas below, as the CLI
+# prints them; the verify calls take them back as conjectures.
+H18 = ("1/95126814720*n^9 + 1/880803840*n^8 + 121/2264924160*n^7"
+       " + 3/2097152*n^6 + 107989/4529848320*n^5 + 10619/41943040*n^4"
+       " + 39792107/23781703680*n^3 + 277075/44040192*n^2 + 12155/1179648*n")
+E16 = ("1/2642411520*n^8 - 29/660602880*n^7 + 47/20971520*n^6"
+       " - 3109/47185920*n^5 + 153869/125829120*n^4 - 1388303/94371840*n^3"
+       " + 74251427/660602880*n^2 - 27561307/55050240*n + 1")
+SUM6 = ("729/64*n^6 - 2187/16*n^5 + 10935/16*n^4 - 3645/2*n^3"
+        " + 10935/4*n^2 - 2187*n + 729")
 
 # (argv, exit code, sha256 of stdout, sha256 of stderr)
 GOLDEN = [
@@ -83,6 +95,57 @@ GOLDEN = [
      EMPTY),
     (['oracle', '--formula', 'p2*prod(1-t)^2', '--n', '200'], 0,
      'a92f4811e1d091acfa99de2519033a7df5016a35c68d87b106c8d22e48cb5e1f',
+     EMPTY),
+    (['eventual', '--formula', 'h(18)'], 0,
+     '073536daaf2fbc26872212bc8dab5f11f0eef33e4f38ef40c6db4d0133c51973',
+     EMPTY),
+    (['verify', '--formula', 'h(18)', '--conjecture', H18, '--below-threshold'], 1,
+     '289b7d1ee9a6fdbf0a229191c4dd0844b5eb74513b9fd3e3bf0075146b8f1e01',
+     EMPTY),
+    (['eventual', '--formula', 'e(16)'], 0,
+     'de6798b83db0bf81992d5f86b86bc1f727892de58d7c2bb6bb4ed8e3d3677419',
+     EMPTY),
+    (['verify', '--formula', 'e(16)', '--conjecture', E16, '--below-threshold'], 1,
+     'b7ff892e2c7acbadd6d42b8825aedd68ec79ca39640e2a7b3fcdf5893c6bf7f7',
+     EMPTY),
+    (['eventual', '--formula', 'mixed(4, 5)'], 0,
+     'ae6190c9bdd46bafc6636b7485da68fe251a12ccbcf3c3654217eafb4ae08301',
+     EMPTY),
+    (['verify', '--formula', 'mixed(4, 5)', '--conjecture', '-3/8*n + 2', '--below-threshold'], 1,
+     '792a6345526fbc11db87ee6e2a3e627fdf038586996c47506ebd9fd6ced617d4',
+     EMPTY),
+    (['eventual', '--formula', '(p1 + p2 + z)^6'], 0,
+     '53b967c75bb0d22d5aa9b18bf526d28acd7d7a5ae083ac0ab7a7beed3d04ceac',
+     EMPTY),
+    (['verify', '--formula', '(p1 + p2 + z)^6', '--conjecture', SUM6, '--below-threshold'], 1,
+     'ec73821fc82c9f8af8c14fc285b34f916c803cb7eb52336ff34713f024c5ff05',
+     EMPTY),
+    (['eventual', '--formula', 'z^3*p2 - z*p1^2'], 0,
+     '515a7c955cc83f51a2bd81989b849cb1a905c4270b5c2407d109bd1c4839d645',
+     EMPTY),
+    (['verify', '--formula', 'z^3*p2 - z*p1^2', '--conjecture', '1/2*n^4 - 5/2*n^3 + 9/2*n^2 - 9/2*n + 2', '--below-threshold'], 1,
+     'ea77cb8b0eb857ed31457a6740f0232e2b559d4bbc6374614fd8c02684a061d8',
+     EMPTY),
+    (['verify', '--formula', '(p1 + p2 + z)^6', '--conjecture', SUM6 + ' + 1/3'], 1,
+     '1bb788209ed83e19f27cf506e0ddbc98c549842d16062b8779fcaec29819f5b3',
+     EMPTY),
+    (['verify', '--formula', 'h(18)', '--conjecture', H18], 0,
+     'ae842721604123d24703c623fcfa86dc2f8880f3c752d5b12d35373bf94065e3',
+     EMPTY),
+    (['eval', '--formula', 'h(18)', '--n', '20'], 0,
+     '395cfff8beeaf6a3dd9008a9d36a77037808194bff212809f5632dd5d5fe6050',
+     EMPTY),
+    (['eval', '--formula', 'z^3*p2 - z*p1^2', '--n', '6', '--format', 'json'], 0,
+     '86e3c325309054e118aca69f4cae7bcbd885954dc7b382872836aa7d53abc02b',
+     EMPTY),
+    (['oracle', '--formula', 'mixed(4, 5)', '--n', '5'], 0,
+     '7c51b4395501ddc3d6f1661a44db547021f1af844a2b43e25b1b6eb6bc893898',
+     EMPTY),
+    (['eventual', '--formula', 'p1 - p1'], 0,
+     '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa',
+     EMPTY),
+    (['eventual', '--formula', '3/7*z^2'], 0,
+     '696fe456af352e640092ede934ad83c86e03f8d546891aba9a5e176225e5a5a2',
      EMPTY),
 ]
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -81,6 +82,31 @@ class TestTrigPowerSums:
             ps = exact_newton_powersums(n, 6)
             for h in range(1, 7):
                 assert cos_power_sum(n, h) == ps[h - 1] + 1
+
+
+def _comb_terms(n, h):
+    """Reference terms (r, C(h, (r n + h)/2)), each from math.comb afresh."""
+    bound = h // n
+    return [
+        (r, math.comb(h, (r * n + h) // 2))
+        for r in range(-bound, bound + 1)
+        if (r * n + h) % 2 == 0
+    ]
+
+
+class TestStrideBinomials:
+    def test_matches_comb_reference(self):
+        # 2 <= n <= 12 and h <= 3000, with multiples of n and their neighbours
+        for n in range(2, 13):
+            hs = set(range(40)) | {3000, 2999, n * (3000 // n)}
+            hs |= {k * n + j for k in (7, 31, 150) for j in (-1, 0, 1)}
+            for h in sorted(hs):
+                terms = _comb_terms(n, h)
+                total = sum(b for _, b in terms)
+                re = sum(b if r * n % 4 < 2 else -b for r, b in terms if r * n % 2 == 0)
+                assert cos_power_sum(n, h) == Fraction(n, 2**h) * total, (n, h)
+                assert sin_power_sum(n, h) == Fraction(n, 2**h) * re, (n, h)
+                assert punctured_power_sum(n, h) == n * total - 2**h, (n, h)
 
 
 def _cross_term(n):

@@ -1,10 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cyclosum.catalan import h_family
 from cyclosum.exactcore import UniPoly
-from cyclosum.invariants import QPoly, multiplicative_invariant
+from cyclosum.invariants import (
+    InternalConsistencyError,
+    QPoly,
+    multiplicative_invariant,
+    punctured_power_sum,
+    punctured_power_sum_stable,
+)
 from cyclosum.rigidity import (
     ProductCaseError,
     build_admissible,
@@ -14,7 +22,7 @@ from cyclosum.rigidity import (
 )
 from cyclosum.symfunc import PowerSumExpr
 
-from conftest import random_powersum_expr
+from conftest import powersum_exprs, random_powersum_expr, reference_substitute
 
 v1, v2 = PowerSumExpr.gen(1), PowerSumExpr.gen(2)
 z = PowerSumExpr.z()
@@ -140,6 +148,47 @@ class TestEventualPolynomial:
         F = build_admissible(v1, [(QPoly([1, -1]), 1)])
         with pytest.raises(ProductCaseError, match="polynomial case only"):
             eventual_polynomial(F)
+
+    def test_extra_level_disagreement_raises(self, monkeypatch):
+        # a kernel quadratic in n defeats the degree-1 bound of p2: the two
+        # interpolation levels cannot predict the third
+        monkeypatch.setattr(PowerSumExpr, "substitute", lambda self, P, z: Fraction(z * z))
+        with pytest.raises(InternalConsistencyError, match="misses the kernel"):
+            eventual_polynomial(build_admissible(v2))
+
+
+class TestKernelAgainstReference:
+    """The integer kernel behind evaluate and eventual_polynomial against
+    plain substitution of P_h / 2^h into psi_star."""
+
+    @settings(max_examples=300)
+    @given(psi=powersum_exprs(), offset=st.integers(-20, 6))
+    @example(psi=h_family(18), offset=-1)
+    @example(psi=h_family(18), offset=0)
+    @example(psi=(v1 + v2 + z) ** 6, offset=-3)
+    @example(psi=PowerSumExpr.zero(), offset=0)
+    def test_evaluate_on_both_sides_of_threshold(self, psi, offset):
+        F = build_admissible(psi)
+        n = max(2, F.n_star + offset)
+        gen_values = {h: punctured_power_sum(n, h) / 2**h for h in range(1, F.d + 1)}
+        report = evaluate(F, n)
+        assert report.mode == ("stable" if n >= F.n_star else "general")
+        assert report.value == reference_substitute(psi, gen_values, Fraction(n - 1))
+
+    @settings(max_examples=300)
+    @given(psi=powersum_exprs())
+    @example(psi=h_family(18))
+    @example(psi=(v1 + v2 + z) ** 6)
+    @example(psi=z**3 * v2 - z * v1**2)
+    @example(psi=PowerSumExpr.zero())
+    def test_eventual_matches_stable_substitution(self, psi):
+        F = build_admissible(psi)
+        gen_values = {
+            h: punctured_power_sum_stable(h).scale(Fraction(1, 2**h))
+            for h in range(1, F.d + 1)
+        }
+        expected = reference_substitute(psi, gen_values, UniPoly([-1, 1], "n"))
+        assert eventual_polynomial(F) == expected
 
 
 class TestVerifyIdentity:

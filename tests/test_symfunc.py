@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclosum.catalan import extract_coefficient_family, h_family
 from cyclosum.exactcore import UniPoly
@@ -16,7 +18,7 @@ from cyclosum.symfunc import (
     truncation_check,
 )
 
-from conftest import random_powersum_expr
+from conftest import powersum_exprs, random_powersum_expr, reference_substitute
 
 v1, v2, v3 = PowerSumExpr.gen(1), PowerSumExpr.gen(2), PowerSumExpr.gen(3)
 z = PowerSumExpr.z()
@@ -187,3 +189,17 @@ class TestRendering:
     def test_rational_and_power(self):
         psi = v2.scale(Fraction(1, 2)) + v1**2 * z
         assert render_powersum(psi) == "z*p1^2 + 1/2*p2"
+
+
+class TestIntegerKernel:
+    @settings(max_examples=300)
+    @given(psi=powersum_exprs(), extra=st.integers(0, 3), data=st.data())
+    def test_matches_reference_substitution(self, psi, extra, data):
+        # any integers P_h and z, and d = len(P) above the weighted degree
+        size = psi.weighted_degree + extra
+        P = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=size, max_size=size))
+        zval = data.draw(st.integers(-50, 50))
+        gen_values = {h: Fraction(P[h - 1], 2**h) for h in range(1, size + 1)}
+        got = psi.substitute(P, zval)
+        assert isinstance(got, Fraction)
+        assert got == reference_substitute(psi, gen_values, Fraction(zval))
