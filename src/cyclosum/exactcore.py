@@ -26,8 +26,22 @@ def rat_str(q: Fraction) -> str:
     """Canonical text form "a/b", or "a" when the denominator is 1."""
     q = rat(q)
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _int_str(q.numerator)
+    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
+
+
+def _int_str(a: int) -> str:
+    """Decimal digits of a at any length.  str() refuses integers past
+    the interpreter's digit limit (4,300 by default, at least 640), so
+    long ones are split by divmod by 10^m into halves of under 600
+    digits each."""
+    if a.bit_length() <= 1990:  # below 600 digits
+        return str(a)
+    if a < 0:
+        return "-" + _int_str(-a)
+    m = a.bit_length() * 3 // 20  # about half of the digits
+    hi, lo = divmod(a, 10**m)
+    return _int_str(hi) + _int_str(lo).zfill(m)
 
 
 class ZeroDivisorError(ZeroDivisionError):
@@ -140,8 +154,9 @@ class UniPoly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __divmod__(self, other):

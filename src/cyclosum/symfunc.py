@@ -24,7 +24,7 @@ ZVAR = "z"
 def coeff_poly(c) -> UniPoly:
     """Coerce a scalar or polynomial to a coefficient in Q[z]."""
     if isinstance(c, UniPoly):
-        return c.with_var(ZVAR)
+        return c if c.var == ZVAR else c.with_var(ZVAR)
     return UniPoly.const(rat(c), ZVAR)
 
 
@@ -145,7 +145,9 @@ class PowerSumExpr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: Dict[Tuple[int, ...], UniPoly] = {}
+        # Each key's z-coefficients accumulate in one list, skipping zero
+        # entries, so a sparse coefficient costs only its nonzero products.
+        out: Dict[Tuple[int, ...], list] = {}
         for ka, ca in self.terms.items():
             for kb, cb in o.terms.items():
                 n = max(len(ka), len(kb))
@@ -153,12 +155,14 @@ class PowerSumExpr:
                     (ka[i] if i < len(ka) else 0) + (kb[i] if i < len(kb) else 0)
                     for i in range(n)
                 )
-                c = ca * cb
-                if key in out:
-                    out[key] = out[key] + c
-                else:
-                    out[key] = c
-        return PowerSumExpr(out)
+                row = out.setdefault(key, [])
+                row.extend([0] * (len(ca.coeffs) + len(cb.coeffs) - 1 - len(row)))
+                for i, a in enumerate(ca.coeffs):
+                    if a:
+                        for j, b in enumerate(cb.coeffs):
+                            if b:
+                                row[i + j] += a * b
+        return PowerSumExpr({k: UniPoly(row, ZVAR) for k, row in out.items()})
 
     __rmul__ = __mul__
 
@@ -170,8 +174,9 @@ class PowerSumExpr:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def scale(self, c) -> "PowerSumExpr":

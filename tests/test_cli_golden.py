@@ -2,15 +2,23 @@
 of every README example and of the pinned minpoly/mq/hseries/eval/
 eventual/verify/oracle calls, run in-process through cli.main.  Any
 change to a printed byte of these calls fails here; an intended change
-updates its digest."""
+updates its digest.  The same holds for a replay of the first ops of
+each benchmark workload, and for the term order of parsed formulas,
+which the oracle's printed float digits follow."""
 
 import contextlib
 import hashlib
+import importlib.util
 import io
+import json
+import pathlib
 
 import pytest
 
 from cyclosum import cli
+from cyclosum.dsl import parse_formula
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 
@@ -147,6 +155,69 @@ GOLDEN = [
     (['eventual', '--formula', '3/7*z^2'], 0,
      '696fe456af352e640092ede934ad83c86e03f8d546891aba9a5e176225e5a5a2',
      EMPTY),
+    # DSL edge and error cases: division, names, product factors,
+    # conjectures, and the qpoly and extract entry points.
+    (['eval', '--formula', 'p1/z', '--n', '40'], 2,
+     EMPTY,
+     '72339f6e3e3f4069f20b97fbd1746a9096a177af1eca7f7c5cb51e98717a5c0e'),
+    (['eval', '--formula', 'p1/(p1 - p1)', '--n', '40'], 2,
+     EMPTY,
+     'e62eee0c728a1a299840e4d236c6aa7094b26b9bfac58b577c8a733473075b55'),
+    (['eval', '--formula', 'p1/(3*p1/p1)', '--n', '40'], 2,
+     EMPTY,
+     '72339f6e3e3f4069f20b97fbd1746a9096a177af1eca7f7c5cb51e98717a5c0e'),
+    (['eval', '--formula', 'p1/(z - z + 2)', '--n', '40'], 0,
+     '662aee3530805e1d62d8b86e219d3be38eb641dcefe246e53ba3e9906b0f5096',
+     EMPTY),
+    (['eval', '--formula', 't*p1', '--n', '40'], 2,
+     EMPTY,
+     'ce01c2b32c23f60b97884db91ead37ca5c392d60ff86c182af45d56784ac46b7'),
+    (['eval', '--formula', 'p0', '--n', '40'], 2,
+     EMPTY,
+     '5a107f64b6de0d69a02a688da7ecc6993baddfb2296671af6a8e56e7a06128cd'),
+    (['eval', '--formula', 'p33', '--n', '40'], 2,
+     EMPTY,
+     '963c076666882fd54ed7682f436a3a9199a60e36781a8376f90e431329ca77df'),
+    (['eval', '--formula', 'h(33)', '--n', '40'], 2,
+     EMPTY,
+     'b6e14cebb2598c458498447b3708d477ef826d9218ba85122f5ef47528842ce2'),
+    (['eval', '--formula', 'prod(2 + t)', '--n', '40'], 2,
+     EMPTY,
+     'aee327fcf91cf658c49f159f1816b36dcbae9ca2877ea3ed9fe24b3ec03f5480'),
+    (['eval', '--formula', 'prod(1 + t - t)', '--n', '40'], 0,
+     '5d2105474bb0d0391e43c57c10fdfc3d89094f3cc55e4d033ef310e3d996f8d3',
+     EMPTY),
+    (['eval', '--formula', 'prod(1 + p1*t)', '--n', '40'], 2,
+     EMPTY,
+     'cd6e04ce7ecfdab2ee3a3bda2fff8261a3656f0f26a93d6a588da3685968156f'),
+    (['eval', '--formula', 'prod(1 + t)^0', '--n', '40'], 0,
+     'e2b269f0438a5c5a57eb9bd1487716857065688e40fc45cf74c55a55e55d1b83',
+     EMPTY),
+    (['eval', '--formula', 'p1 + prod(1+t)', '--n', '40'], 2,
+     EMPTY,
+     'f346f49a03d3e8df92fee259c377d12c43b0cfab6e6e8f7ad9238aa9895d7f5e'),
+    (['eval', '--formula', 'prod(1+t)/2', '--n', '40'], 0,
+     'b43955503253075a0a6329d3db59ff36141abb006c6382b305b2d94350819916',
+     EMPTY),
+    (['eval', '--formula', 'p1*prod(1 + t/z)', '--n', '40'], 2,
+     EMPTY,
+     '72339f6e3e3f4069f20b97fbd1746a9096a177af1eca7f7c5cb51e98717a5c0e'),
+    (['verify', '--formula', 'energy', '--conjecture', 'n/n - 2'], 2,
+     EMPTY,
+     '72339f6e3e3f4069f20b97fbd1746a9096a177af1eca7f7c5cb51e98717a5c0e'),
+    (['verify', '--formula', 'energy', '--conjecture', 'z'], 2,
+     EMPTY,
+     '7282ef535e86791677979230817b6ee5fe428074ec301fec1ce69e10c72e0c0b'),
+    (['mq', '--formula', '1 + t/0', '--n', '5'], 2,
+     EMPTY,
+     'e62eee0c728a1a299840e4d236c6aa7094b26b9bfac58b577c8a733473075b55'),
+    (['extract', '--formula', '1 + z*t - t^2/3', '--r', '4'], 0,
+     '76407d512bc5da3b5b3ac378ae4ec6b45cc950051123d446cbff2df1d8aff840',
+     EMPTY),
+    # 4,366 digits: past CPython's default limit for str(int).
+    (['power-sum', '--n', '2', '--h', '14500'], 0,
+     'fcbd13881a2ceaefb1c37b24599a8ed839f7435cd0f4f37fbf2013bac91b7b20',
+     EMPTY),
 ]
 
 
@@ -154,13 +225,85 @@ def _digest(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
 @pytest.mark.parametrize(
     "argv,code,stdout_sha,stderr_sha", GOLDEN, ids=[" ".join(c[0]) for c in GOLDEN]
 )
 def test_cli_output_is_pinned(argv, code, stdout_sha, stderr_sha):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main(argv)
+    rc, out, err = _run(argv)
     assert rc == code
-    assert _digest(out.getvalue()) == stdout_sha, out.getvalue()
-    assert _digest(err.getvalue()) == stderr_sha, err.getvalue()
+    assert _digest(out) == stdout_sha, out
+    assert _digest(err) == stderr_sha, err
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REPLAY = [("identities", 90), ("crosscheck", 40), ("levels", 20)]
+REPLAY_SEED = 601000
+REPLAY_SHA = "90931e7957624672d6be045a1112aef8590c3c82030f421af7d6c31cca684366"
+
+
+def replay_digest():
+    """sha256 over (argv, exit code, stdout, stderr) of the first ops of
+    each workload for one seed, run in order."""
+    workloads = _load_workloads()
+    h = hashlib.sha256()
+    for workload, count in REPLAY:
+        for op in workloads.generate(workload, REPLAY_SEED, count):
+            h.update(json.dumps([op["argv"], *_run(op["argv"])]).encode("utf-8"))
+    return h.hexdigest()
+
+
+def test_replayed_bench_ops_are_pinned():
+    assert replay_digest() == REPLAY_SHA
+
+
+# Formulas whose parsed term order is pinned: every builtin family and
+# power at weighted degree <= 18, and the crosscheck workload's formulas.
+TERM_ORDER = {
+    "h": [f"h({r})" for r in range(1, 19)],
+    "e": [f"e({r})" for r in range(1, 19)],
+    "mixed": [f"mixed({a}, {b})" for a in range(1, 18) for b in range(1, 19 - a)],
+    "p1p2z": [f"(p1 + p2 + z)^{k}" for k in range(1, 10)],
+    "energy": [f"energy^{k}" for k in range(1, 10)],
+    "crosscheck": [
+        "p2*prod(1 - t)^2", "prod(1 + 4*t)", "(p1^2*p20 + p11)", "energy^2",
+        "prod(1 + z*t - 3*t^3)", "mixed(2,3)", "e(5)",
+        "energy*prod(1 - t + 2*t^2)", "(h(6) + z*p3)",
+        "(z*p1*p17 + (-1)*p9^2)", "prod(1 - t + 2*t^2)",
+    ],
+}
+
+
+# h(r) and e(r) share one order: both sum over the partitions of r.
+TERM_ORDER_SHA = {
+    "crosscheck": "c981ac57c4ec0bced9dc53e7e8a3b128e157b6fa358974bef62542aee65c7b4c",
+    "e": "ee91a421681e53a126757323af336e498dc27ae41c1eb0fbfdd914616f823e06",
+    "energy": "f1ee7368b4d4f955f4c2a7f67ff7bc08974efe5886ccf758f6807e7573beec85",
+    "h": "ee91a421681e53a126757323af336e498dc27ae41c1eb0fbfdd914616f823e06",
+    "mixed": "e05cce61f14abecc7f3d36c2723cf2633261b88ad4da443641a0e9a560d92649",
+    "p1p2z": "9d784bd5b7dc10e5f555b0e6e275801b9739de2a030b2ac417277d780cc3ca42",
+}
+
+
+def term_order_digest(texts):
+    orders = [list(parse_formula(text).psi_star.terms) for text in texts]
+    return hashlib.sha256(repr(orders).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("group", sorted(TERM_ORDER))
+def test_term_order_is_pinned(group):
+    assert term_order_digest(TERM_ORDER[group]) == TERM_ORDER_SHA[group]

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,26 @@ class TestRational:
         assert rat_str(Fraction(3, 4)) == "3/4"
         assert rat_str(Fraction(8, 2)) == "4"
         assert rat_str(Fraction(-5, 10)) == "-1/2"
+
+    def test_text_form_of_any_length(self):
+        # str() is the reference only with the digit limit lifted; rat_str
+        # needs no limit change, even at the lowest limit CPython allows
+        rng = random.Random(3)
+        values = [Fraction(10**k - 1) for k in (599, 600, 601, 4300, 4301)]
+        values += [Fraction(10**5000 + 1), Fraction(-(10**5000)), Fraction(3**20000, 7**9000)]
+        for bits in (1989, 1990, 1991, 2100, 14300, 60000):
+            sign = rng.choice((1, -1))
+            values.append(Fraction(sign * rng.getrandbits(bits), rng.getrandbits(bits) | 1))
+        old = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            low = [rat_str(q) for q in values]
+            sys.set_int_max_str_digits(0)
+            expected = [str(q) for q in values]
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert [rat_str(q) for q in values] == expected
+        assert low == expected
 
     def test_field_axioms_on_random_triples(self):
         rng = random.Random(1)
@@ -87,6 +108,13 @@ class TestUniPoly:
             q, r = poly_divrem(a, b)
             assert b * q + r == a
             assert r.degree < b.degree or r.is_zero()
+
+    def test_power_matches_repeated_product(self):
+        p = P([1, Fraction(-2, 3), 0, 5])
+        acc = P([1])
+        for k in range(10):
+            assert p**k == acc
+            acc = acc * p
 
     def test_text_form(self):
         assert poly_str(P([Fraction(1, 4), 1, 1])) == "1*t^2 + 1*t + 1/4"

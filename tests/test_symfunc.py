@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclosum.catalan import extract_coefficient_family, h_family
@@ -203,3 +203,56 @@ class TestIntegerKernel:
         got = psi.substitute(P, zval)
         assert isinstance(got, Fraction)
         assert got == reference_substitute(psi, gen_values, Fraction(zval))
+
+
+# Sparse z-coefficients, whose zero entries the product skips, and a sum
+# whose z^0 part cancels while its z part stays.
+SPARSE_A = z**5 * v1 + v2 - z**3 * v1**2
+SPARSE_B = z**5 * v1 - v2 + 3 * z**4
+
+
+class TestArithmeticAgainstSubstitution:
+    """The parser builds every formula with + - * ^; each must agree with
+    the integer kernel applied to its parts at random integer P and z."""
+
+    @staticmethod
+    def _point(data, size):
+        P = data.draw(st.lists(st.integers(-10**4, 10**4), min_size=size, max_size=size))
+        return P, data.draw(st.integers(-20, 20))
+
+    @settings(max_examples=200)
+    @given(a=powersum_exprs(max_d=9), b=powersum_exprs(max_d=9), data=st.data())
+    @example(a=SPARSE_A, b=SPARSE_B, data=None)
+    @example(a=SPARSE_A, b=-SPARSE_A, data=None)
+    @example(a=v1 * v2 + v3 + z * v1 * v2, b=-v1 * v2, data=None)
+    def test_sum_difference_and_product(self, a, b, data):
+        size = a.weighted_degree + b.weighted_degree
+        P, zval = self._point(data, size) if data else (list(range(3, 3 + size)), 7)
+        at = lambda psi: psi.substitute(P, zval)
+        assert at(a + b) == at(a) + at(b)
+        assert at(a - b) == at(a) - at(b)
+        assert at(a * b) == at(a) * at(b)
+
+    @settings(max_examples=100)
+    @given(a=powersum_exprs(max_d=6), k=st.integers(0, 5), data=st.data())
+    @example(a=SPARSE_A, k=5, data=None)
+    @example(a=z**5 * v1, k=3, data=None)
+    def test_power(self, a, k, data):
+        size = max(k, 1) * a.weighted_degree
+        P, zval = self._point(data, size) if data else (list(range(-2, size - 2)), -3)
+        assert (a**k).substitute(P, zval) == a.substitute(P, zval) ** k
+
+    def test_sparse_product_is_exact(self):
+        assert (z**5 * v1) * (z**5 * v1) == PowerSumExpr(
+            {(2,): UniPoly.monomial(1, 10, "z")}
+        )
+
+    @given(a=powersum_exprs(max_d=9), b=powersum_exprs(max_d=9))
+    @example(a=v1 * v2 + v3, b=z * v1 * v2 - v1 * v2)
+    def test_sum_keeps_term_order(self, a, b):
+        # a's monomials first, then b's new ones, each in its own order; a
+        # monomial whose coefficient changes keeps its place
+        total = (a + b).terms
+        expected = [k for k in a.terms if k in total]
+        expected += [k for k in b.terms if k not in a.terms and k in total]
+        assert list(total) == expected
