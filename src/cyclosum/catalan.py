@@ -159,9 +159,8 @@ def extract_coefficient_family(q_coeffs: Sequence, r: int) -> PowerSumExpr:
             exps[l - 1] = 0
 
     walk(r, r, one)
-    # Decreasing lexicographic order of (m_1, m_2, ...): float_eval sums
-    # the terms of a parsed formula in this order, so it fixes the digits
-    # of the oracle's float value and residual.
+    # Decreasing lexicographic order of (m_1, m_2, ...): the term order of
+    # a parsed h(r) or e(r), which tests/test_cli_golden.py pins.
     return PowerSumExpr({exps: terms[exps] for exps in sorted(terms, reverse=True)})
 
 

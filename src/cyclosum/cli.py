@@ -133,7 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
     orc = subs.add_parser("oracle", help="cross-check exact vs float evaluation")
     _add_common(orc, "n", "formula")
     orc.add_argument("--precision", type=int, default=DEFAULT_PRECISION, help="bits")
-    orc.add_argument("--tolerance", default="1/100000000000000000000")
+    orc.add_argument(
+        "--tolerance",
+        help="absolute tolerance (default: the float route's own error bound)",
+    )
 
     return parser
 
@@ -232,9 +235,8 @@ def run(args) -> int:
         return EXIT_OK
     if cmd == "oracle":
         F = _load_formula(args)
-        report = cross_check(
-            F, args.n, tolerance=Fraction(args.tolerance), precision=args.precision
-        )
+        tolerance = None if args.tolerance is None else Fraction(args.tolerance)
+        report = cross_check(F, args.n, tolerance=tolerance, precision=args.precision)
         _emit(report.to_dict(), args.fmt)
         return EXIT_OK if report.passed else EXIT_MISMATCH
     raise AssertionError(f"unhandled command {cmd!r}")

@@ -22,3 +22,5 @@ def test_crosscheck_smoke_run():
     summary = json.loads(res.stdout.strip().splitlines()[-1])
     assert summary["correct"] is True
     assert summary["failed"] == 0
+    # the oracle's verdict accepts every correct value
+    assert summary["metrics"]["checked_ok_frac"]["value"] == 1.0

@@ -167,6 +167,19 @@ class TestSeriesAndOracle:
             "1/1000000000000",
         )
         assert res.returncode == 0
+        assert "tolerance: 1.0e-12" in res.stdout.splitlines()
+
+    def test_oracle_tolerance_in_use_is_printed(self):
+        # no --tolerance: the float route's own bound, far below 1e-20 here
+        res = run_cli("oracle", "--formula", "h(6)", "--n", "9", "--format", "json")
+        tolerance = float(json.loads(res.stdout)["tolerance"])
+        assert 0 < tolerance < 1e-60
+        # an explicit tolerance is absolute and printed as given
+        res = run_cli("oracle", "--formula", "prod(1 + 4*t)", "--n", "300",
+                      "--tolerance", "1/100000000000000000000")
+        assert res.returncode == 1
+        assert "tolerance: 1.0e-20" in res.stdout.splitlines()
+        assert "pass: False" in res.stdout.splitlines()
 
 
 class TestErrors:

@@ -3,8 +3,8 @@ of every README example and of the pinned minpoly/mq/hseries/eval/
 eventual/verify/oracle calls, run in-process through cli.main.  Any
 change to a printed byte of these calls fails here; an intended change
 updates its digest.  The same holds for a replay of the first ops of
-each benchmark workload, and for the term order of parsed formulas,
-which the oracle's printed float digits follow."""
+each benchmark workload, one digest per workload, and for the term
+order of parsed formulas."""
 
 import contextlib
 import hashlib
@@ -51,7 +51,7 @@ GOLDEN = [
      'ef330ad239a79c626a0eddf29ff996cf836c99ef524f878cfab7239f51b7a371',
      EMPTY),
     (['oracle', '--formula', 'h(6)', '--n', '9', '--precision', '256'], 0,
-     '801dd0d3b858a6c1ba5c5f25a588cf2bf27e9e7bea64a4837a4cd136248efd46',
+     '9c1ba016146a7a29780f3556f713150060f9336adb01a7a346e6afbb1c076c4a',
      EMPTY),
     (['minpoly', '--n', '1'], 2,
      EMPTY,
@@ -98,11 +98,11 @@ GOLDEN = [
     (['eval', '--formula', 'energy*prod(1 - t + 2*t^2)', '--n', '64'], 0,
      '2e73ae87ace503dfd90c4dd2d5db22726961d97150ca872767d36dcd003e1413',
      EMPTY),
-    (['oracle', '--formula', 'prod(1 + 4*t)', '--n', '300'], 1,
-     '256f805f695e71e657e016469c47a61c1b00b6d2dde0e8a8814d4f02d7ee5871',
+    (['oracle', '--formula', 'prod(1 + 4*t)', '--n', '300'], 0,
+     'fb7628c0fff6722ebc8478348b8494dea9bacf852eb5fa878d5e3fc32f2667f1',
      EMPTY),
     (['oracle', '--formula', 'p2*prod(1-t)^2', '--n', '200'], 0,
-     'a92f4811e1d091acfa99de2519033a7df5016a35c68d87b106c8d22e48cb5e1f',
+     'e92bae5df2823d086ec0bf10182ab91f7b675f851f224d2c9687a0a7661b5c5a',
      EMPTY),
     (['eventual', '--formula', 'h(18)'], 0,
      '073536daaf2fbc26872212bc8dab5f11f0eef33e4f38ef40c6db4d0133c51973',
@@ -147,7 +147,7 @@ GOLDEN = [
      '86e3c325309054e118aca69f4cae7bcbd885954dc7b382872836aa7d53abc02b',
      EMPTY),
     (['oracle', '--formula', 'mixed(4, 5)', '--n', '5'], 0,
-     '7c51b4395501ddc3d6f1661a44db547021f1af844a2b43e25b1b6eb6bc893898',
+     'c3b21f0ee6004c3273c192e8093acdb3b36d2c98e76f7ec98e440b1487d9260a',
      EMPTY),
     (['eventual', '--formula', 'p1 - p1'], 0,
      '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa',
@@ -214,6 +214,19 @@ GOLDEN = [
     (['extract', '--formula', '1 + z*t - t^2/3', '--r', '4'], 0,
      '76407d512bc5da3b5b3ac378ae4ec6b45cc950051123d446cbff2df1d8aff840',
      EMPTY),
+    # A Q that vanishes at a cosine point: the exact value is 0.
+    (['oracle', '--formula', 'prod(1+t)', '--n', '10'], 0,
+     'f4c6fc101200012feff1d3f6e141faa5770996b206ae5c27a75fd84e7ec7a337',
+     EMPTY),
+    (['oracle', '--formula', 'p1*prod(1+t)^2', '--n', '8'], 0,
+     'aae086198f17447a4e35623ec20432c5efbb28ec85405d262b8fc46bba0bdb54',
+     EMPTY),
+    (['oracle', '--formula', 'prod(1 - 2*t)', '--n', '6'], 0,
+     '919130e708cef60658d6f21e23bacbe68c284a6ea0d06e959c1cf10182211fe3',
+     EMPTY),
+    (['oracle', '--formula', 'prod(1 + 2*t)', '--n', '3'], 0,
+     '05d40aa21eaec1e83ae052bb34a9b4a4588ef28846db393bf390ec4cf7f1f57f',
+     EMPTY),
     # 4,366 digits: past CPython's default limit for str(int).
     (['power-sum', '--n', '2', '--h', '14500'], 0,
      'fcbd13881a2ceaefb1c37b24599a8ed839f7435cd0f4f37fbf2013bac91b7b20',
@@ -253,22 +266,28 @@ def _load_workloads():
 
 REPLAY = [("identities", 90), ("crosscheck", 40), ("levels", 20)]
 REPLAY_SEED = 601000
-REPLAY_SHA = "90931e7957624672d6be045a1112aef8590c3c82030f421af7d6c31cca684366"
+REPLAY_SHA = {
+    "identities": "531482550161c273e3ee8dcbe01c366a9c2266bf2505ec144e3949daaf626af5",
+    "crosscheck": "0dc82d745f8751fa6534d3201466001b314c5844f10856c78b87231d7a05d100",
+    "levels": "953b3f8ebeeefdcf9320df562669bdb08ec6b19173605cd0e9d14f192e53f9d0",
+}
 
 
-def replay_digest():
-    """sha256 over (argv, exit code, stdout, stderr) of the first ops of
-    each workload for one seed, run in order."""
+def replay_digests():
+    """Per workload, the sha256 over (argv, exit code, stdout, stderr) of
+    its first ops for one seed; the workloads run in order."""
     workloads = _load_workloads()
-    h = hashlib.sha256()
+    digests = {}
     for workload, count in REPLAY:
+        h = hashlib.sha256()
         for op in workloads.generate(workload, REPLAY_SEED, count):
             h.update(json.dumps([op["argv"], *_run(op["argv"])]).encode("utf-8"))
-    return h.hexdigest()
+        digests[workload] = h.hexdigest()
+    return digests
 
 
 def test_replayed_bench_ops_are_pinned():
-    assert replay_digest() == REPLAY_SHA
+    assert replay_digests() == REPLAY_SHA
 
 
 # Formulas whose parsed term order is pinned: every builtin family and
@@ -307,3 +326,16 @@ def term_order_digest(texts):
 @pytest.mark.parametrize("group", sorted(TERM_ORDER))
 def test_term_order_is_pinned(group):
     assert term_order_digest(TERM_ORDER[group]) == TERM_ORDER_SHA[group]
+
+
+def test_oracle_output_ignores_term_order():
+    # h(6) typed with its 11 terms in reverse order prints the same bytes
+    terms = str(parse_formula("h(6)").psi_star).split(" + ")
+    assert len(terms) == 11
+    reversed_text = " + ".join(reversed(terms))
+    assert list(parse_formula(reversed_text).psi_star.terms) != list(
+        parse_formula("h(6)").psi_star.terms
+    )
+    assert _run(["oracle", "--formula", reversed_text, "--n", "9"]) == _run(
+        ["oracle", "--formula", "h(6)", "--n", "9"]
+    )

@@ -41,7 +41,7 @@ class TestFormulaParsing:
         assert parse_formula("z*p02 - p1*p01").psi_star == z * v2 - v1**2
 
     def test_builtin_term_order(self):
-        # float_eval sums in this order, so parsing must keep it
+        # parsing keeps the extraction's term order
         assert list(parse_formula("h(12)").psi_star.terms) == list(h_family(12).terms)
         e12 = extract_coefficient_family([1, 1], 12)
         assert list(parse_formula("e(12)").psi_star.terms) == list(e12.terms)

@@ -1,8 +1,15 @@
+import dataclasses
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import to_rational
 
+from cyclosum import oracle
+from cyclosum.dsl import parse_formula
+from cyclosum.exactcore import UniPoly
 from cyclosum.invariants import QPoly, punctured_min_poly, punctured_power_sum
 from cyclosum.oracle import (
     cosine_points,
@@ -14,6 +21,8 @@ from cyclosum.catalan import h_family
 from cyclosum.rigidity import build_admissible, evaluate
 from cyclosum.symfunc import PowerSumExpr
 
+from conftest import powersum_exprs
+
 v1, v2 = PowerSumExpr.gen(1), PowerSumExpr.gen(2)
 z = PowerSumExpr.z()
 
@@ -23,25 +32,45 @@ def close(a, b, bits=200):
         return abs(a - b) < mpmath.mpf(2) ** -bits
 
 
+def fixed(x, precision=256):
+    """A fixed-point cosine point as an mpf, exactly."""
+    with mpmath.workprec(x.bit_length() + 1):
+        return mpmath.ldexp(mpmath.mpf(x), -precision)
+
+
+def frac(x):
+    return Fraction(*to_rational(x._mpf_))
+
+
 class TestCosinePoints:
     def test_n_four(self):
-        pts = cosine_points(4).points
-        assert len(pts) == 3
+        pts = [fixed(x) for x in cosine_points(4).points]
+        assert len(pts) == 2  # k = 1, 2; k = 3 mirrors k = 1
         assert close(pts[0], 0)
         assert close(pts[1], -1)
-        assert close(pts[2], 0)
 
     def test_n_three(self):
-        pts = cosine_points(3).points
+        pts = [fixed(x) for x in cosine_points(3).points]
+        assert len(pts) == 1  # k = 2 mirrors k = 1
         assert close(pts[0], mpmath.mpf(-1) / 2)
-        assert close(pts[1], mpmath.mpf(-1) / 2)
 
     def test_n_eight_symmetry(self):
-        pts = cosine_points(8).points
+        pts = [fixed(x) for x in cosine_points(8).points]
+        assert len(pts) == 4
         with mpmath.workprec(256):
             assert close(pts[0], mpmath.sqrt(2) / 2)
-            assert close(pts[0], pts[6])
-            assert close(pts[2], pts[4])
+            assert close(pts[0], -pts[2])
+            assert close(pts[1], 0)
+            assert close(pts[3], -1)
+
+    def test_within_one_unit(self):
+        for n in (2, 5, 12, 97, 320):
+            for precision in (64, 256):
+                pts = cosine_points(n, precision).points
+                with mpmath.workprec(2 * precision):
+                    for k, x in enumerate(pts, start=1):
+                        exact = mpmath.ldexp(mpmath.cos(2 * mpmath.pi * k / n), precision)
+                        assert abs(x - exact) <= 1
 
     def test_roots_of_min_poly(self):
         # the independent float points must be roots of the exact W_n
@@ -49,7 +78,8 @@ class TestCosinePoints:
             W = punctured_min_poly(n)
             with mpmath.workprec(256):
                 cs = [mpmath.mpf(c.numerator) / c.denominator for c in W.coeffs]
-                for p in cosine_points(n).points:
+                for x in cosine_points(n).points:
+                    p = fixed(x)
                     val = mpmath.mpf(0)
                     for c in reversed(cs):
                         val = val * p + c
@@ -59,17 +89,117 @@ class TestCosinePoints:
 class TestFloatEval:
     def test_energy(self):
         F = build_admissible(z * v2 - v1**2)
-        assert close(float_eval(F, 10), 35)
+        value, _ = float_eval(F, 10)
+        assert close(value, 35)
 
     def test_product(self):
         F = build_admissible(PowerSumExpr.const(1), [(QPoly([1, -1]), 1)])
-        assert close(float_eval(F, 6), mpmath.mpf(36) / 32)
+        value, _ = float_eval(F, 6)
+        assert close(value, mpmath.mpf(36) / 32)
 
     def test_below_threshold(self):
         F = build_admissible(h_family(4))
         # exact general-regime value at n = 3, below n_star = 6
         expected = float(evaluate(F, 3).value)
-        assert close(float_eval(F, 3), mpmath.mpf(expected), bits=40)
+        value, _ = float_eval(F, 3)
+        assert close(value, mpmath.mpf(expected), bits=40)
+
+
+def reference_float_eval(F, n, precision):
+    """The earlier float route: mpf arithmetic over all n - 1 points,
+    p**h for every h, and every Q evaluated at every point."""
+    with mpmath.workprec(precision):
+        two_pi = 2 * mpmath.pi
+        pts = [mpmath.cos(two_pi * k / n) for k in range(1, n)]
+        zz = Fraction(n - 1)
+        psums = {}
+        for h in range(1, F.psi_star.max_gen() + 1):
+            psums[h] = mpmath.fsum(p**h for p in pts)
+        total = mpmath.mpf(0)
+        for exps, c in F.psi_star.terms.items():
+            cz = c(zz)
+            term = mpmath.mpf(cz.numerator) / cz.denominator
+            for i, e in enumerate(exps):
+                if e:
+                    term *= psums[i + 1] ** e
+            total += term
+        for Q, mult in F.products:
+            qcs = [mpmath.mpf(c.numerator) / c.denominator
+                   for c in Q.specialize_z(n - 1).coeffs]
+            prod = mpmath.mpf(1)
+            for p in pts:
+                val = mpmath.mpf(0)
+                for cc in reversed(qcs):
+                    val = val * p + cc
+                prod *= val
+            total *= prod**mult
+        return total
+
+
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def qpolys(draw):
+    """Unit-normalized Q of degree <= 3, with or without z."""
+    with_z = draw(st.booleans())
+    coeffs = [1]
+    for _ in range(draw(st.integers(1, 3))):
+        c = draw(small_rationals)
+        if with_z and draw(st.booleans()):
+            c = UniPoly([c, draw(small_rationals)], "z")
+        coeffs.append(c)
+    return QPoly(coeffs)
+
+
+def check_bound(F, n, precision):
+    """No false FAIL: the float value is within its bound of the exact
+    value, and of the earlier route's value at twice the precision."""
+    value, bound = float_eval(F, n, precision)
+    tol = frac(bound)
+    assert abs(frac(value) - evaluate(F, n).value) <= tol
+    ref = reference_float_eval(F, n, 2 * precision)
+    assert abs(frac(value) - frac(ref)) <= tol
+
+
+# The formulas of the crosscheck benchmark workload.
+WORKLOAD_FORMULAS = [
+    "p2*prod(1 - t)^2", "prod(1 + 4*t)", "(p1^2*p20 + p11)", "energy^2",
+    "prod(1 + z*t - 3*t^3)", "mixed(2,3)", "e(5)",
+    "energy*prod(1 - t + 2*t^2)", "(h(6) + z*p3)",
+    "(z*p1*p17 + (-1)*p9^2)", "prod(1 - t + 2*t^2)",
+]
+
+
+class TestErrorBound:
+    @settings(max_examples=150)
+    @given(
+        psi=powersum_exprs(),
+        qs=st.lists(qpolys(), max_size=2),
+        n=st.integers(2, 400),
+        precision=st.sampled_from([64, 128, 256]),
+    )
+    def test_bound_holds_and_matches_reference(self, psi, qs, n, precision):
+        check_bound(build_admissible(psi, [(Q, 1) for Q in qs]), n, precision)
+
+    @pytest.mark.parametrize("text", WORKLOAD_FORMULAS)
+    def test_workload_formulas(self, text):
+        for n, precision in [(2, 64), (16, 256), (57, 128), (320, 256)]:
+            check_bound(parse_formula(text), n, precision)
+
+    @pytest.mark.parametrize("precision", [64, 128])
+    def test_nearly_vanishing_q(self, precision):
+        # Q(1/2) = -2^-70 is below the fixed-point resolution at 64 bits
+        # and above it at 128; F(n) is tiny but not 0.
+        Q = QPoly([1, -(2 + Fraction(1, 2**69))])
+        for n in (6, 12, 30):
+            check_bound(build_admissible(v1, [(Q, 1)]), n, precision)
+            check_bound(build_admissible(PowerSumExpr.const(1), [(Q, 2)]), n, precision)
+
+    def test_precision_too_low_is_refused(self):
+        F = build_admissible(v1 ** (1 << 50))
+        with pytest.raises(ValueError, match="raise --precision"):
+            float_eval(F, 50, 64)
 
 
 class TestNewtonPowerSums:
@@ -92,6 +222,34 @@ class TestNewtonPowerSums:
         # indices past deg W_n exercise the truncated Newton recurrence
         ps = exact_newton_powersums(3, 6)
         assert ps == [Fraction((-1) ** j, 2 ** (j - 1)) for j in range(1, 7)]
+
+
+# Mutation cases: (formula, level), from 2.5e-109 to 1e701 in magnitude.
+NONZERO_CASES = [
+    ("p2*prod(1-t)^2", 200),
+    ("prod(1 + 4*t)", 300),
+    ("prod(1 + z*t - 3*t^3)", 320),
+    ("h(6)", 9),
+    ("mixed(4, 5)", 5),
+]
+# Exact value 0, four of them from a Q that vanishes at a cosine point.
+ZERO_CASES = [
+    ("prod(1+t)", 10),
+    ("p1*prod(1+t)^2", 8),
+    ("prod(1 - 2*t)", 6),
+    ("prod(1 + 2*t)", 3),
+    ("energy", 3),
+]
+
+
+def check_with_exact(monkeypatch, text, n, mutate):
+    """cross_check with the exact value replaced by mutate(exact)."""
+    def mutated(F, level):
+        report = evaluate(F, level)
+        return dataclasses.replace(report, value=mutate(report.value))
+
+    monkeypatch.setattr(oracle, "evaluate", mutated)
+    return cross_check(parse_formula(text), n)
 
 
 class TestCrossCheck:
@@ -127,13 +285,18 @@ class TestCrossCheck:
         hi = cross_check(F, 12, precision=512, tolerance=Fraction(1, 2**100 * 10**20))
         assert lo.passed and hi.passed
 
-    def test_failure_detectable(self):
-        # a deliberately tiny tolerance with a big formula should still
-        # pass because both sides are the same exact number; check the
-        # machinery can report failure by faking a off-by-one exact value
-        F = build_admissible(v1)
-        rep = cross_check(F, 5, tolerance=Fraction(1, 10**60))
-        assert rep.passed
+    def test_failure_detectable(self, monkeypatch):
+        # The true value passes at every magnitude; a value off by a
+        # factor 2, by a relative 2^-64, or 2^-200 in place of 0 fails.
+        for text, n in NONZERO_CASES:
+            assert check_with_exact(monkeypatch, text, n, lambda v: v).passed, text
+            for mutate in (lambda v: 2 * v, lambda v: v * (1 + Fraction(1, 2**64))):
+                assert not check_with_exact(monkeypatch, text, n, mutate).passed, text
+        for text, n in ZERO_CASES:
+            rep = check_with_exact(monkeypatch, text, n, lambda v: v)
+            assert rep.exact == 0 and rep.passed, text
+            mutant = check_with_exact(monkeypatch, text, n, lambda v: Fraction(1, 2**200))
+            assert not mutant.passed, text
 
     def test_report_dict(self):
         F = build_admissible(v1)
