@@ -1,24 +1,23 @@
-"""Catalan series machinery for complete symmetric sums at cosine points.
+"""Coefficient families of product factors, and complete symmetric sums
+at cosine points.
 
 A(t) = 2 / (1 + sqrt(1 - t^2)) is handled purely through the closed form
-of its power coefficients a_l(n); the functional equation A = 1 + (t^2/4) A^2
-is a test, not a construction.  The global generating function of the
+of its power coefficients a_l(n).  The global generating function of the
 h_r values at level n comes from the Chebyshev factorization of T_n - 1.
+The series A(t)^n, the stable closed form of h_r and the trunk
+congruence H_n(t) = (1 - t) A(t)^n are test reference code, in
+tests/reference.py.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, Tuple
 
-from .exactcore import Series, UniPoly, series_mul
-from .invariants import NVAR, TVAR, vieta_lucas_coeffs
+from .exactcore import UniPoly
+from .invariants import vieta_lucas_coeffs
 from .symfunc import PowerSumExpr, ZVAR, coeff_poly
-
-
-class TrunkRangeError(ValueError):
-    pass
 
 
 def catalan_a(l: int, n: int) -> Fraction:
@@ -37,40 +36,9 @@ def catalan_a(l: int, n: int) -> Fraction:
     return Fraction(n * prod, 4**l * math.factorial(l))
 
 
-def a_power_series(n: int, order: int) -> Series:
-    """A(t)^n as an even series to the requested truncation order."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    coeffs = [Fraction(0)] * (order + 1)
-    for l in range(order // 2 + 1):
-        coeffs[2 * l] = catalan_a(l, n)
-    return Series(coeffs, order, TVAR)
-
-
-def h_stable(r: int) -> UniPoly:
-    """Stable-range value of h_r at the punctured cosine points, as a
-    polynomial in n (valid for integer n >= r+2); r >= 2.
-
-    h_0 = 1 and the h_1 evaluation = -1 are explicit constants, not
-    covered by this pattern.
-    """
-    if r < 2:
-        raise ValueError("h_stable is defined for r >= 2")
-    m = r // 2
-    poly = UniPoly([0, 1], NVAR)  # n
-    for j in range(m + 1, 2 * m):
-        poly = poly * UniPoly([j, 1], NVAR)
-    poly = poly.scale(Fraction(1, 4**m * math.factorial(m)))
-    if r % 2:
-        poly = -poly
-    return poly
-
-
-H1_VALUE = Fraction(-1)  # sum of the punctured cosine points, any n >= 2
-
-
-def h_global_series(n: int, order: int) -> Series:
-    """Exact series sum_r h_r(alpha_{1,n}..alpha_{n-1,n}) s^r to the given order.
+def h_global_series(n: int, order: int) -> Tuple[Fraction, ...]:
+    """Coefficients h_0..h_order of the exact series
+    sum_r h_r(alpha_{1,n}..alpha_{n-1,n}) s^r.
 
     The points 2 alpha_{k,n} are the roots other than 2 of 2 T_n(x/2) - 2
     = sum_j beta_j x^(n-j), monic over the integers: beta_(2k) = (-1)^k L_k,
@@ -89,16 +57,7 @@ def h_global_series(n: int, order: int) -> Series:
     H = [1, -2][: order + 1]
     for r in range(2, order + 1):
         H.append(-sum(b * H[r - j] for j, b in steps if j <= r))
-    return Series([Fraction(x, 2**r) for r, x in enumerate(H)], order, "s")
-
-
-def verify_trunk(n: int, R: int) -> bool:
-    """Check H_n(t) = (1-t) A(t)^n modulo t^(R+1); requires n > R."""
-    if n <= R:
-        raise TrunkRangeError(f"outside the congruence range: need n > R, got n={n}, R={R}")
-    lhs = h_global_series(n, R)
-    rhs = series_mul(Series([1, -1], R, TVAR), a_power_series(n, R))
-    return lhs.coeffs == rhs.coeffs
+    return tuple(Fraction(x, 2**r) for r, x in enumerate(H))
 
 
 def _log_coeff_list(cs: Sequence[UniPoly], order: int):

@@ -141,6 +141,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _tolerance(text):
+    """--tolerance as an exact rational, or None when it is not given."""
+    if text is None:
+        return None
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(
+            f"--tolerance expects a rational such as 1/1000000, got {text!r}"
+        ) from None
+
+
 def _nstar_text(n_star: int) -> str:
     return f"all n >= {n_star}"
 
@@ -200,6 +212,11 @@ def run(args) -> int:
     if cmd == "verify":
         F = _load_formula(args)
         conjecture = parse_conjecture(args.conjecture)
+        if not F.is_polynomial_case:
+            raise ProductCaseError(
+                "symbolic verification requires the polynomial case; "
+                "'cyclosum oracle' checks a product formula at one level"
+            )
         report = verify_identity(F, conjecture, check_below_threshold=args.below_threshold)
         payload = report.to_dict()
         if args.fmt == "text":
@@ -217,8 +234,7 @@ def run(args) -> int:
             _emit(payload, args.fmt)
         return EXIT_OK if report.passed else EXIT_MISMATCH
     if cmd == "hseries":
-        series = h_global_series(args.n, args.order)
-        coeffs = [rat_str(c) for c in series.coeffs]
+        coeffs = [rat_str(c) for c in h_global_series(args.n, args.order)]
         _emit({"n": str(args.n), "order": str(args.order), "coefficients": coeffs},
               args.fmt)
         return EXIT_OK
@@ -235,8 +251,8 @@ def run(args) -> int:
         return EXIT_OK
     if cmd == "oracle":
         F = _load_formula(args)
-        tolerance = None if args.tolerance is None else Fraction(args.tolerance)
-        report = cross_check(F, args.n, tolerance=tolerance, precision=args.precision)
+        report = cross_check(F, args.n, tolerance=_tolerance(args.tolerance),
+                             precision=args.precision)
         _emit(report.to_dict(), args.fmt)
         return EXIT_OK if report.passed else EXIT_MISMATCH
     raise AssertionError(f"unhandled command {cmd!r}")

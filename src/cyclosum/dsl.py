@@ -31,6 +31,7 @@ from .symfunc import PowerSumExpr, ZVAR
 from .rigidity import AdmissibleFormula, build_admissible
 
 MAX_POWER_SUM_INDEX = 32
+MAX_NESTING = 100  # groups, (...) or prod(...), open at once
 
 
 class FormulaSyntaxError(ValueError):
@@ -149,6 +150,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.mode = mode  # "formula", "qpoly", or "conjecture"
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -163,6 +165,20 @@ class _Parser:
         if tok.text != text:
             self.fail(f"expected {text!r}, found {tok.text!r}" if tok.text else f"expected {text!r}")
         return self.advance()
+
+    def group(self) -> _FVal:
+        """The expression between '(' and ')'.  A '(' that would open more
+        than MAX_NESTING groups is refused, so the recursion stays bounded."""
+        tok = self.expect("(")
+        if self.depth == MAX_NESTING:
+            raise FormulaSyntaxError(
+                f"groups nest deeper than {MAX_NESTING} levels", tok.line, tok.col
+            )
+        self.depth += 1
+        value = self.expression()
+        self.depth -= 1
+        self.expect(")")
+        return value
 
     def fail(self, message: str):
         tok = self.peek()
@@ -219,10 +235,7 @@ class _Parser:
             self.advance()
             return _FVal(PowerSumExpr.const(int(tok.text)))
         if tok.text == "(":
-            self.advance()
-            value = self.expression()
-            self.expect(")")
-            return value
+            return self.group()
         if tok.kind == "name":
             return self.name_atom()
         self.fail(f"unexpected token {tok.text!r}" if tok.text else "unexpected end of input")
@@ -280,11 +293,9 @@ class _Parser:
             gen = PowerSumExpr.gen
             return _FVal(gen(a) * gen(b) - gen(a + b))
         if name == "prod":
-            self.expect("(")
             outer, self.mode = self.mode, "qpoly"
-            inner = self.expression()
+            inner = self.group()
             self.mode = outer
-            self.expect(")")
             Q = _to_qpoly(inner.psi)
             mult = 1
             if self.peek().text == "^":

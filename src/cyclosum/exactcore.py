@@ -1,5 +1,6 @@
 """Exact arithmetic substrate: rationals, dense univariate polynomials,
-and order-truncated formal power series.
+division with remainder and resultants.  (The truncated power series of
+the trunk congruence are test reference code, in tests/reference.py.)
 
 Everything here is immutable after construction and all operations are
 pure, so values can be shared freely between threads.
@@ -8,7 +9,7 @@ pure, so values can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def rat(x) -> Fraction:
@@ -275,96 +276,3 @@ def resultant(a: UniPoly, b: UniPoly) -> Fraction:
             acc = -acc
         acc *= b.leading() ** (da - r.degree)
         a, b = b, r
-
-
-class Series:
-    """Formal power series over Q truncated at an explicit order.
-
-    coeffs[k] is the coefficient of var**k for 0 <= k <= order; all
-    arithmetic carries order = min(orders of the inputs) and is exact
-    below that order.
-    """
-
-    __slots__ = ("coeffs", "order", "var")
-
-    def __init__(self, coeffs: Sequence = (), order: int = None, var: str = "t"):
-        if order is None:
-            order = len(coeffs) - 1 if len(coeffs) else 0
-        if order < 0:
-            raise ValueError("series order must be nonnegative")
-        cs = [rat(c) for c in coeffs[: order + 1]]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "var", var)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Series is immutable")
-
-    def __getitem__(self, k: int) -> Fraction:
-        if not 0 <= k <= self.order:
-            raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-        return self.coeffs[k]
-
-    def _coerce(self, other):
-        if isinstance(other, Series):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Series([other], self.order, self.var)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = min(self.order, o.order)
-        return Series(
-            [self.coeffs[k] + o.coeffs[k] for k in range(n + 1)], n, self.var
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Series([-c for c in self.coeffs], self.order, self.var)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return series_mul(self, o)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.order == o.order and self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash((self.coeffs, self.order))
-
-    def __repr__(self):
-        return f"Series({[rat_str(c) for c in self.coeffs]}, order={self.order})"
-
-
-def series_mul(a: Series, b: Series) -> Series:
-    """Exact Cauchy product, truncated at min(order(a), order(b))."""
-    n = min(a.order, b.order)
-    out = [Fraction(0)] * (n + 1)
-    for i, ca in enumerate(a.coeffs[: n + 1]):
-        if ca:
-            for j in range(n + 1 - i):
-                cb = b.coeffs[j]
-                if cb:
-                    out[i + j] += ca * cb
-    return Series(out, n, a.var)

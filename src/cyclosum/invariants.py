@@ -25,19 +25,6 @@ class InternalConsistencyError(AssertionError):
     pass
 
 
-def parity_binom(h: int, u) -> int:
-    """binom(h, u) when u is an integer in [0, h], else 0."""
-    if h < 0:
-        raise ValueError("h must be nonnegative")
-    u = rat(u)
-    if u.denominator != 1:
-        return 0
-    u = u.numerator
-    if not 0 <= u <= h:
-        return 0
-    return math.comb(h, u)
-
-
 def _stride_binomials(n: int, h: int):
     """Yield (r, C(h, (r n + h)/2)) for |r| <= h // n with r n + h even,
     in increasing r.

@@ -32,18 +32,11 @@ DEFAULT_PRECISION = 256
 _GUARD = 64  # bits a product mantissa keeps beyond the working precision
 
 
-@dataclass(frozen=True)
-class CosineConfig:
-    n: int
-    precision: int
-    points: Tuple[int, ...]
-
-
 _points_lock = threading.Lock()
 _points_cache = {}
 
 
-def cosine_points(n: int, precision: int = DEFAULT_PRECISION) -> CosineConfig:
+def cosine_points(n: int, precision: int = DEFAULT_PRECISION) -> Tuple[int, ...]:
     """The distinct punctured cosine points cos(2 pi k/n), 1 <= k <= n/2,
     as integers X_k = round(2^precision cos(2 pi k/n)) with
     |X_k - 2^precision cos(2 pi k/n)| <= 1.  Point n-k equals point k, so
@@ -67,10 +60,9 @@ def cosine_points(n: int, precision: int = DEFAULT_PRECISION) -> CosineConfig:
             (to_fixed(mpmath.cos(step * k)._mpf_, precision + 1) + 1) >> 1
             for k in range(1, n // 2 + 1)
         )
-    cfg = CosineConfig(n, precision, pts)
     with _points_lock:
-        _points_cache[key] = cfg
-    return cfg
+        _points_cache[key] = pts
+    return pts
 
 
 def _to_mpf(q: Fraction) -> mpmath.mpf:
@@ -158,7 +150,7 @@ def float_eval(
     which is formed in binary logarithms.
     """
     W = precision
-    cfg = cosine_points(n, W)
+    points = cosine_points(n, W)
     even = n % 2 == 0
     N = n - 1
     z = Fraction(N)
@@ -173,8 +165,8 @@ def float_eval(
     K = 2 * N * H * e_max + len(psi.terms)
 
     # Power sums: P[h-1] = 2^W p_h, Pabs[h-1] = 2^W s_h.
-    pos = [x for x in cfg.points if x >= 0]
-    neg = [-x for x in cfg.points if x < 0]  # holds k = n/2 when n is even
+    pos = [x for x in points if x >= 0]
+    neg = [-x for x in points if x < 0]  # holds k = n/2 when n is even
     a_pos, a_neg = pos, neg
     P, Pabs = [], []
     for h in range(1, H + 1):
@@ -215,7 +207,7 @@ def float_eval(
         qs = [(c.numerator << W) // c.denominator for c in reversed(q)]
         A = (len(q) - 1) * (math.ceil(sum(abs(c) for c in q)) + 2) + 1
         vals = []
-        for x in cfg.points:
+        for x in points:
             v = qs[0]
             for c in qs[1:]:
                 v = ((v * x) >> W) + c
@@ -305,14 +297,17 @@ def cross_check(
 ) -> CheckReport:
     """Compare float_eval against the exact evaluation at level n.  The
     check passes when |float - exact| is at most the tolerance: by default
-    float_eval's own error bound, else the given absolute tolerance."""
+    float_eval's own error bound, else the given absolute tolerance,
+    which must be nonnegative."""
+    if tolerance is not None:
+        tolerance = rat(tolerance)
+        if tolerance < 0:
+            raise ValueError(f"tolerance must be nonnegative, got {rat_str(tolerance)}")
     exact = evaluate(F, n).value
     value, bound = float_eval(F, n, precision)
     residual = abs(Fraction(*to_rational(value._mpf_)) - exact)
     if tolerance is None:
         tolerance = Fraction(*to_rational(bound._mpf_))
-    else:
-        tolerance = rat(tolerance)
     with mpmath.workprec(precision):
         return CheckReport(
             quantity=F.render(),

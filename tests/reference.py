@@ -1,0 +1,244 @@
+"""Reference code that only the tests run.
+
+The library evaluates every family through its power-sum presentation.
+The tests check it against the independent routes kept here:
+
+- the monomial-orbit basis: a symmetric polynomial in m variables stored
+  per orbit sum m_lam, expand (power sums to orbits) and
+  reduce_to_powersum (orbits back to power sums, by leading-partition
+  elimination in graded-lex order);
+- the parity binomial binom(h, u) of the trigonometric power sums;
+- truncated power series, the Catalan series A(t)^n, the stable closed
+  form of h_r and the trunk congruence H_n(t) = (1 - t) A(t)^n.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+from cyclosum.catalan import catalan_a, h_global_series
+from cyclosum.exactcore import UniPoly
+from cyclosum.symfunc import ZVAR, PowerSumExpr, coeff_poly
+
+ONE = UniPoly.const(1, ZVAR)
+ZERO = UniPoly((), ZVAR)
+
+# ---------------------------------------------------------------------------
+# Symmetric polynomials in m variables, per monomial orbit
+# ---------------------------------------------------------------------------
+
+
+class BelowStableCountError(ValueError):
+    pass
+
+
+class NotSymmetricError(ValueError):
+    pass
+
+
+def _raw_add(a, b):
+    """Sum of two dicts from exponent vectors to UniPoly('z')."""
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k, ZERO) + c
+        if s.is_zero():
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
+
+
+def _raw_mul(a, b):
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            out[key] = out.get(key, ZERO) + ca * cb
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def _orbit(partition, m):
+    """Distinct exponent vectors of length m in the orbit of a partition."""
+    return set(itertools.permutations(tuple(partition) + (0,) * (m - len(partition))))
+
+
+class SymMonomialPoly:
+    """Symmetric polynomial in m variables: terms maps partitions (weakly
+    decreasing tuples of parts >= 1, at most m of them) to UniPoly('z')
+    coefficients, a partition lam standing for the orbit sum m_lam."""
+
+    def __init__(self, m, terms=None):
+        if m < 1:
+            raise ValueError("variable count must be >= 1")
+        self.m = m
+        self.terms = {}
+        for lam, c in (terms or {}).items():
+            c = coeff_poly(c)
+            if c.is_zero():
+                continue
+            lam = tuple(lam)
+            if lam != tuple(sorted(lam, reverse=True)) or any(p < 1 for p in lam):
+                raise ValueError(f"not a partition: {lam}")
+            if len(lam) > m:
+                raise ValueError(f"partition {lam} has more parts than variables")
+            self.terms[lam] = c
+
+    @classmethod
+    def from_monomials(cls, m, raw, check=True):
+        """Collect a dict from exponent vectors to coefficients into orbit
+        form; with check=True, refuse an input that is not symmetric."""
+        groups = {}
+        for key, c in raw.items():
+            if len(key) != m:
+                raise ValueError("exponent vector length does not match m")
+            if not c.is_zero():
+                lam = tuple(sorted((e for e in key if e), reverse=True))
+                groups.setdefault(lam, []).append(c)
+        if check:
+            for lam, cs in groups.items():
+                if len(cs) != len(_orbit(lam, m)) or any(c != cs[0] for c in cs):
+                    raise NotSymmetricError(f"input is not symmetric at orbit {lam}")
+        return cls(m, {lam: cs[0] for lam, cs in groups.items()})
+
+    def to_monomials(self):
+        return {key: c for lam, c in self.terms.items() for key in _orbit(lam, self.m)}
+
+    def __mul__(self, other):
+        raw = _raw_mul(self.to_monomials(), other.to_monomials())
+        return SymMonomialPoly.from_monomials(self.m, raw, check=False)
+
+    def __eq__(self, other):
+        return self.m == other.m and self.terms == other.terms
+
+
+def expand(psi, m):
+    """Substitute v_r := p_r(x_1..x_m) and expand into the orbit basis."""
+    total = {}
+    for exps, c in psi.terms.items():
+        term = {(0,) * m: c}
+        for i, e in enumerate(exps):
+            p = {tuple(i + 1 if k == j else 0 for k in range(m)): ONE for j in range(m)}
+            for _ in range(e):
+                term = _raw_mul(term, p)
+        total = _raw_add(total, term)
+    return SymMonomialPoly.from_monomials(m, total, check=False)
+
+
+def reduce_to_powersum(G, d):
+    """Unique power-sum presentation of G, valid because m >= d.
+
+    Cancels the leading partition lam of the remainder, in decreasing
+    graded-lex order, with the matching product of power sums p_lam,
+    whose coefficient on m_lam is a positive integer.
+    """
+    if G.m < d:
+        raise BelowStableCountError(f"below stable variable count: m={G.m} < d={d}")
+    degree = max((sum(lam) for lam in G.terms), default=0)
+    if degree > d:
+        raise ValueError(f"total degree {degree} exceeds the declared bound {d}")
+    result = {}
+    rem = dict(G.terms)
+    while rem:
+        lam = max(rem, key=lambda mu: (sum(mu), mu))
+        exps = [0] * (lam[0] if lam else 0)
+        for part in lam:
+            exps[part - 1] += 1
+        exps = tuple(exps)
+        p_lam = expand(PowerSumExpr({exps: ONE}), G.m).terms
+        coeff = rem[lam].scale(1 / p_lam[lam].constant())
+        result[exps] = result.get(exps, ZERO) + coeff
+        rem = _raw_add(rem, {mu: -c * coeff for mu, c in p_lam.items()})
+    return PowerSumExpr(result)
+
+
+def truncation_check(psi, m):
+    """Verify expand(psi, m+1) with the last variable set to 0 equals
+    expand(psi, m).  Always true for genuine power-sum expressions."""
+    big = expand(psi, m + 1)
+    shrunk = {lam: c for lam, c in big.terms.items() if len(lam) <= m}
+    return SymMonomialPoly(m, shrunk) == expand(psi, m)
+
+
+# ---------------------------------------------------------------------------
+# Parity binomial
+# ---------------------------------------------------------------------------
+
+
+def parity_binom(h, u):
+    """binom(h, u) when u is an integer in [0, h], else 0."""
+    if h < 0:
+        raise ValueError("h must be nonnegative")
+    u = Fraction(u)
+    if u.denominator != 1 or not 0 <= u <= h:
+        return 0
+    return math.comb(h, u.numerator)
+
+
+# ---------------------------------------------------------------------------
+# Truncated series, the Catalan series and the stable h_r
+# ---------------------------------------------------------------------------
+
+
+class Series:
+    """Formal power series over Q truncated at an explicit order: coeffs[k]
+    is the coefficient of var^k for 0 <= k <= order."""
+
+    def __init__(self, coeffs, order, var="t"):
+        cs = [Fraction(c) for c in coeffs[: order + 1]]
+        self.coeffs = tuple(cs + [Fraction(0)] * (order + 1 - len(cs)))
+        self.order = order
+        self.var = var
+
+    def __eq__(self, other):
+        return self.order == other.order and self.coeffs == other.coeffs
+
+
+def series_mul(a, b):
+    """Exact Cauchy product, truncated at min(order(a), order(b))."""
+    n = min(a.order, b.order)
+    out = [Fraction(0)] * (n + 1)
+    for i, ca in enumerate(a.coeffs[: n + 1]):
+        for j in range(n + 1 - i):
+            out[i + j] += ca * b.coeffs[j]
+    return Series(out, n, a.var)
+
+
+def a_power_series(n, order):
+    """A(t)^n as an even series to the requested truncation order."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    coeffs = [Fraction(0)] * (order + 1)
+    for l in range(order // 2 + 1):
+        coeffs[2 * l] = catalan_a(l, n)
+    return Series(coeffs, order)
+
+
+def h_stable(r):
+    """Stable-range value of h_r at the punctured cosine points, as a
+    polynomial in n (valid for integer n >= r+2); r >= 2.
+
+    h_0 = 1 and h_1 = H1_VALUE are constants outside this pattern.
+    """
+    if r < 2:
+        raise ValueError("h_stable is defined for r >= 2")
+    m = r // 2
+    poly = UniPoly([0, 1], "n")
+    for j in range(m + 1, 2 * m):
+        poly = poly * UniPoly([j, 1], "n")
+    poly = poly.scale(Fraction(1, 4**m * math.factorial(m)))
+    return -poly if r % 2 else poly
+
+
+H1_VALUE = Fraction(-1)  # sum of the punctured cosine points, any n >= 2
+
+
+class TrunkRangeError(ValueError):
+    pass
+
+
+def verify_trunk(n, R):
+    """Check H_n(t) = (1-t) A(t)^n modulo t^(R+1); requires n > R."""
+    if n <= R:
+        raise TrunkRangeError(f"outside the congruence range: need n > R, got n={n}, R={R}")
+    rhs = series_mul(Series([1, -1], R), a_power_series(n, R))
+    return h_global_series(n, R) == rhs.coeffs

@@ -182,6 +182,45 @@ class TestSeriesAndOracle:
         assert "pass: False" in res.stdout.splitlines()
 
 
+class TestBadInputs:
+    def test_malformed_tolerance_is_exit_2(self):
+        for text in ("1/0", "abc"):
+            res = run_cli("oracle", "--formula", "p1", "--n", "7", "--tolerance", text)
+            assert res.returncode == 2
+            assert res.stdout == ""
+            assert res.stderr == (
+                f"error: --tolerance expects a rational such as 1/1000000, got '{text}'\n"
+            )
+
+    def test_negative_tolerance_is_exit_2(self):
+        res = run_cli("oracle", "--formula", "p1", "--n", "7", "--tolerance", "-1")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: tolerance must be nonnegative, got -1\n"
+
+    def test_zero_tolerance_demands_an_exact_match(self):
+        res = run_cli("oracle", "--formula", "p1", "--n", "7", "--tolerance", "0")
+        assert res.returncode == 0
+        assert "tolerance: 0.0" in res.stdout.splitlines()
+        assert "residual: 0.0" in res.stdout.splitlines()
+
+    def test_verify_refuses_product_formula(self):
+        res = run_cli("verify", "--formula", "prod(1-t)", "--conjecture", "n")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "polynomial case" in res.stderr
+        assert "cyclosum oracle" in res.stderr
+        assert "sweep" not in res.stderr
+
+    def test_deep_nesting_is_exit_2(self):
+        for depth in (260, 10_000):
+            text = "(" * depth + "p1" + ")" * depth
+            res = run_cli("eventual", "--formula", text)
+            assert res.returncode == 2
+            assert res.stderr.startswith("error: groups nest deeper")
+            assert "Traceback" not in res.stderr
+
+
 class TestErrors:
     def test_unknown_command(self):
         res = run_cli("frobnicate")

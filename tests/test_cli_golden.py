@@ -32,6 +32,8 @@ E16 = ("1/2642411520*n^8 - 29/660602880*n^7 + 47/20971520*n^6"
        " + 74251427/660602880*n^2 - 27561307/55050240*n + 1")
 SUM6 = ("729/64*n^6 - 2187/16*n^5 + 10935/16*n^4 - 3645/2*n^3"
         " + 10935/4*n^2 - 2187*n + 729")
+# One group past the DSL's nesting cap of 100.
+DEEP = "(" * 101 + "p1" + ")" * 101
 
 # (argv, exit code, sha256 of stdout, sha256 of stderr)
 GOLDEN = [
@@ -231,6 +233,23 @@ GOLDEN = [
     (['power-sum', '--n', '2', '--h', '14500'], 0,
      'fcbd13881a2ceaefb1c37b24599a8ed839f7435cd0f4f37fbf2013bac91b7b20',
      EMPTY),
+    # Refusals with exit 2: a malformed or negative --tolerance, verify on
+    # a product formula, and nesting past the cap; and a zero tolerance.
+    (['oracle', '--formula', 'p1', '--n', '7', '--tolerance', '1/0'], 2,
+     EMPTY,
+     '5413e76ae56f4806d4f5f80450f0fdfbc4f84db5b2ac24c37af3f352c06f1404'),
+    (['oracle', '--formula', 'p1', '--n', '7', '--tolerance', '-1'], 2,
+     EMPTY,
+     '9ff112e5a1ea4de68b2fc170fbdcdb71e8d3b1e114a05aa921cecb467ca0785f'),
+    (['oracle', '--formula', 'p1', '--n', '7', '--tolerance', '0'], 0,
+     'f93342ed8cbcde9614268d567900b7d3ee9d7e94bc96299799633edb0d5104b8',
+     EMPTY),
+    (['verify', '--formula', 'prod(1-t)', '--conjecture', 'n'], 2,
+     EMPTY,
+     'f06a0d404f46c6a61b62425dc4bd63c906402052e4c83f7f0442f2d440464b0d'),
+    (['eventual', '--formula', DEEP], 2,
+     EMPTY,
+     '6c4483c5996adaf5b14c3fcc41aeae3bf7da7d0ad9213d613080bcd15a052e70'),
 ]
 
 

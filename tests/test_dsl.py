@@ -4,6 +4,7 @@ import pytest
 
 from cyclosum.catalan import extract_coefficient_family, h_family
 from cyclosum.dsl import (
+    MAX_NESTING,
     FormulaSemanticError,
     FormulaSyntaxError,
     parse_conjecture,
@@ -116,6 +117,20 @@ class TestFormulaErrors:
         with pytest.raises(FormulaSemanticError, match="exceeds"):
             parse_formula("p33")
         parse_formula("p32")  # boundary is allowed
+
+    def test_nesting_cap(self):
+        # MAX_NESTING groups parse; the '(' that opens one more is refused,
+        # also far past the interpreter's recursion limit
+        def nested(depth, inner="p1"):
+            return "(" * depth + inner + ")" * depth
+
+        assert parse_formula(nested(MAX_NESTING)).psi_star == v1
+        assert parse_formula(nested(MAX_NESTING - 1, "prod(1 - t)")).products
+        for text in (nested(MAX_NESTING + 1), nested(MAX_NESTING, "prod(1 - t)"),
+                     nested(10_000)):
+            with pytest.raises(FormulaSyntaxError, match="nest deeper") as err:
+                parse_formula(text)
+            assert err.value.column == text.index("(", MAX_NESTING) + 1
 
     def test_addition_of_products_rejected(self):
         with pytest.raises(FormulaSemanticError, match="top level"):

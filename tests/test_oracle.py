@@ -44,18 +44,18 @@ def frac(x):
 
 class TestCosinePoints:
     def test_n_four(self):
-        pts = [fixed(x) for x in cosine_points(4).points]
+        pts = [fixed(x) for x in cosine_points(4)]
         assert len(pts) == 2  # k = 1, 2; k = 3 mirrors k = 1
         assert close(pts[0], 0)
         assert close(pts[1], -1)
 
     def test_n_three(self):
-        pts = [fixed(x) for x in cosine_points(3).points]
+        pts = [fixed(x) for x in cosine_points(3)]
         assert len(pts) == 1  # k = 2 mirrors k = 1
         assert close(pts[0], mpmath.mpf(-1) / 2)
 
     def test_n_eight_symmetry(self):
-        pts = [fixed(x) for x in cosine_points(8).points]
+        pts = [fixed(x) for x in cosine_points(8)]
         assert len(pts) == 4
         with mpmath.workprec(256):
             assert close(pts[0], mpmath.sqrt(2) / 2)
@@ -66,7 +66,7 @@ class TestCosinePoints:
     def test_within_one_unit(self):
         for n in (2, 5, 12, 97, 320):
             for precision in (64, 256):
-                pts = cosine_points(n, precision).points
+                pts = cosine_points(n, precision)
                 with mpmath.workprec(2 * precision):
                     for k, x in enumerate(pts, start=1):
                         exact = mpmath.ldexp(mpmath.cos(2 * mpmath.pi * k / n), precision)
@@ -78,7 +78,7 @@ class TestCosinePoints:
             W = punctured_min_poly(n)
             with mpmath.workprec(256):
                 cs = [mpmath.mpf(c.numerator) / c.denominator for c in W.coeffs]
-                for x in cosine_points(n).points:
+                for x in cosine_points(n):
                     p = fixed(x)
                     val = mpmath.mpf(0)
                     for c in reversed(cs):
@@ -297,6 +297,12 @@ class TestCrossCheck:
             assert rep.exact == 0 and rep.passed, text
             mutant = check_with_exact(monkeypatch, text, n, lambda v: Fraction(1, 2**200))
             assert not mutant.passed, text
+
+    def test_negative_tolerance_rejected(self):
+        F = build_admissible(v1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            cross_check(F, 7, tolerance=-1)
+        assert cross_check(F, 7, tolerance=0).tolerance == "0.0"
 
     def test_report_dict(self):
         F = build_admissible(v1)

@@ -23,6 +23,7 @@ from cyclosum.rigidity import (
 from cyclosum.symfunc import PowerSumExpr
 
 from conftest import powersum_exprs, random_powersum_expr, reference_substitute
+from reference import h_stable
 
 v1, v2 = PowerSumExpr.gen(1), PowerSumExpr.gen(2)
 z = PowerSumExpr.z()
@@ -113,8 +114,6 @@ class TestEventualPolynomial:
         assert got == UniPoly([0, Fraction(-3, 2), Fraction(1, 2)], "n")
 
     def test_h6(self):
-        from cyclosum.catalan import h_stable
-
         F = build_admissible(h_family(6))
         assert eventual_polynomial(F) == h_stable(6)
 

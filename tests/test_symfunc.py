@@ -7,18 +7,17 @@ from hypothesis import strategies as st
 
 from cyclosum.catalan import extract_coefficient_family, h_family
 from cyclosum.exactcore import UniPoly
-from cyclosum.symfunc import (
+from cyclosum.symfunc import PowerSumExpr, render_powersum
+
+from conftest import powersum_exprs, random_powersum_expr, reference_substitute
+from reference import (
     BelowStableCountError,
     NotSymmetricError,
-    PowerSumExpr,
     SymMonomialPoly,
     expand,
     reduce_to_powersum,
-    render_powersum,
     truncation_check,
 )
-
-from conftest import powersum_exprs, random_powersum_expr, reference_substitute
 
 v1, v2, v3 = PowerSumExpr.gen(1), PowerSumExpr.gen(2), PowerSumExpr.gen(3)
 z = PowerSumExpr.z()
