@@ -250,6 +250,145 @@ GOLDEN = [
     (['eventual', '--formula', DEEP], 2,
      EMPTY,
      '6c4483c5996adaf5b14c3fcc41aeae3bf7da7d0ad9213d613080bcd15a052e70'),
+    # cos-sum, sin-sum and catalan-a in text, and every command in json and tsv.
+    (['cos-sum', '--n', '3', '--h', '2'], 0,
+     '8228c6ffceb1891bb4615da65920d06b1b5a44a1747183b163c0abb088c3ea1a',
+     EMPTY),
+    (['sin-sum', '--n', '4', '--h', '2'], 0,
+     '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
+     EMPTY),
+    (['catalan-a', '--n', '9', '--r', '2'], 0,
+     '870b6c1c43a0ae142aa398f4c36ed71b38c638e8aaf43004600787c540e0ac50',
+     EMPTY),
+    (['power-sum', '--n', '10', '--h', '4', '--format', 'json'], 0,
+     '729cd18f9c6593bd5a98c5ec65e392c707cec82adfb0ff89000e05b635311616',
+     EMPTY),
+    (['cos-sum', '--n', '3', '--h', '2', '--format', 'json'], 0,
+     '944733ce1b04d8ad0d7cae193013862208817a3c2256d79ee74e322d677dc820',
+     EMPTY),
+    (['sin-sum', '--n', '4', '--h', '2', '--format', 'json'], 0,
+     '0a1a552783a1ae656ea3287260ac10e19d9627ee502de208348b80675ca5a5d6',
+     EMPTY),
+    (['minpoly', '--n', '7', '--format', 'json'], 0,
+     'ce4f66e8d16331dcd2167093a7729172edde42b7ac7c4ff33553ae37a2dc2fc0',
+     EMPTY),
+    (['mq', '--formula', '1 - t', '--n', '5', '--format', 'json'], 0,
+     '4d7c2b8cd16b467c1eebf092b6f339c7f7a148cc105784e001d6ff50b32baab3',
+     EMPTY),
+    (['eval', '--formula', 'energy', '--n', '5', '--format', 'json'], 0,
+     'c717927cc2b1b325cb169d8e3dc49ffedbbc2f3d868844ed10e2ab556d69b1b1',
+     EMPTY),
+    (['eventual', '--formula', 'energy', '--format', 'json'], 0,
+     '5f70da5493d19c02f6c29286872340d5b47de5f795fc0dd29927284dc25359d9',
+     EMPTY),
+    (['verify', '--formula', 'energy', '--conjecture', '(n^2-3*n)/2', '--below-threshold', '--format', 'json'], 1,
+     'aea5d4168049cf6a92acbb38aa740909664f5c8c460b18670cae18bccb05b627',
+     EMPTY),
+    (['hseries', '--n', '9', '--order', '7', '--format', 'json'], 0,
+     'ef330ad239a79c626a0eddf29ff996cf836c99ef524f878cfab7239f51b7a371',
+     EMPTY),
+    (['catalan-a', '--n', '9', '--r', '2', '--format', 'json'], 0,
+     'e58e4eb0249c64a2c5cf0e267aa42d1e57e5fa912e0ee32bee5557bfd5909f6d',
+     EMPTY),
+    (['extract', '--formula', '1 + z*t - t^2/3', '--r', '4', '--format', 'json'], 0,
+     '3e54727e08c6e8b8ee1b3fd12f0ad5a8fd1be0ab2c62c99052a3e5ba5994e46d',
+     EMPTY),
+    (['oracle', '--formula', 'h(6)', '--n', '9', '--format', 'json'], 0,
+     '40dfa472ea499ce517b740e32b89d7fbb42214853d6b4ab5c4e516ddfcebc225',
+     EMPTY),
+    (['power-sum', '--n', '10', '--h', '4', '--format', 'tsv'], 0,
+     '930f8980363d50bcddd2187a61ef20bab29e7f0bbe508dd7459689858b648bc9',
+     EMPTY),
+    (['cos-sum', '--n', '3', '--h', '2', '--format', 'tsv'], 0,
+     'a65c75a2e022f13e87e25cbfaed03db7f9787190bc0212a606a9e9d6f2016701',
+     EMPTY),
+    (['sin-sum', '--n', '4', '--h', '2', '--format', 'tsv'], 0,
+     '438497595f83cca31f7bbe84cd8a1f254b511be839a7a29f1ba2a9218eaf00ce',
+     EMPTY),
+    (['minpoly', '--n', '7', '--format', 'tsv'], 0,
+     '9518e5538386f3d9a147839fa9bfb7be27c19780f5347440430cc3d887e860fd',
+     EMPTY),
+    (['mq', '--formula', '1 - t', '--n', '5', '--format', 'tsv'], 0,
+     '5dfc5c803fe55bc77f906c260bb37075e3afb64272c90b8a35d2cd70e28a59b7',
+     EMPTY),
+    (['eval', '--formula', 'energy', '--n', '5', '--format', 'tsv'], 0,
+     'e4c42c211cc4bfe783821a70257be5c50df68778e407d7787e1a43512431515a',
+     EMPTY),
+    (['eventual', '--formula', 'energy', '--format', 'tsv'], 0,
+     'dc066519dc2f46842f293c0f745ca66990c3b2c4e0bdfda1c16d1c784a3cb5d7',
+     EMPTY),
+    (['verify', '--formula', 'energy', '--conjecture', '(n^2-3*n)/2', '--below-threshold', '--format', 'tsv'], 1,
+     '9d0cf55870b28b40abb354b6be1c4ef66046d453398913e84f94ed66d902da58',
+     EMPTY),
+    (['hseries', '--n', '9', '--order', '7', '--format', 'tsv'], 0,
+     '5c94445c9f609b7852086bd448fddeadd454074d373b0d64a01de374a0fc1385',
+     EMPTY),
+    (['catalan-a', '--n', '9', '--r', '2', '--format', 'tsv'], 0,
+     '08ad1df5b5ccd8692fc7138e5cc11c93e1b491d16d32ed1dd4274524cdc4fe31',
+     EMPTY),
+    (['extract', '--formula', '1 + z*t - t^2/3', '--r', '4', '--format', 'tsv'], 0,
+     '62871b49ebd97c029b0b44462001324caf9dc0d96edabfdc838aa55c73346031',
+     EMPTY),
+    (['oracle', '--formula', 'h(6)', '--n', '9', '--format', 'tsv'], 0,
+     'b76c68f045cd8bbcdb62657db6c379bb9c5dae55dea8bfa90b65692de5753f5c',
+     EMPTY),
+    # --help, for the top level and for each command, at COLUMNS=80.
+    (['--help'], 0,
+     '6239624362d7bf78accce2d256b2f4c147eea016bb8e34494762de930d368d51',
+     EMPTY),
+    (['power-sum', '--help'], 0,
+     'ddd59427c5835c542635b317c841f5146b60ef9c2ced12f12588db74d7d76957',
+     EMPTY),
+    (['cos-sum', '--help'], 0,
+     'a807792db57878e3fb4872adb56daab95e02acf1646d033aaecc095f249e42bb',
+     EMPTY),
+    (['sin-sum', '--help'], 0,
+     'ea9bceb705656d5cf11b2bbf725f51e702d8de6398a7f009bcb312c9b44c2134',
+     EMPTY),
+    (['minpoly', '--help'], 0,
+     '35a1fe008c82210e5aca2592330159254623180c4c33e2bc62754ed13d40632b',
+     EMPTY),
+    (['mq', '--help'], 0,
+     'cdf23d87c9c5a118cdf77cf02378535fa531543be283f26ce8316241345d77e1',
+     EMPTY),
+    (['eval', '--help'], 0,
+     'f488984d1331f314e0852b360cf32bf7de7608f3d37d3ec559261a1542697318',
+     EMPTY),
+    (['eventual', '--help'], 0,
+     '04e451ab3dfd074f2b35397aa2210488f896839aba29f9bd0a69fec1f05c055e',
+     EMPTY),
+    (['verify', '--help'], 0,
+     '490c189329a6f89306830e653a21dc59e20cfc1cea98ec10695eb1051d91c2ea',
+     EMPTY),
+    (['hseries', '--help'], 0,
+     'f613ef0b973776a35670a6011668a47db0f6b5a665930fd0d2d5af7914fab854',
+     EMPTY),
+    (['catalan-a', '--help'], 0,
+     '669f9e0052e46e0c71319ee28be768ef4d565d24cab96960bd1067317171b056',
+     EMPTY),
+    (['extract', '--help'], 0,
+     '497730b5c7e7fc9bd1d3f59d875d9eec5828e3c2aea03854fc3242010fb90b75',
+     EMPTY),
+    (['oracle', '--help'], 0,
+     '26ca24f7102dcff320bdfe78344f443d9387b6e4d70b840814342dfaf1fff106',
+     EMPTY),
+    # Usage errors: no command, an unknown command, a missing --n, a bad --format.
+    ([], 2,
+     EMPTY,
+     'cf98e087bff31beb548e9a363f65e36d63cc44d2011ff7cd3afeaf413ae8f390'),
+    (['frobnicate'], 2,
+     EMPTY,
+     '29c508f589eebfc5ff251f6dc2717216f9ce6986c0bea017747ed44aa253bff4'),
+    (['power-sum', '--h', '4'], 2,
+     EMPTY,
+     '302383781fa92e3de005c23fb576798ed6e8d54346b694ffe6e2c3da3ca59426'),
+    (['power-sum', '--n', '10', '--h', '4', '--format', 'xml'], 2,
+     EMPTY,
+     '2386ed6ddf2467e1775fc9a80f8e3e7617b39854207bb741ef25fec6f0b2a1e2'),
+    # A tolerance far below the float route's own error bound.
+    (['oracle', '--formula', 'p1', '--n', '7', '--tolerance', '1e-30'], 0,
+     'bbfa04d5e57f0323d1d87eceb64165ce03fb65a45bad6e1354057833ea452085',
+     EMPTY),
 ]
 
 
@@ -265,13 +404,28 @@ def _run(argv):
 
 
 @pytest.mark.parametrize(
-    "argv,code,stdout_sha,stderr_sha", GOLDEN, ids=[" ".join(c[0]) for c in GOLDEN]
+    "argv,code,stdout_sha,stderr_sha", GOLDEN,
+    ids=[" ".join(c[0]) or "(no arguments)" for c in GOLDEN],
 )
-def test_cli_output_is_pinned(argv, code, stdout_sha, stderr_sha):
+def test_cli_output_is_pinned(argv, code, stdout_sha, stderr_sha, monkeypatch):
+    # argparse wraps help and usage text at the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
     rc, out, err = _run(argv)
     assert rc == code
     assert _digest(out) == stdout_sha, out
     assert _digest(err) == stderr_sha, err
+
+
+def test_formula_file_with_comments_is_pinned(tmp_path):
+    path = tmp_path / "energy.txt"
+    path.write_text("# energy, the quadratic family\nenergy  # p1^2 - p2 over two\n",
+                    encoding="utf-8")
+    rc, out, err = _run(["eval", "--file", str(path), "--n", "5"])
+    assert rc == 0
+    assert _digest(out) == (
+        "0ec5395eaacbd64120fcf270f4414a1eb2e23674d065e3661426b7a95a483380"
+    ), out
+    assert err == ""
 
 
 def _load_workloads():
