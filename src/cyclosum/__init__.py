@@ -17,7 +17,6 @@ from .invariants import (
 from .rigidity import (
     AdmissibleFormula,
     EvalReport,
-    build_admissible,
     evaluate,
     eventual_polynomial,
     verify_identity,
@@ -43,7 +42,7 @@ __all__ = [
     "QPoly", "chebyshev_T", "cos_power_sum", "multiplicative_invariant",
     "punctured_min_poly", "punctured_power_sum",
     "punctured_power_sum_stable", "sin_power_sum",
-    "AdmissibleFormula", "EvalReport", "build_admissible", "evaluate",
+    "AdmissibleFormula", "EvalReport", "evaluate",
     "eventual_polynomial", "verify_identity",
     "catalan_a", "extract_coefficient_family", "h_family", "h_global_series",
     "cosine_points", "cross_check", "exact_newton_powersums", "float_eval",

@@ -9,80 +9,176 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
 from .catalan import catalan_a, extract_coefficient_family, h_global_series
-from .dsl import (
-    FormulaSemanticError,
-    FormulaSyntaxError,
-    parse_conjecture,
-    parse_formula,
-    parse_qpoly,
-    strip_comments,
-)
+from .dsl import (FormulaSemanticError, parse_conjecture, parse_formula,
+                  parse_qpoly, strip_comments)
 from .exactcore import poly_str, rat_str
-from .invariants import (
-    cos_power_sum,
-    multiplicative_invariant,
-    punctured_min_poly,
-    punctured_power_sum,
-    sin_power_sum,
-)
+from .invariants import (cos_power_sum, multiplicative_invariant, punctured_min_poly,
+                         punctured_power_sum, sin_power_sum)
 from .oracle import DEFAULT_PRECISION, cross_check
-from .rigidity import ProductCaseError, evaluate, eventual_polynomial, verify_identity
+from .rigidity import evaluate, eventual_polynomial, verify_identity
 from .symfunc import render_powersum
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
-
-def _emit(payload: dict, fmt: str, order=None):
-    """Render a flat payload as text, json, or tsv."""
-    keys = order or list(payload)
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    elif fmt == "tsv":
-        for k in keys:
-            v = payload[k]
-            if isinstance(v, (list, dict)):
-                v = json.dumps(v)
-            print(f"{k}\t{v}")
-    else:
-        for k in keys:
-            v = payload[k]
-            if isinstance(v, (list, dict)):
-                v = json.dumps(v)
-            print(v if len(keys) == 1 else f"{k}: {v}")
+# Fraction("1e-k") builds 10^k in full, superlinear in k (14 s at k = 10^7
+# on a 2-core VM); a larger --tolerance exponent is refused before that.
+MAX_TOLERANCE_EXPONENT = 100_000
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]*)\s*\Z")
 
 
 def _load_formula(args):
-    if getattr(args, "file", None):
+    if args.file:
         with open(args.file, encoding="utf-8") as fh:
             text = strip_comments(fh.read())
-    elif getattr(args, "formula", None) is not None:
+    elif args.formula is not None:
         text = args.formula
     else:
         raise FormulaSemanticError("missing --formula or --file")
     return parse_formula(text)
 
 
-def _add_common(sub, *flags):
-    if "n" in flags:
-        sub.add_argument("--n", type=int, required=True, help="cyclotomic level")
-    if "h" in flags:
-        sub.add_argument("--h", type=int, required=True, help="power-sum exponent")
-    if "r" in flags:
-        sub.add_argument("--r", type=int, required=True, help="coefficient index")
-    if "order" in flags:
-        sub.add_argument("--order", type=int, required=True, help="truncation order")
-    if "formula" in flags:
-        sub.add_argument("--formula", help="formula DSL text")
-        sub.add_argument("--file", help="file with one formula ('#' comments)")
-    sub.add_argument(
-        "--format", choices=("text", "json", "tsv"), default="text", dest="fmt"
-    )
+def _tolerance(text):
+    """--tolerance as an exact rational, or None when it is not given."""
+    if text is None:
+        return None
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        # the length test first: int() refuses more than 4,300 digits
+        if (len(digits) > len(str(MAX_TOLERANCE_EXPONENT))
+                or int(digits or 0) > MAX_TOLERANCE_EXPONENT):
+            raise ValueError(f"--tolerance exponent exceeds {MAX_TOLERANCE_EXPONENT}"
+                             " in magnitude")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(
+            f"--tolerance expects a rational such as 1/1000000, got {text!r}"
+        ) from None
+
+
+def _scalar(value_fn):
+    """Handler for a (n, h) command printing one exact value."""
+    def handler(args):
+        return {"n": str(args.n), "h": str(args.h),
+                "value": rat_str(value_fn(args.n, args.h))}
+    return handler
+
+
+def _mq(args):
+    Q = parse_qpoly(args.formula)
+    return {"Q": str(Q), "n": str(args.n),
+            "value": rat_str(multiplicative_invariant(Q, args.n))}
+
+
+def _eval(args):
+    F = _load_formula(args)
+    if args.n < F.n_star:
+        raise ValueError(
+            f"below stable threshold {F.n_star}; "
+            "'cyclosum oracle' prints the exact value at any n >= 2"
+        )
+    report = evaluate(F, args.n)
+    return {"formula": F.render(), "n": str(args.n), "mode": report.mode,
+            "value": rat_str(report.value), "breakdown": report.breakdown()}
+
+
+def _eventual(args):
+    F = _load_formula(args)
+    return {"formula": F.render(),
+            "eventual_polynomial": poly_str(eventual_polynomial(F))}
+
+
+def _verify(args):
+    F = _load_formula(args)
+    report = verify_identity(F, parse_conjecture(args.conjecture),
+                             check_below_threshold=args.below_threshold)
+    if args.fmt != "text":
+        return report.to_dict(), report.passed
+    lines = [f"symbolic (all n >= {report.n_star}): "
+             + ("PASS" if report.symbolic_match else "FAIL")]
+    if not report.symbolic_match:
+        lines.append(f"difference: {poly_str(report.difference)}")
+    for c in report.per_level:
+        status = "pass" if c.passed else "MISMATCH"
+        lines.append(f"n={c.n}: expected {rat_str(c.expected)}, "
+                     f"got {rat_str(c.got)} -> {status}")
+    return {"report": "\n".join(lines)}, report.passed
+
+
+def _extract(args):
+    Q = parse_qpoly(args.formula)
+    psi = extract_coefficient_family(list(Q.coeffs), args.r)
+    return {"Q": str(Q), "r": str(args.r), "family": render_powersum(psi)}
+
+
+def _oracle(args):
+    report = cross_check(_load_formula(args), args.n, precision=args.precision,
+                         tolerance=_tolerance(args.tolerance))
+    return report.to_dict(), report.passed
+
+
+# Argument key -> (flag, add_argument keywords).
+_ARGS = {
+    "n": ("--n", dict(type=int, required=True, help="cyclotomic level")),
+    "h": ("--h", dict(type=int, required=True, help="power-sum exponent")),
+    "order": ("--order", dict(type=int, required=True, help="truncation order")),
+    "formula": ("--formula", dict(help="formula DSL text")),
+    "file": ("--file", dict(help="file with one formula ('#' comments)")),
+    "q": ("--formula", dict(required=True, help="unit-normalized Q in t (and z)")),
+    "conjecture": ("--conjecture", dict(required=True, help="polynomial in n")),
+    "below-threshold": ("--below-threshold", dict(
+        action="store_true",
+        help="also check levels 2 <= n < n_star against the exact oracle")),
+    "catalan-n": ("--n", dict(type=int, required=True)),
+    "catalan-l": ("--r", dict(type=int, required=True, help="index l")),
+    "extract-r": ("--r", dict(type=int, required=True)),
+    "precision": ("--precision", dict(type=int, default=DEFAULT_PRECISION, help="bits")),
+    "tolerance": ("--tolerance", dict(
+        help="absolute tolerance (default: the float route's own error bound)")),
+    "format": ("--format", dict(choices=("text", "json", "tsv"), default="text",
+                                dest="fmt")),
+}
+
+# Subcommand -> (help, argument keys, handler, the one payload key that
+# text output prints, or None for every key as "key: value").  A handler
+# returns its payload, or (payload, passed) when it can report a mismatch.
+COMMANDS = {
+    "power-sum": ("punctured power sum P_h(n)", ("n", "h", "format"),
+                  _scalar(punctured_power_sum), "value"),
+    "cos-sum": ("full cosine power sum C(n,h)", ("n", "h", "format"),
+                _scalar(cos_power_sum), "value"),
+    "sin-sum": ("full sine power sum S(n,h)", ("n", "h", "format"),
+                _scalar(sin_power_sum), "value"),
+    "minpoly": ("punctured minimal polynomial W_n", ("n", "format"),
+                lambda a: {"n": str(a.n), "W": poly_str(punctured_min_poly(a.n))}, "W"),
+    "mq": ("multiplicative invariant M_Q(n)", ("q", "n", "format"), _mq, "value"),
+    "eval": ("stable-range exact evaluation", ("n", "formula", "file", "format"),
+             _eval, None),
+    "eventual": ("eventual polynomial in n", ("formula", "file", "format"),
+                 _eventual, "eventual_polynomial"),
+    "verify": ("verify a conjectured identity",
+               ("formula", "file", "format", "conjecture", "below-threshold"),
+               _verify, "report"),
+    "hseries": ("global h_r generating series", ("n", "order", "format"),
+                lambda a: {"n": str(a.n), "order": str(a.order), "coefficients":
+                           [rat_str(c) for c in h_global_series(a.n, a.order)]}, None),
+    "catalan-a": ("Catalan power coefficient a_l(n)", ("catalan-n", "catalan-l", "format"),
+                  lambda a: {"l": str(a.r), "n": str(a.n),
+                             "value": rat_str(catalan_a(a.r, a.n))}, "value"),
+    "extract": ("coefficient family from a product factor",
+                ("q", "extract-r", "format"), _extract, "family"),
+    "oracle": ("cross-check exact vs float evaluation",
+               ("n", "formula", "file", "format", "precision", "tolerance"),
+               _oracle, None),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,168 +190,27 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    _add_common(subs.add_parser("power-sum", help="punctured power sum P_h(n)"), "n", "h")
-    _add_common(subs.add_parser("cos-sum", help="full cosine power sum C(n,h)"), "n", "h")
-    _add_common(subs.add_parser("sin-sum", help="full sine power sum S(n,h)"), "n", "h")
-    _add_common(subs.add_parser("minpoly", help="punctured minimal polynomial W_n"), "n")
-
-    mq = subs.add_parser("mq", help="multiplicative invariant M_Q(n)")
-    mq.add_argument("--formula", required=True, help="unit-normalized Q in t (and z)")
-    _add_common(mq, "n")
-
-    ev = subs.add_parser("eval", help="stable-range exact evaluation")
-    _add_common(ev, "n", "formula")
-
-    _add_common(subs.add_parser("eventual", help="eventual polynomial in n"), "formula")
-
-    ver = subs.add_parser("verify", help="verify a conjectured identity")
-    _add_common(ver, "formula")
-    ver.add_argument("--conjecture", required=True, help="polynomial in n")
-    ver.add_argument(
-        "--below-threshold",
-        action="store_true",
-        help="also check levels 2 <= n < n_star against the exact oracle",
-    )
-
-    _add_common(subs.add_parser("hseries", help="global h_r generating series"), "n", "order")
-
-    ca = subs.add_parser("catalan-a", help="Catalan power coefficient a_l(n)")
-    ca.add_argument("--n", type=int, required=True)
-    ca.add_argument("--r", type=int, required=True, help="index l")
-    ca.add_argument("--format", choices=("text", "json", "tsv"), default="text", dest="fmt")
-
-    ex = subs.add_parser("extract", help="coefficient family from a product factor")
-    ex.add_argument("--formula", required=True, help="unit-normalized Q in t (and z)")
-    ex.add_argument("--r", type=int, required=True)
-    ex.add_argument("--format", choices=("text", "json", "tsv"), default="text", dest="fmt")
-
-    orc = subs.add_parser("oracle", help="cross-check exact vs float evaluation")
-    _add_common(orc, "n", "formula")
-    orc.add_argument("--precision", type=int, default=DEFAULT_PRECISION, help="bits")
-    orc.add_argument(
-        "--tolerance",
-        help="absolute tolerance (default: the float route's own error bound)",
-    )
-
+    for name, (help_text, keys, _, _) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for key in keys:
+            flag, spec = _ARGS[key]
+            sub.add_argument(flag, **spec)
     return parser
 
 
-def _tolerance(text):
-    """--tolerance as an exact rational, or None when it is not given."""
-    if text is None:
-        return None
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(
-            f"--tolerance expects a rational such as 1/1000000, got {text!r}"
-        ) from None
-
-
-def _nstar_text(n_star: int) -> str:
-    return f"all n >= {n_star}"
-
-
-def run(args) -> int:
-    cmd = args.command
-    if cmd == "power-sum":
-        _emit({"n": str(args.n), "h": str(args.h),
-               "value": rat_str(punctured_power_sum(args.n, args.h))},
-              args.fmt, order=["value"] if args.fmt == "text" else None)
-        return EXIT_OK
-    if cmd == "cos-sum":
-        _emit({"n": str(args.n), "h": str(args.h),
-               "value": rat_str(cos_power_sum(args.n, args.h))},
-              args.fmt, order=["value"] if args.fmt == "text" else None)
-        return EXIT_OK
-    if cmd == "sin-sum":
-        _emit({"n": str(args.n), "h": str(args.h),
-               "value": rat_str(sin_power_sum(args.n, args.h))},
-              args.fmt, order=["value"] if args.fmt == "text" else None)
-        return EXIT_OK
-    if cmd == "minpoly":
-        W = punctured_min_poly(args.n)
-        _emit({"n": str(args.n), "W": poly_str(W)},
-              args.fmt, order=["W"] if args.fmt == "text" else None)
-        return EXIT_OK
-    if cmd == "mq":
-        Q = parse_qpoly(args.formula)
-        _emit({"Q": str(Q), "n": str(args.n),
-               "value": rat_str(multiplicative_invariant(Q, args.n))},
-              args.fmt, order=["value"] if args.fmt == "text" else None)
-        return EXIT_OK
-    if cmd == "eval":
-        F = _load_formula(args)
-        if args.n < F.n_star:
-            raise ValueError(
-                f"below stable threshold {F.n_star}; "
-                "'cyclosum oracle' prints the exact value at any n >= 2"
-            )
-        report = evaluate(F, args.n)
-        payload = {
-            "formula": F.render(),
-            "n": str(args.n),
-            "mode": report.mode,
-            "value": rat_str(report.value),
-            "breakdown": report.breakdown(),
-        }
-        _emit(payload, args.fmt)
-        return EXIT_OK
-    if cmd == "eventual":
-        F = _load_formula(args)
-        poly = eventual_polynomial(F)
-        _emit({"formula": F.render(), "eventual_polynomial": poly_str(poly)},
-              args.fmt,
-              order=["eventual_polynomial"] if args.fmt == "text" else None)
-        return EXIT_OK
-    if cmd == "verify":
-        F = _load_formula(args)
-        conjecture = parse_conjecture(args.conjecture)
-        if not F.is_polynomial_case:
-            raise ProductCaseError(
-                "symbolic verification requires the polynomial case; "
-                "'cyclosum oracle' checks a product formula at one level"
-            )
-        report = verify_identity(F, conjecture, check_below_threshold=args.below_threshold)
-        payload = report.to_dict()
-        if args.fmt == "text":
-            sym = "PASS" if report.symbolic_match else "FAIL"
-            print(f"symbolic ({_nstar_text(report.n_star)}): {sym}")
-            if report.symbolic_match is False:
-                print(f"difference: {poly_str(report.difference)}")
-            for c in report.per_level:
-                status = "pass" if c.passed else "MISMATCH"
-                print(
-                    f"n={c.n}: expected {rat_str(c.expected)}, "
-                    f"got {rat_str(c.got)} -> {status}"
-                )
-        else:
-            _emit(payload, args.fmt)
-        return EXIT_OK if report.passed else EXIT_MISMATCH
-    if cmd == "hseries":
-        coeffs = [rat_str(c) for c in h_global_series(args.n, args.order)]
-        _emit({"n": str(args.n), "order": str(args.order), "coefficients": coeffs},
-              args.fmt)
-        return EXIT_OK
-    if cmd == "catalan-a":
-        _emit({"l": str(args.r), "n": str(args.n),
-               "value": rat_str(catalan_a(args.r, args.n))},
-              args.fmt, order=["value"] if args.fmt == "text" else None)
-        return EXIT_OK
-    if cmd == "extract":
-        Q = parse_qpoly(args.formula)
-        psi = extract_coefficient_family(list(Q.coeffs), args.r)
-        _emit({"Q": str(Q), "r": str(args.r), "family": render_powersum(psi)},
-              args.fmt, order=["family"] if args.fmt == "text" else None)
-        return EXIT_OK
-    if cmd == "oracle":
-        F = _load_formula(args)
-        report = cross_check(F, args.n, tolerance=_tolerance(args.tolerance),
-                             precision=args.precision)
-        _emit(report.to_dict(), args.fmt)
-        return EXIT_OK if report.passed else EXIT_MISMATCH
-    raise AssertionError(f"unhandled command {cmd!r}")
+def _emit(payload: dict, fmt: str, text_key):
+    """Render a flat payload as text, json, or tsv."""
+    if fmt == "json":
+        print(json.dumps(payload, indent=2))
+        return
+    flat = {k: json.dumps(v) if isinstance(v, (list, dict)) else v
+            for k, v in payload.items()}
+    if fmt == "text" and text_key:
+        print(flat[text_key])
+        return
+    sep = "\t" if fmt == "tsv" else ": "
+    for k, v in flat.items():
+        print(f"{k}{sep}{v}")
 
 
 def main(argv=None) -> int:
@@ -264,14 +219,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    _, _, handler, text_key = COMMANDS[args.command]
     try:
-        return run(args)
-    except (FormulaSyntaxError, FormulaSemanticError) as exc:
+        result = handler(args)
+        payload, passed = result if isinstance(result, tuple) else (result, True)
+        _emit(payload, args.fmt, text_key)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ProductCaseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    return EXIT_OK if passed else EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from .exactcore import UniPoly
 from .invariants import NVAR, QPoly, TVAR
 from .catalan import extract_coefficient_family, h_family
 from .symfunc import PowerSumExpr, ZVAR
-from .rigidity import AdmissibleFormula, build_admissible
+from .rigidity import AdmissibleFormula
 
 MAX_POWER_SUM_INDEX = 32
 MAX_NESTING = 100  # groups, (...) or prod(...), open at once
@@ -327,7 +327,7 @@ class _Parser:
 def parse_formula(text: str) -> AdmissibleFormula:
     """Parse DSL text into an AdmissibleFormula."""
     value = _Parser(text, "formula").parse()
-    return build_admissible(value.psi, value.prods)
+    return AdmissibleFormula(value.psi, value.prods)
 
 
 def parse_conjecture(text: str) -> UniPoly:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from .exactcore import UniPoly, rat_str
 from .invariants import (
@@ -82,11 +82,6 @@ class AdmissibleFormula:
 
     def __str__(self):
         return self.render()
-
-
-def build_admissible(psi_star: PowerSumExpr, products=()) -> AdmissibleFormula:
-    """Validate product factors and derive d and n_star."""
-    return AdmissibleFormula(psi_star, _normalize_products(products))
 
 
 @dataclass(frozen=True)
@@ -202,27 +197,26 @@ class VerificationReport:
     formula: str
     d: int
     n_star: int
-    eventual: Optional[UniPoly]
-    symbolic_match: Optional[bool]
-    difference: Optional[UniPoly]
+    eventual: UniPoly
+    difference: UniPoly  # eventual - conjecture
     per_level: Tuple[LevelCheck, ...]
 
     @property
+    def symbolic_match(self) -> bool:
+        return self.difference.is_zero()
+
+    @property
     def passed(self) -> bool:
-        if self.symbolic_match is False:
-            return False
-        return all(c.passed for c in self.per_level)
+        return self.symbolic_match and all(c.passed for c in self.per_level)
 
     def to_dict(self) -> dict:
         return {
             "formula": self.formula,
             "d": self.d,
             "n_star": self.n_star,
-            "eventual_polynomial": str(self.eventual) if self.eventual else None,
+            "eventual_polynomial": str(self.eventual),
             "symbolic_match": self.symbolic_match,
-            "difference": str(self.difference)
-            if self.difference is not None and not self.difference.is_zero()
-            else None,
+            "difference": None if self.symbolic_match else str(self.difference),
             "per_level": [
                 {
                     "n": c.n,
@@ -240,47 +234,30 @@ def verify_identity(
     F: AdmissibleFormula,
     conjecture: UniPoly,
     check_below_threshold: bool = False,
-    sweep: Optional[Sequence[int]] = None,
 ) -> VerificationReport:
-    """Finite-verification principle.
+    """Finite-verification principle, for the polynomial case only.
 
-    Polynomial case: the eventual polynomial is compared to the
-    conjecture symbolically in Q[n], which covers all n >= n_star at
-    once; optionally each level 2 <= n < n_star is checked against the
-    exact evaluation.  With product factors present a
-    symbolic comparison is refused and an explicit per-level sweep range
-    must be supplied instead.
+    The eventual polynomial is compared to the conjecture symbolically
+    in Q[n], which covers all n >= n_star at once; optionally each level
+    2 <= n < n_star is checked against the exact evaluation.  A formula
+    with product factors is refused: it has no eventual polynomial.
     """
+    if not F.is_polynomial_case:
+        raise ProductCaseError(
+            "symbolic verification requires the polynomial case; "
+            "'cyclosum oracle' checks a product formula at one level"
+        )
     conjecture = conjecture.with_var(NVAR)
+    eventual = eventual_polynomial(F)
     levels: List[LevelCheck] = []
-    eventual = None
-    symbolic = None
-    difference = None
-    if F.is_polynomial_case:
-        eventual = eventual_polynomial(F)
-        difference = eventual - conjecture
-        symbolic = difference.is_zero()
-        if check_below_threshold:
-            for n in range(2, F.n_star):
-                levels.append(
-                    LevelCheck(n, conjecture(Fraction(n)), evaluate(F, n).value)
-                )
-    else:
-        if sweep is None:
-            raise ProductCaseError(
-                "symbolic verification requires the polynomial case; "
-                "supply a per-level sweep range for product formulas"
-            )
-        for n in sweep:
-            levels.append(
-                LevelCheck(n, conjecture(Fraction(n)), evaluate(F, n).value)
-            )
+    if check_below_threshold:
+        for n in range(2, F.n_star):
+            levels.append(LevelCheck(n, conjecture(Fraction(n)), evaluate(F, n).value))
     return VerificationReport(
         formula=F.render(),
         d=F.d,
         n_star=F.n_star,
         eventual=eventual,
-        symbolic_match=symbolic,
-        difference=difference,
+        difference=eventual - conjecture,
         per_level=tuple(levels),
     )

@@ -27,7 +27,7 @@ from cyclosum.invariants import (
     sin_power_sum,
 )
 from cyclosum.oracle import exact_newton_powersums
-from cyclosum.rigidity import build_admissible, evaluate, eventual_polynomial
+from cyclosum.rigidity import AdmissibleFormula, evaluate, eventual_polynomial
 from cyclosum.symfunc import PowerSumExpr
 
 from conftest import random_powersum_expr
@@ -66,7 +66,7 @@ def _criterion(num, desc):
 
 @_criterion(1, "quadratic energy equals n(n-3)/2 for 3 <= n <= 50, plus Q[n] identity")
 def test_criterion_01_quadratic_energy():
-    F = build_admissible(z * v2 - v1**2)
+    F = AdmissibleFormula(z * v2 - v1**2)
     for n in range(3, 51):
         assert evaluate(F, n).value == Fraction(n * (n - 3), 2)
     assert eventual_polynomial(F) == UniPoly(
@@ -76,14 +76,14 @@ def test_criterion_01_quadratic_energy():
 
 @_criterion(2, "mixed cubic sum_{i!=j} x_i^2 x_j equals (4-n)/2 for 4 <= n <= 50")
 def test_criterion_02_mixed_cubic():
-    F = build_admissible(v2 * v1 - v3)
+    F = AdmissibleFormula(v2 * v1 - v3)
     for n in range(4, 51):
         assert evaluate(F, n).value == Fraction(4 - n, 2)
 
 
 @_criterion(3, "evaluate of e(5) at n = 8 equals -1/4")
 def test_criterion_03_elementary_fixture():
-    F = build_admissible(extract_coefficient_family([1, 1], 5))
+    F = AdmissibleFormula(extract_coefficient_family([1, 1], 5))
     report = evaluate(F, 8)
     assert report.value == Fraction(-1, 4)
     assert report.mode == "stable"
@@ -143,7 +143,7 @@ def test_criterion_07_h_family_suite():
     assert h_stable(7) == -cubic
     assert h_global_series(9, 7)[7] == Fraction(-273, 64)
     eventuals = {
-        r: eventual_polynomial(build_admissible(h_family(r))) for r in range(2, 9)
+        r: eventual_polynomial(AdmissibleFormula(h_family(r))) for r in range(2, 9)
     }
     for n in range(4, 21):
         H = h_global_series(n, min(8, n - 1))
@@ -206,7 +206,7 @@ def test_criterion_11_property_suite():
         d = max(psi.weighted_degree, 1)
         assert reduce_to_powersum(expand(psi, d), d) == psi
     for _ in range(50):
-        F = build_admissible(random_powersum_expr(rng, rng.randint(1, 5)))
+        F = AdmissibleFormula(random_powersum_expr(rng, rng.randint(1, 5)))
         R = eventual_polynomial(F)
         for n in range(F.n_star, 26):
             assert R(Fraction(n)) == evaluate(F, n).value
@@ -217,8 +217,8 @@ def test_criterion_11_property_suite():
             (rng.choice(factors), rng.randint(1, 2))
             for _ in range(rng.randint(1, 2))
         ]
-        F = build_admissible(psi, prods)
-        bare = build_admissible(psi)
+        F = AdmissibleFormula(psi, prods)
+        bare = AdmissibleFormula(psi)
         for n in (F.n_star, F.n_star + 3, F.n_star + 7):
             expected = evaluate(bare, n).value
             for Q, mult in F.products:

@@ -9,7 +9,7 @@ from cyclosum.catalan import (
     h_global_series,
 )
 from cyclosum.exactcore import UniPoly
-from cyclosum.rigidity import build_admissible, evaluate
+from cyclosum.rigidity import AdmissibleFormula, evaluate
 from cyclosum.symfunc import PowerSumExpr, coeff_poly
 
 from conftest import newton_e, newton_h, random_rational
@@ -151,7 +151,7 @@ class TestHGlobalSeries:
         for n in range(2, 13):
             H = h_global_series(n, 14)
             for r in range(1, 15):
-                assert H[r] == evaluate(build_admissible(h_family(r)), n).value
+                assert H[r] == evaluate(AdmissibleFormula(h_family(r)), n).value
 
     def test_trunk_congruence(self):
         for R in range(1, 9):

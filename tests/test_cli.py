@@ -204,6 +204,13 @@ class TestBadInputs:
         assert "tolerance: 0.0" in res.stdout.splitlines()
         assert "residual: 0.0" in res.stdout.splitlines()
 
+    def test_tolerance_exponent_too_long_for_int_is_refused(self):
+        res = run_cli("oracle", "--formula", "p1", "--n", "7",
+                      "--tolerance", "1e-" + "9" * 10_000)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: --tolerance exponent exceeds 100000 in magnitude\n"
+
     def test_verify_refuses_product_formula(self):
         res = run_cli("verify", "--formula", "prod(1-t)", "--conjecture", "n")
         assert res.returncode == 2

@@ -1,5 +1,6 @@
 """Golden CLI outputs: the exit code and the sha256 of stdout and stderr
-of every README example and of the pinned minpoly/mq/hseries/eval/
+of every README example, of every command in each output format, of
+--help and usage errors, and of the pinned minpoly/mq/hseries/eval/
 eventual/verify/oracle calls, run in-process through cli.main.  Any
 change to a printed byte of these calls fails here; an intended change
 updates its digest.  The same holds for a replay of the first ops of
@@ -284,9 +285,6 @@ GOLDEN = [
     (['verify', '--formula', 'energy', '--conjecture', '(n^2-3*n)/2', '--below-threshold', '--format', 'json'], 1,
      'aea5d4168049cf6a92acbb38aa740909664f5c8c460b18670cae18bccb05b627',
      EMPTY),
-    (['hseries', '--n', '9', '--order', '7', '--format', 'json'], 0,
-     'ef330ad239a79c626a0eddf29ff996cf836c99ef524f878cfab7239f51b7a371',
-     EMPTY),
     (['catalan-a', '--n', '9', '--r', '2', '--format', 'json'], 0,
      'e58e4eb0249c64a2c5cf0e267aa42d1e57e5fa912e0ee32bee5557bfd5909f6d',
      EMPTY),
@@ -385,10 +383,20 @@ GOLDEN = [
     (['power-sum', '--n', '10', '--h', '4', '--format', 'xml'], 2,
      EMPTY,
      '2386ed6ddf2467e1775fc9a80f8e3e7617b39854207bb741ef25fec6f0b2a1e2'),
-    # A tolerance far below the float route's own error bound.
+    # Tolerances far below the float route's own error bound, up to the
+    # largest exponent accepted; one past it is refused with exit 2.
     (['oracle', '--formula', 'p1', '--n', '7', '--tolerance', '1e-30'], 0,
      'bbfa04d5e57f0323d1d87eceb64165ce03fb65a45bad6e1354057833ea452085',
      EMPTY),
+    (['oracle', '--formula', 'p1', '--n', '7', '--tolerance', '1e-100000'], 0,
+     'a7f25a65977035b9b7c91a68098d17a2e9ed5321a1548930e5ac9a4573e8ebc6',
+     EMPTY),
+    (['oracle', '--formula', 'p1', '--n', '7', '--tolerance', '1E+1_00_001'], 2,
+     EMPTY,
+     '84e6aae89bf602e4e9802a0ddbdb6ade698cb2b887562509deda829fa153ede3'),
+    (['oracle', '--formula', 'p1', '--n', '7', '--tolerance', '1e-10000000'], 2,
+     EMPTY,
+     '84e6aae89bf602e4e9802a0ddbdb6ade698cb2b887562509deda829fa153ede3'),
 ]
 
 
@@ -414,6 +422,20 @@ def test_cli_output_is_pinned(argv, code, stdout_sha, stderr_sha, monkeypatch):
     assert rc == code
     assert _digest(out) == stdout_sha, out
     assert _digest(err) == stderr_sha, err
+
+
+def _format(argv):
+    return argv[argv.index("--format") + 1] if "--format" in argv else "text"
+
+
+def test_every_command_and_format_is_pinned():
+    outputs = {(argv[0], _format(argv)) for argv, code, _, _ in GOLDEN
+               if code != 2 and "--help" not in argv}
+    helps = {argv[0] for argv, _, _, _ in GOLDEN if argv[1:] == ["--help"]}
+    missing = [(command, fmt) for command in cli.COMMANDS
+               for fmt in ("text", "json", "tsv") if (command, fmt) not in outputs]
+    assert missing == []
+    assert helps == set(cli.COMMANDS)
 
 
 def test_formula_file_with_comments_is_pinned(tmp_path):

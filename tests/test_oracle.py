@@ -18,7 +18,7 @@ from cyclosum.oracle import (
     float_eval,
 )
 from cyclosum.catalan import h_family
-from cyclosum.rigidity import build_admissible, evaluate
+from cyclosum.rigidity import AdmissibleFormula, evaluate
 from cyclosum.symfunc import PowerSumExpr
 
 from conftest import powersum_exprs
@@ -88,17 +88,17 @@ class TestCosinePoints:
 
 class TestFloatEval:
     def test_energy(self):
-        F = build_admissible(z * v2 - v1**2)
+        F = AdmissibleFormula(z * v2 - v1**2)
         value, _ = float_eval(F, 10)
         assert close(value, 35)
 
     def test_product(self):
-        F = build_admissible(PowerSumExpr.const(1), [(QPoly([1, -1]), 1)])
+        F = AdmissibleFormula(PowerSumExpr.const(1), [(QPoly([1, -1]), 1)])
         value, _ = float_eval(F, 6)
         assert close(value, mpmath.mpf(36) / 32)
 
     def test_below_threshold(self):
-        F = build_admissible(h_family(4))
+        F = AdmissibleFormula(h_family(4))
         # exact general-regime value at n = 3, below n_star = 6
         expected = float(evaluate(F, 3).value)
         value, _ = float_eval(F, 3)
@@ -180,7 +180,7 @@ class TestErrorBound:
         precision=st.sampled_from([64, 128, 256]),
     )
     def test_bound_holds_and_matches_reference(self, psi, qs, n, precision):
-        check_bound(build_admissible(psi, [(Q, 1) for Q in qs]), n, precision)
+        check_bound(AdmissibleFormula(psi, [(Q, 1) for Q in qs]), n, precision)
 
     @pytest.mark.parametrize("text", WORKLOAD_FORMULAS)
     def test_workload_formulas(self, text):
@@ -193,11 +193,11 @@ class TestErrorBound:
         # and above it at 128; F(n) is tiny but not 0.
         Q = QPoly([1, -(2 + Fraction(1, 2**69))])
         for n in (6, 12, 30):
-            check_bound(build_admissible(v1, [(Q, 1)]), n, precision)
-            check_bound(build_admissible(PowerSumExpr.const(1), [(Q, 2)]), n, precision)
+            check_bound(AdmissibleFormula(v1, [(Q, 1)]), n, precision)
+            check_bound(AdmissibleFormula(PowerSumExpr.const(1), [(Q, 2)]), n, precision)
 
     def test_precision_too_low_is_refused(self):
-        F = build_admissible(v1 ** (1 << 50))
+        F = AdmissibleFormula(v1 ** (1 << 50))
         with pytest.raises(ValueError, match="raise --precision"):
             float_eval(F, 50, 64)
 
@@ -254,25 +254,25 @@ def check_with_exact(monkeypatch, text, n, mutate):
 
 class TestCrossCheck:
     def test_energy_stable(self):
-        F = build_admissible(z * v2 - v1**2)
+        F = AdmissibleFormula(z * v2 - v1**2)
         rep = cross_check(F, 50)
         assert rep.passed
         assert rep.exact == 1175
 
     def test_h6_level_nine(self):
-        F = build_admissible(h_family(6))
+        F = AdmissibleFormula(h_family(6))
         rep = cross_check(F, 9)
         assert rep.passed
         assert rep.exact == Fraction(273, 64)
 
     def test_below_threshold_route(self):
-        F = build_admissible(z * v2 - v1**2)
+        F = AdmissibleFormula(z * v2 - v1**2)
         rep = cross_check(F, 3)
         assert rep.passed
         assert rep.exact == 0
 
     def test_product_formula(self):
-        F = build_admissible(v1, [(QPoly([1, 0, -1]), 1)])
+        F = AdmissibleFormula(v1, [(QPoly([1, 0, -1]), 1)])
         rep = cross_check(F, 7)
         assert rep.passed
         assert rep.exact == -Fraction(49, 4**6)
@@ -280,7 +280,7 @@ class TestCrossCheck:
     def test_precision_scaling(self):
         # quadrupling the precision must not hurt; with exact rational
         # output the residual stays within the scaled tolerance
-        F = build_admissible(h_family(5))
+        F = AdmissibleFormula(h_family(5))
         lo = cross_check(F, 12, precision=128)
         hi = cross_check(F, 12, precision=512, tolerance=Fraction(1, 2**100 * 10**20))
         assert lo.passed and hi.passed
@@ -299,13 +299,13 @@ class TestCrossCheck:
             assert not mutant.passed, text
 
     def test_negative_tolerance_rejected(self):
-        F = build_admissible(v1)
+        F = AdmissibleFormula(v1)
         with pytest.raises(ValueError, match="nonnegative"):
             cross_check(F, 7, tolerance=-1)
         assert cross_check(F, 7, tolerance=0).tolerance == "0.0"
 
     def test_report_dict(self):
-        F = build_admissible(v1)
+        F = AdmissibleFormula(v1)
         d = cross_check(F, 5).to_dict()
         assert d["exact"] == "-1"
         assert d["pass"] is True

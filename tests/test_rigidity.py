@@ -14,8 +14,8 @@ from cyclosum.invariants import (
     punctured_power_sum_stable,
 )
 from cyclosum.rigidity import (
+    AdmissibleFormula,
     ProductCaseError,
-    build_admissible,
     evaluate,
     eventual_polynomial,
     verify_identity,
@@ -32,7 +32,7 @@ z = PowerSumExpr.z()
 def energy():
     # sum over distinct pairs of (alpha_j - alpha_k)^2, up to the p-basis:
     # z*p2 - p1^2 with z standing for the variable count
-    return build_admissible(z * v2 - v1**2)
+    return AdmissibleFormula(z * v2 - v1**2)
 
 
 class TestBuild:
@@ -43,24 +43,24 @@ class TestBuild:
         assert F.is_polynomial_case
 
     def test_product_datum(self):
-        F = build_admissible(PowerSumExpr.const(1), [(QPoly([1, -1]), 2)])
+        F = AdmissibleFormula(PowerSumExpr.const(1), [(QPoly([1, -1]), 2)])
         assert F.d == 0
         assert F.n_star == 2
         assert not F.is_polynomial_case
 
     def test_zero_exponent_dropped(self):
-        F = build_admissible(v1, [(QPoly([1, -1]), 0)])
+        F = AdmissibleFormula(v1, [(QPoly([1, -1]), 0)])
         assert F.is_polynomial_case
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            build_admissible(v1, [(QPoly([1, -1]), -1)])
+            AdmissibleFormula(v1, [(QPoly([1, -1]), -1)])
 
     def test_render(self):
-        F = build_admissible(z * v2 - v1**2, [(QPoly([1, -1]), 1)])
+        F = AdmissibleFormula(z * v2 - v1**2, [(QPoly([1, -1]), 1)])
         assert F.render() == "(-p1^2 + z*p2) * prod(1 - t)"
         assert energy().render() == "-p1^2 + z*p2"
-        G = build_admissible(PowerSumExpr.const(1), [(QPoly([1, 0, -1]), 3)])
+        G = AdmissibleFormula(PowerSumExpr.const(1), [(QPoly([1, 0, -1]), 3)])
         assert G.render() == "prod(1 - t^2)^3"
 
 
@@ -92,7 +92,7 @@ class TestStableEval:
     def test_general_matches_stable_in_range(self):
         # in the stable range the evaluation equals the stable closed form
         # P_h = n*binom(h, h/2) - 2^h substituted into psi_star
-        F = build_admissible(h_family(4))
+        F = AdmissibleFormula(h_family(4))
         R = eventual_polynomial(F)
         for n in range(F.n_star, 20):
             rep = evaluate(F, n)
@@ -101,9 +101,9 @@ class TestStableEval:
 
     def test_product_factor_applied(self):
         Q = QPoly([1, -1])
-        F = build_admissible(v1, [(Q, 2)])
+        F = AdmissibleFormula(v1, [(Q, 2)])
         for n in (5, 8, 13):
-            expected = evaluate(build_admissible(v1), n).value
+            expected = evaluate(AdmissibleFormula(v1), n).value
             expected *= multiplicative_invariant(Q, n) ** 2
             assert evaluate(F, n).value == expected
 
@@ -114,12 +114,12 @@ class TestEventualPolynomial:
         assert got == UniPoly([0, Fraction(-3, 2), Fraction(1, 2)], "n")
 
     def test_h6(self):
-        F = build_admissible(h_family(6))
+        F = AdmissibleFormula(h_family(6))
         assert eventual_polynomial(F) == h_stable(6)
 
     def test_h7_closed_form(self):
         # closed form -n(n+4)(n+5)/384, plus a spot value
-        F = build_admissible(h_family(7))
+        F = AdmissibleFormula(h_family(7))
         got = eventual_polynomial(F)
         expected = UniPoly([0, 1], "n") * UniPoly([4, 1], "n") * UniPoly([5, 1], "n")
         expected = expected.scale(Fraction(-1, 384))
@@ -129,7 +129,7 @@ class TestEventualPolynomial:
     def test_agrees_with_stable_eval(self, rng):
         for _ in range(20):
             psi = random_powersum_expr(rng, 5)
-            F = build_admissible(psi)
+            F = AdmissibleFormula(psi)
             R = eventual_polynomial(F)
             for n in range(F.n_star, F.n_star + 6):
                 assert R(Fraction(n)) == evaluate(F, n).value
@@ -139,12 +139,12 @@ class TestEventualPolynomial:
         # coarse but universal bound: d + max z-degree of the coefficients
         for _ in range(20):
             psi = random_powersum_expr(rng, 6, z_degree=2)
-            F = build_admissible(psi)
+            F = AdmissibleFormula(psi)
             zdeg = max(c.degree for c in psi.terms.values())
             assert eventual_polynomial(F).degree <= F.d + zdeg
 
     def test_product_case_refused(self):
-        F = build_admissible(v1, [(QPoly([1, -1]), 1)])
+        F = AdmissibleFormula(v1, [(QPoly([1, -1]), 1)])
         with pytest.raises(ProductCaseError, match="polynomial case only"):
             eventual_polynomial(F)
 
@@ -153,7 +153,7 @@ class TestEventualPolynomial:
         # interpolation levels cannot predict the third
         monkeypatch.setattr(PowerSumExpr, "substitute", lambda self, P, z: Fraction(z * z))
         with pytest.raises(InternalConsistencyError, match="misses the kernel"):
-            eventual_polynomial(build_admissible(v2))
+            eventual_polynomial(AdmissibleFormula(v2))
 
 
 class TestKernelAgainstReference:
@@ -167,7 +167,7 @@ class TestKernelAgainstReference:
     @example(psi=(v1 + v2 + z) ** 6, offset=-3)
     @example(psi=PowerSumExpr.zero(), offset=0)
     def test_evaluate_on_both_sides_of_threshold(self, psi, offset):
-        F = build_admissible(psi)
+        F = AdmissibleFormula(psi)
         n = max(2, F.n_star + offset)
         gen_values = {h: punctured_power_sum(n, h) / 2**h for h in range(1, F.d + 1)}
         report = evaluate(F, n)
@@ -181,7 +181,7 @@ class TestKernelAgainstReference:
     @example(psi=z**3 * v2 - z * v1**2)
     @example(psi=PowerSumExpr.zero())
     def test_eventual_matches_stable_substitution(self, psi):
-        F = build_admissible(psi)
+        F = AdmissibleFormula(psi)
         gen_values = {
             h: punctured_power_sum_stable(h).scale(Fraction(1, 2**h))
             for h in range(1, F.d + 1)
@@ -215,21 +215,10 @@ class TestVerifyIdentity:
         assert not rep.passed
         assert rep.difference == UniPoly([-1], "n")
 
-    def test_product_requires_sweep(self):
-        F = build_admissible(PowerSumExpr.const(1), [(QPoly([1, -1]), 1)])
-        with pytest.raises(ProductCaseError, match="sweep"):
+    def test_product_formula_is_refused(self):
+        F = AdmissibleFormula(PowerSumExpr.const(1), [(QPoly([1, -1]), 1)])
+        with pytest.raises(ProductCaseError, match="cyclosum oracle"):
             verify_identity(F, UniPoly([0, 0, 1], "n"))
-
-    def test_product_sweep(self):
-        # prod(1 - t) over the punctured points equals n^2 / 2^(n-1),
-        # which no polynomial conjecture can match for long
-        F = build_admissible(PowerSumExpr.const(1), [(QPoly([1, -1]), 1)])
-        rep = verify_identity(F, UniPoly([0, 0, 1], "n"), sweep=range(2, 12))
-        assert rep.symbolic_match is None
-        assert not rep.passed
-        by_n = {c.n: c for c in rep.per_level}
-        assert by_n[2].expected == 4 and by_n[2].got == 2
-        assert by_n[5].got == Fraction(25, 16)
 
     def test_report_dict(self):
         conjecture = UniPoly([0, Fraction(-3, 2), Fraction(1, 2)], "n")
