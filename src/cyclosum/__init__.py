@@ -6,7 +6,6 @@ from .exactcore import UniPoly, poly_divrem, rat_str, resultant
 from .symfunc import PowerSumExpr
 from .invariants import (
     QPoly,
-    chebyshev_T,
     cos_power_sum,
     multiplicative_invariant,
     punctured_min_poly,
@@ -39,7 +38,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "UniPoly", "poly_divrem", "rat_str", "resultant", "PowerSumExpr",
-    "QPoly", "chebyshev_T", "cos_power_sum", "multiplicative_invariant",
+    "QPoly", "cos_power_sum", "multiplicative_invariant",
     "punctured_min_poly", "punctured_power_sum",
     "punctured_power_sum_stable", "sin_power_sum",
     "AdmissibleFormula", "EvalReport", "evaluate",

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from .exactcore import UniPoly
-from .invariants import vieta_lucas_coeffs
-from .symfunc import PowerSumExpr, ZVAR, coeff_poly
+from .invariants import QPoly, vieta_lucas_coeffs
+from .symfunc import PowerSumExpr, ZVAR
 
 
 def catalan_a(l: int, n: int) -> Fraction:
@@ -43,16 +43,19 @@ def h_global_series(n: int, order: int) -> Tuple[Fraction, ...]:
     The points 2 alpha_{k,n} are the roots other than 2 of 2 T_n(x/2) - 2
     = sum_j beta_j x^(n-j), monic over the integers: beta_(2k) = (-1)^k L_k,
     beta_n lowered by 2.  So H_r = 2^r h_r are integers, and reversing gives
-    H_r = [r=0] - 2[r=1] - sum_{j=2}^{min(r,n)} beta_j H_(r-j).
+    H_r = [r=0] - 2[r=1] - sum_{j=2}^{min(r,n)} beta_j H_(r-j), which reads
+    beta_j only for j <= min(order, n).
     """
     if n < 2:
         raise ValueError("level n must be >= 2")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    beta = [0] * (n + 1)
-    for k, L in enumerate(vieta_lucas_coeffs(n)):
+    top = min(order, n)
+    beta = [0] * (top + 1)
+    for k, L in enumerate(vieta_lucas_coeffs(n, top // 2)):
         beta[2 * k] = -L if k % 2 else L
-    beta[n] -= 2
+    if n <= order:
+        beta[n] -= 2
     steps = [(j, b) for j, b in enumerate(beta) if j >= 2 and b]
     H = [1, -2][: order + 1]
     for r in range(2, order + 1):
@@ -60,16 +63,14 @@ def h_global_series(n: int, order: int) -> Tuple[Fraction, ...]:
     return tuple(Fraction(x, 2**r) for r, x in enumerate(H))
 
 
-def _log_coeff_list(cs: Sequence[UniPoly], order: int):
-    """Formal log of sum c_l t^l with UniPoly('z') coefficients, c_0 = 1.
+def _log_coeff_list(Q: QPoly, order: int):
+    """Coefficients L_0..L_order of log Q, in Q[z]; Q(z, 0) = 1.
 
-    From a * L' = a':
+    From Q * L' = Q', with a_l the t^l coefficient of Q:
     (k+1) L_{k+1} = (k+1) a_{k+1} - sum_{j>=1} a_j (k-j+1) L_{k-j+1}.
     """
-    if not cs or cs[0] != UniPoly.const(1, ZVAR):
-        raise ValueError("not unit-normalized: Q(z,0) != 1")
     zero = UniPoly((), ZVAR)
-    a = [cs[k] if k < len(cs) else zero for k in range(order + 1)]
+    a = [Q.coeffs[k] if k < len(Q.coeffs) else zero for k in range(order + 1)]
     out = [zero] * (order + 1)
     for k in range(order):
         s = a[k + 1].scale(k + 1)
@@ -80,21 +81,20 @@ def _log_coeff_list(cs: Sequence[UniPoly], order: int):
     return out
 
 
-def extract_coefficient_family(q_coeffs: Sequence, r: int) -> PowerSumExpr:
+def extract_coefficient_family(Q: QPoly, r: int) -> PowerSumExpr:
     """Stable power-sum presentation of the coefficient of s^r in
-    prod_j Q(z, s x_j), for a unit-normalized Q given by its t-coefficients.
+    prod_j Q(z, s x_j), for a unit-normalized product factor Q.
 
     With L_l(z) the coefficients of log Q, the product is
     exp(sum_l L_l v_l s^l), whose s^r coefficient is the partition sum
     sum_{lambda |- r} prod_l L_l^(m_l) / m_l! * v_lambda, m_l the
     multiplicity of l in lambda (Macdonald, Symmetric Functions, I.2).
-    Only the t-degree <= r part of Q matters.  Accepts Q as a plain
-    coefficient sequence (polynomial or truncated series), entries may be
-    ints, rationals, or UniPoly('z').
+    Only the t-degree <= r part of Q matters, so a power series such as
+    1/(1-t) enters truncated at t^r.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    L = _log_coeff_list([coeff_poly(c) for c in q_coeffs], r)
+    L = _log_coeff_list(Q, r)
     one = UniPoly.const(1, ZVAR)
     # weights[l][m] = L_l^m / m!
     weights = [[one] for _ in range(r + 1)]
@@ -123,11 +123,6 @@ def extract_coefficient_family(q_coeffs: Sequence, r: int) -> PowerSumExpr:
     return PowerSumExpr({exps: terms[exps] for exps in sorted(terms, reverse=True)})
 
 
-def geometric_q(order: int):
-    """Truncated coefficients of 1/(1-t), the source of the h_r family."""
-    return [1] * (order + 1)
-
-
 def h_family(r: int) -> PowerSumExpr:
-    """The h_r family as extracted from Q(t) = 1/(1-t)."""
-    return extract_coefficient_family(geometric_q(r), r)
+    """The h_r family as extracted from Q(t) = 1/(1-t), truncated at t^r."""
+    return extract_coefficient_family(QPoly([1] * (r + 1)), r)

@@ -115,7 +115,7 @@ def _verify(args):
 
 def _extract(args):
     Q = parse_qpoly(args.formula)
-    psi = extract_coefficient_family(list(Q.coeffs), args.r)
+    psi = extract_coefficient_family(Q, args.r)
     return {"Q": str(Q), "r": str(args.r), "family": render_powersum(psi)}
 
 

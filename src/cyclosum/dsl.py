@@ -2,14 +2,18 @@
 
 Grammar (EBNF):
 
-    formula    := symexpr { "*" product }
-    symexpr    := additive expression over rational literals, "z",
-                  "p" INT, builtins "e(" INT ")", "h(" INT ")",
-                  "mixed(" INT "," INT ")", "energy",
-                  with + - * / ^INT and parentheses
-    product    := "prod(" qpoly ")" [ "^" INT ]
-    qpoly      := polynomial in "t" (and optionally "z"), constant term 1
-    conjecture := polynomial in "n" with rational coefficients
+    expression := [ "+" | "-" ] term { ( "+" | "-" ) term }
+    term       := factor { ( "*" | "/" ) factor }
+    factor     := atom [ "^" INT ]
+    atom       := INT | "(" expression ")" | "z" | "p" INT | "energy"
+                | "e(" INT ")" | "h(" INT ")" | "mixed(" INT "," INT ")"
+                | "prod(" qpoly ")"
+    qpoly      := expression in "t" and "z", constant term 1
+    conjecture := expression in "n" alone
+
+A formula is an expression.  prod(...) is an atom that any product may
+hold, with the ordinary "^" INT; a value holding one cannot be added,
+subtracted or divided by.
 
 Every mode parses into PowerSumExpr, the formula's own type: "pN" is
 the generator v_N and "z" the coefficient variable.  Inside prod(...)
@@ -221,13 +225,19 @@ class _Parser:
             value = value.pow(int(tok.text))
         return value
 
-    def _int_arg(self) -> int:
+    def _int_args(self, count: int) -> List[int]:
+        """'(' INT {',' INT} ')' with `count` integers."""
         self.expect("(")
-        tok = self.peek()
-        if tok.kind != "number":
-            self.fail("expected an integer argument")
-        self.advance()
-        return int(tok.text)
+        args = []
+        for i in range(count):
+            if i:
+                self.expect(",")
+            tok = self.peek()
+            if tok.kind != "number":
+                self.fail("expected an integer argument")
+            args.append(int(self.advance().text))
+        self.expect(")")
+        return args
 
     def atom(self) -> _FVal:
         tok = self.peek()
@@ -268,24 +278,15 @@ class _Parser:
             gen = PowerSumExpr.gen
             return _FVal(PowerSumExpr.z() * gen(2) - gen(1) ** 2)
         if name == "e":
-            r = self._int_arg()
-            self.expect(")")
+            (r,) = self._int_args(1)
             self._check_index(r)
-            return _FVal(extract_coefficient_family([1, 1], r))
+            return _FVal(extract_coefficient_family(QPoly([1, 1]), r))
         if name == "h":
-            r = self._int_arg()
-            self.expect(")")
+            (r,) = self._int_args(1)
             self._check_index(r)
             return _FVal(h_family(r))
         if name == "mixed":
-            a = self._int_arg()
-            self.expect(",")
-            tok = self.peek()
-            if tok.kind != "number":
-                self.fail("expected an integer argument")
-            self.advance()
-            b = int(tok.text)
-            self.expect(")")
+            a, b = self._int_args(2)
             if a < 1 or b < 1:
                 raise FormulaSemanticError("mixed(a, b) arguments must be >= 1")
             self._check_index(a + b)
@@ -296,16 +297,7 @@ class _Parser:
             outer, self.mode = self.mode, "qpoly"
             inner = self.group()
             self.mode = outer
-            Q = _to_qpoly(inner.psi)
-            mult = 1
-            if self.peek().text == "^":
-                self.advance()
-                tok = self.peek()
-                if tok.kind != "number":
-                    self.fail("expected an integer exponent after '^'")
-                self.advance()
-                mult = int(tok.text)
-            return _FVal(PowerSumExpr.const(1), ((Q, mult),) if mult else ())
+            return _FVal(PowerSumExpr.const(1), ((_to_qpoly(inner.psi), 1),))
         self.fail(f"unknown symbol {name!r}")
 
     def _check_index(self, r: int):

@@ -169,9 +169,6 @@ class UniPoly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:

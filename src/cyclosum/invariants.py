@@ -1,15 +1,15 @@
 """Universal invariants of the punctured cosine configuration.
 
 Parity binomials, the heat-kernel cosine/sine power sums C(n,h) and
-S(n,h), the punctured power sums P_h(n), Chebyshev polynomials, the
-punctured minimal polynomial W_n, and multiplicative invariants M_Q(n)
-computed through exact resultants.
+S(n,h), the punctured power sums P_h(n), the integer coefficients of
+the Chebyshev polynomial T_n, the punctured minimal polynomial W_n, and
+multiplicative invariants M_Q(n) computed through exact resultants.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from itertools import accumulate
 from fractions import Fraction
 from typing import List, Sequence
@@ -110,49 +110,33 @@ def punctured_power_sum_stable(h: int) -> UniPoly:
     return UniPoly([-(2**h)], NVAR)
 
 
-def vieta_lucas_coeffs(n: int) -> List[int]:
-    """L_k = C(n-k, k) + C(n-k-1, k-1) for 0 <= k <= n/2, the integers of
-    2 T_n(x/2) = sum_k (-1)^k L_k x^(n-2k), so that
+def vieta_lucas_coeffs(n: int, top: int) -> List[int]:
+    """L_k = C(n-k, k) + C(n-k-1, k-1) for 0 <= k <= min(top, n/2), the
+    integers of 2 T_n(x/2) = sum_k (-1)^k L_k x^(n-2k), so that
     T_n(t) = sum_k (-1)^k L_k 2^(n-2k-1) t^(n-2k) for n >= 1
     (Mason & Handscomb, Chebyshev Polynomials, 2003, 2.3)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return [1] + [math.comb(n - k, k) + math.comb(n - k - 1, k - 1)
-                  for k in range(1, n // 2 + 1)]
+                  for k in range(1, min(top, n // 2) + 1)]
 
 
-def chebyshev_T(n: int) -> UniPoly:
-    """Chebyshev polynomial of the first kind, T_n(t), from its closed form."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return UniPoly([1], TVAR)
-    coeffs = [0] * (n + 1)
-    for k, L in enumerate(vieta_lucas_coeffs(n)):
-        j = n - 2 * k
-        c = L << j >> 1  # L_k 2^(j-1), an integer: at j = 0, L_k = 2
-        coeffs[j] = -c if k % 2 else c
-    return UniPoly(coeffs, TVAR)
-
-
-_minpoly_lock = threading.Lock()
-_minpoly_cache = {}
-
-
+@functools.cache
 def punctured_min_poly(n: int) -> UniPoly:
     """W_n(t) = prod_{k=1}^{n-1} (t - cos(2 pi k/n)), monic of degree n-1,
     from the factorization T_n(t) - 1 = 2^(n-1) (t-1) W_n(t).
 
-    The quotient of T_n - 1 by t - 1 has the suffix sums of T_n's integer
-    coefficients as its coefficients, and T_n(1) = 1 leaves no remainder.
+    T_n's integer coefficient at t^(n-2k) is (-1)^k L_k 2^(n-2k-1).  The
+    quotient of T_n - 1 by t - 1 has their suffix sums as its
+    coefficients, and T_n(1) = 1 leaves no remainder.
     """
     if n < 2:
         raise ValueError("level n must be >= 2")
-    with _minpoly_lock:
-        hit = _minpoly_cache.get(n)
-        if hit is not None:
-            return hit
-    c = [x.numerator for x in chebyshev_T(n).coeffs]
+    c = [0] * (n + 1)
+    for k, L in enumerate(vieta_lucas_coeffs(n, n)):
+        j = n - 2 * k
+        v = L << j >> 1  # L_k 2^(j-1), an integer: at j = 0, L_k = 2
+        c[j] = -v if k % 2 else v
     quotient = list(accumulate(c[:0:-1]))[::-1]  # c_j + ... + c_n for j >= 1
     if quotient[0] + c[0] != 1:
         raise InternalConsistencyError(f"T_{n} - 1 not divisible by t - 1")
@@ -160,8 +144,6 @@ def punctured_min_poly(n: int) -> UniPoly:
     W = UniPoly([Fraction(q, lead) for q in quotient], TVAR)
     if not W.is_monic() or W.degree != n - 1:
         raise InternalConsistencyError(f"W_{n} is not monic of degree {n - 1}")
-    with _minpoly_lock:
-        _minpoly_cache[n] = W
     return W
 
 
@@ -181,10 +163,6 @@ class QPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
-
-    @property
-    def t_degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def specialize_z(self, value) -> UniPoly:
         """Evaluate the z-dependence, leaving a plain polynomial in t."""

@@ -15,8 +15,8 @@ Two routes that share no code with the parity-binomial formulas:
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -32,10 +32,7 @@ DEFAULT_PRECISION = 256
 _GUARD = 64  # bits a product mantissa keeps beyond the working precision
 
 
-_points_lock = threading.Lock()
-_points_cache = {}
-
-
+@functools.cache
 def cosine_points(n: int, precision: int = DEFAULT_PRECISION) -> Tuple[int, ...]:
     """The distinct punctured cosine points cos(2 pi k/n), 1 <= k <= n/2,
     as integers X_k = round(2^precision cos(2 pi k/n)) with
@@ -48,21 +45,13 @@ def cosine_points(n: int, precision: int = DEFAULT_PRECISION) -> Tuple[int, ...]
         raise ValueError("level n must be >= 2")
     if precision < 64:
         raise ValueError("precision must be >= 64 bits")
-    key = (n, precision)
-    with _points_lock:
-        hit = _points_cache.get(key)
-        if hit is not None:
-            return hit
     with mpmath.workprec(precision + 16):
         step = 2 * mpmath.pi / n
         # floor(2^(precision+1) cos) + 1, halved with floor: the nearest integer
-        pts = tuple(
+        return tuple(
             (to_fixed(mpmath.cos(step * k)._mpf_, precision + 1) + 1) >> 1
             for k in range(1, n // 2 + 1)
         )
-    with _points_lock:
-        _points_cache[key] = pts
-    return pts
 
 
 def _to_mpf(q: Fraction) -> mpmath.mpf:

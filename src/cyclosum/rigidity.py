@@ -37,8 +37,6 @@ ProductDatum = Tuple[Tuple[QPoly, int], ...]
 def _normalize_products(products) -> ProductDatum:
     out = []
     for Q, mult in products or ():
-        if not isinstance(Q, QPoly):
-            Q = QPoly(Q)
         mult = int(mult)
         if mult < 0:
             raise ValueError("product exponent must be nonnegative")

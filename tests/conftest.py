@@ -1,3 +1,5 @@
+import os
+import pathlib
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -13,6 +15,16 @@ from cyclosum.symfunc import PowerSumExpr
 # examples on every run, with no deadline and no example database.
 settings.register_profile("ci", derandomize=True, deadline=None, database=None)
 settings.load_profile("ci")
+
+
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+
+
+def src_env():
+    """The environment with src first on PYTHONPATH, for a child process
+    that runs the CLI from this checkout."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC)
 
 
 def random_rational(rng, bound=50):

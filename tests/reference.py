@@ -8,6 +8,8 @@ The tests check it against the independent routes kept here:
   reduce_to_powersum (orbits back to power sums, by leading-partition
   elimination in graded-lex order);
 - the parity binomial binom(h, u) of the trigonometric power sums;
+- the Chebyshev polynomial T_n(t), the reference for W_n through
+  T_n - 1 = 2^(n-1) (t - 1) W_n;
 - truncated power series, the Catalan series A(t)^n, the stable closed
   form of h_r and the trunk congruence H_n(t) = (1 - t) A(t)^n.
 """
@@ -18,6 +20,7 @@ from fractions import Fraction
 
 from cyclosum.catalan import catalan_a, h_global_series
 from cyclosum.exactcore import UniPoly
+from cyclosum.invariants import TVAR, vieta_lucas_coeffs
 from cyclosum.symfunc import ZVAR, PowerSumExpr, coeff_poly
 
 ONE = UniPoly.const(1, ZVAR)
@@ -172,6 +175,25 @@ def parity_binom(h, u):
     if u.denominator != 1 or not 0 <= u <= h:
         return 0
     return math.comb(h, u.numerator)
+
+
+# ---------------------------------------------------------------------------
+# Chebyshev polynomials
+# ---------------------------------------------------------------------------
+
+
+def chebyshev_T(n):
+    """Chebyshev polynomial of the first kind, T_n(t), from its closed form."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        return UniPoly([1], TVAR)
+    coeffs = [0] * (n + 1)
+    for k, L in enumerate(vieta_lucas_coeffs(n, n)):
+        j = n - 2 * k
+        c = L << j >> 1  # L_k 2^(j-1), an integer: at j = 0, L_k = 2
+        coeffs[j] = -c if k % 2 else c
+    return UniPoly(coeffs, TVAR)
 
 
 # ---------------------------------------------------------------------------

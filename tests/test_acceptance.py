@@ -30,7 +30,7 @@ from cyclosum.oracle import exact_newton_powersums
 from cyclosum.rigidity import AdmissibleFormula, evaluate, eventual_polynomial
 from cyclosum.symfunc import PowerSumExpr
 
-from conftest import random_powersum_expr
+from conftest import random_powersum_expr, src_env
 from reference import (
     Series,
     a_power_series,
@@ -83,7 +83,7 @@ def test_criterion_02_mixed_cubic():
 
 @_criterion(3, "evaluate of e(5) at n = 8 equals -1/4")
 def test_criterion_03_elementary_fixture():
-    F = AdmissibleFormula(extract_coefficient_family([1, 1], 5))
+    F = AdmissibleFormula(extract_coefficient_family(QPoly([1, 1]), 5))
     report = evaluate(F, 8)
     assert report.value == Fraction(-1, 4)
     assert report.mode == "stable"
@@ -233,6 +233,7 @@ def test_criterion_12_cli_contract():
             [sys.executable, "-m", "cyclosum", *argv],
             capture_output=True,
             text=True,
+            env=src_env(),
         )
 
     res = run_cli("power-sum", "--n", "10", "--h", "4")

@@ -9,6 +9,7 @@ from cyclosum.catalan import (
     h_global_series,
 )
 from cyclosum.exactcore import UniPoly
+from cyclosum.invariants import QPoly
 from cyclosum.rigidity import AdmissibleFormula, evaluate
 from cyclosum.symfunc import PowerSumExpr, coeff_poly
 
@@ -147,11 +148,19 @@ class TestHGlobalSeries:
 
     def test_matches_exact_evaluation_at_every_r(self):
         # every coefficient, r >= n included, against the evaluator's
-        # parity-binomial route through the extracted h_r family
-        for n in range(2, 13):
+        # parity-binomial route through the extracted h_r family; at
+        # n = 10^6 only the beta_j with j <= order are built
+        for n in [*range(2, 13), 10**6]:
             H = h_global_series(n, 14)
             for r in range(1, 15):
                 assert H[r] == evaluate(AdmissibleFormula(h_family(r)), n).value
+
+    def test_truncation_is_a_prefix(self):
+        # order m below n/2, between n/2 and n, at n and beyond n
+        for n in (2, 3, 8, 13, 20):
+            full = h_global_series(n, 3 * n)
+            for m in (0, 1, n // 2 - 1, n // 2 + 1, n - 1, n, n + 1, 2 * n):
+                assert h_global_series(n, m) == full[: m + 1]
 
     def test_trunk_congruence(self):
         for R in range(1, 9):
@@ -171,16 +180,16 @@ class TestExtraction:
     def test_elementary_from_one_plus_t(self):
         # Q = 1 + t generates the elementary symmetric functions
         for r in range(0, 13):
-            assert extract_coefficient_family([1, 1], r) == newton_e(r)
+            assert extract_coefficient_family(QPoly([1, 1]), r) == newton_e(r)
 
     def test_quadratic_example(self):
         # [s^2] prod (1 + s x_j + s^2 x_j^2) = e_2 + p_2
-        got = extract_coefficient_family([1, 1, 1], 2)
+        got = extract_coefficient_family(QPoly([1, 1, 1]), 2)
         assert got == newton_e(2) + PowerSumExpr.gen(2)
 
     def test_unit_normalization_required(self):
         with pytest.raises(ValueError, match="not unit-normalized"):
-            extract_coefficient_family([2, 1], 3)
+            extract_coefficient_family(QPoly([2, 1]), 3)
 
     def test_against_direct_expansion(self, rng):
         # compare with literally multiplying out prod_j Q(z, s x_j) in
@@ -189,7 +198,7 @@ class TestExtraction:
             tdeg = rng.randint(1, 3)
             r = rng.randint(1, 4)
             coeffs = [1] + [random_rational(rng, 6) for _ in range(tdeg)]
-            psi = extract_coefficient_family(coeffs, r)
+            psi = extract_coefficient_family(QPoly(coeffs), r)
             assert expand(psi, r) == _direct_s_coefficient(coeffs, r)
 
 

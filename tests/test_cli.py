@@ -2,12 +2,15 @@ import json
 import subprocess
 import sys
 
+from conftest import src_env
+
 
 def run_cli(*argv, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "cyclosum", *argv],
         capture_output=True,
         text=True,
+        env=src_env(),
         **kwargs,
     )
 

@@ -98,6 +98,9 @@ GOLDEN = [
     (['hseries', '--n', '5', '--order', '-1'], 2,
      EMPTY,
      'b43e0ffb47ff11ded7444f904f538b8f65527b8cd8c37eb68916a9606e85756b'),
+    (['hseries', '--n', '1000000', '--order', '5'], 0,
+     'e1d215f5bcdec731634221bf959003c1471cc3c67bcfc21a2bb4addc20ee666a',
+     EMPTY),
     (['eval', '--formula', 'energy*prod(1 - t + 2*t^2)', '--n', '64'], 0,
      '2e73ae87ace503dfd90c4dd2d5db22726961d97150ca872767d36dcd003e1413',
      EMPTY),
@@ -205,6 +208,10 @@ GOLDEN = [
     (['eval', '--formula', 'p1*prod(1 + t/z)', '--n', '40'], 2,
      EMPTY,
      '72339f6e3e3f4069f20b97fbd1746a9096a177af1eca7f7c5cb51e98717a5c0e'),
+    # prod(...) takes one '^ INT' like any atom, so a second one trails.
+    (['eval', '--formula', 'prod(1+t)^2^3', '--n', '40'], 2,
+     EMPTY,
+     '02bc0caf82d28d378edb04caa1a780ee3df87473fd33499ce2914ccfd8337f2e'),
     (['verify', '--formula', 'energy', '--conjecture', 'n/n - 2'], 2,
      EMPTY,
      '72339f6e3e3f4069f20b97fbd1746a9096a177af1eca7f7c5cb51e98717a5c0e'),

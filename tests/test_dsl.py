@@ -44,7 +44,7 @@ class TestFormulaParsing:
     def test_builtin_term_order(self):
         # parsing keeps the extraction's term order
         assert list(parse_formula("h(12)").psi_star.terms) == list(h_family(12).terms)
-        e12 = extract_coefficient_family([1, 1], 12)
+        e12 = extract_coefficient_family(QPoly([1, 1]), 12)
         assert list(parse_formula("e(12)").psi_star.terms) == list(e12.terms)
 
     def test_mixed_builtin(self):

@@ -7,7 +7,6 @@ import pytest
 from cyclosum.exactcore import UniPoly
 from cyclosum.invariants import (
     QPoly,
-    chebyshev_T,
     cos_power_sum,
     multiplicative_invariant,
     punctured_min_poly,
@@ -16,7 +15,7 @@ from cyclosum.invariants import (
     sin_power_sum,
 )
 
-from reference import parity_binom
+from reference import chebyshev_T, parity_binom
 
 
 class TestParityBinom:

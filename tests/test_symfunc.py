@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cyclosum.catalan import extract_coefficient_family, h_family
 from cyclosum.exactcore import UniPoly
+from cyclosum.invariants import QPoly
 from cyclosum.symfunc import PowerSumExpr, render_powersum
 
 from conftest import powersum_exprs, random_powersum_expr, reference_substitute
@@ -26,7 +27,7 @@ half = Fraction(1, 2)
 
 def e_family(r):
     # Q = 1 + t generates the elementary symmetric functions
-    return extract_coefficient_family([1, 1], r)
+    return extract_coefficient_family(QPoly([1, 1]), r)
 
 
 class TestNewtonConversions:
