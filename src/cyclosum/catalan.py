@@ -17,7 +17,7 @@ from typing import Tuple
 
 from .exactcore import UniPoly
 from .invariants import QPoly, vieta_lucas_coeffs
-from .symfunc import PowerSumExpr, ZVAR
+from .symfunc import PowerSumExpr
 
 
 def catalan_a(l: int, n: int) -> Fraction:
@@ -69,7 +69,7 @@ def _log_coeff_list(Q: QPoly, order: int):
     From Q * L' = Q', with a_l the t^l coefficient of Q:
     (k+1) L_{k+1} = (k+1) a_{k+1} - sum_{j>=1} a_j (k-j+1) L_{k-j+1}.
     """
-    zero = UniPoly((), ZVAR)
+    zero = UniPoly()
     a = [Q.coeffs[k] if k < len(Q.coeffs) else zero for k in range(order + 1)]
     out = [zero] * (order + 1)
     for k in range(order):
@@ -95,7 +95,7 @@ def extract_coefficient_family(Q: QPoly, r: int) -> PowerSumExpr:
     if r < 0:
         raise ValueError("r must be nonnegative")
     L = _log_coeff_list(Q, r)
-    one = UniPoly.const(1, ZVAR)
+    one = UniPoly.const(1)
     # weights[l][m] = L_l^m / m!
     weights = [[one] for _ in range(r + 1)]
     for l in range(1, r + 1):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .catalan import catalan_a, extract_coefficient_family, h_global_series
 from .dsl import (FormulaSemanticError, parse_conjecture, parse_formula,
                   parse_qpoly, strip_comments)
-from .exactcore import poly_str, rat_str
+from .exactcore import NVAR, TVAR, poly_str, rat_str
 from .invariants import (cos_power_sum, multiplicative_invariant, punctured_min_poly,
                          punctured_power_sum, sin_power_sum)
 from .oracle import DEFAULT_PRECISION, cross_check
@@ -93,7 +93,7 @@ def _eval(args):
 def _eventual(args):
     F = _load_formula(args)
     return {"formula": F.render(),
-            "eventual_polynomial": poly_str(eventual_polynomial(F))}
+            "eventual_polynomial": poly_str(eventual_polynomial(F), NVAR)}
 
 
 def _verify(args):
@@ -105,7 +105,7 @@ def _verify(args):
     lines = [f"symbolic (all n >= {report.n_star}): "
              + ("PASS" if report.symbolic_match else "FAIL")]
     if not report.symbolic_match:
-        lines.append(f"difference: {poly_str(report.difference)}")
+        lines.append(f"difference: {poly_str(report.difference, NVAR)}")
     for c in report.per_level:
         status = "pass" if c.passed else "MISMATCH"
         lines.append(f"n={c.n}: expected {rat_str(c.expected)}, "
@@ -158,7 +158,7 @@ COMMANDS = {
     "sin-sum": ("full sine power sum S(n,h)", ("n", "h", "format"),
                 _scalar(sin_power_sum), "value"),
     "minpoly": ("punctured minimal polynomial W_n", ("n", "format"),
-                lambda a: {"n": str(a.n), "W": poly_str(punctured_min_poly(a.n))}, "W"),
+                lambda a: {"n": str(a.n), "W": poly_str(punctured_min_poly(a.n), TVAR)}, "W"),
     "mq": ("multiplicative invariant M_Q(n)", ("q", "n", "format"), _mq, "value"),
     "eval": ("stable-range exact evaluation", ("n", "formula", "file", "format"),
              _eval, None),

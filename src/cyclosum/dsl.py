@@ -18,9 +18,9 @@ subtracted or divided by.
 Every mode parses into PowerSumExpr, the formula's own type: "pN" is
 the generator v_N and "z" the coefficient variable.  Inside prod(...)
 "t" is v_1, so the coefficient of t^k is terms[(k,)]; in a conjecture
-"n" is read as the coefficient variable and renamed.  Division is
-restricted to nonzero rational constants.  Every input either yields a
-value or a positioned syntax/semantic error.
+"n" stands where "z" would, and the constant term is the polynomial.
+Division is restricted to nonzero rational constants.  Every input
+either yields a value or a positioned syntax/semantic error.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from __future__ import annotations
 import re
 from typing import List, Tuple
 
-from .exactcore import UniPoly
-from .invariants import NVAR, QPoly, TVAR
+from .exactcore import NVAR, TVAR, ZVAR, UniPoly
+from .invariants import QPoly
 from .catalan import extract_coefficient_family, h_family
-from .symfunc import PowerSumExpr, ZVAR
+from .symfunc import PowerSumExpr
 from .rigidity import AdmissibleFormula
 
 MAX_POWER_SUM_INDEX = 32
@@ -136,7 +136,7 @@ class _FVal:
 
     def div(self, other: "_FVal") -> "_FVal":
         other._require_pure("division")
-        c = other.psi.terms.get((), UniPoly((), ZVAR))
+        c = other.psi.terms.get((), UniPoly())
         if not other.psi.is_constant() or not c.is_constant():
             raise FormulaSemanticError("division is only allowed by rational constants")
         if c.is_zero():
@@ -325,7 +325,7 @@ def parse_formula(text: str) -> AdmissibleFormula:
 def parse_conjecture(text: str) -> UniPoly:
     """Parse a conjectured eventual polynomial in n."""
     psi = _Parser(text, "conjecture").parse().psi
-    return psi.terms.get((), UniPoly((), ZVAR)).with_var(NVAR)
+    return psi.terms.get((), UniPoly())
 
 
 def parse_qpoly(text: str) -> QPoly:

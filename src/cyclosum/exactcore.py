@@ -1,6 +1,7 @@
 """Exact arithmetic substrate: rationals, dense univariate polynomials,
-division with remainder and resultants.  (The truncated power series of
-the trunk congruence are test reference code, in tests/reference.py.)
+division with remainder, resultants and the text forms of polynomials.
+(The truncated power series of the trunk congruence are test reference
+code, in tests/reference.py.)
 
 Everything here is immutable after construction and all operations are
 pure, so values can be shared freely between threads.
@@ -52,34 +53,33 @@ class ZeroDivisorError(ZeroDivisionError):
 class UniPoly:
     """Dense univariate polynomial over Q.
 
-    coeffs[k] is the coefficient of var**k; trailing zeros are stripped,
-    and the zero polynomial has degree -1.  The variable name is purely
-    presentational.
+    coeffs[k] is the coefficient of x**k; trailing zeros are stripped,
+    and the zero polynomial has degree -1.  The value holds no variable
+    name: poly_str names the variable when the polynomial is printed.
     """
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable = (), var: str = "x"):
+    def __init__(self, coeffs: Iterable = ()):
         cs = [rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "var", var)
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
 
     @classmethod
-    def const(cls, c, var: str = "x") -> "UniPoly":
-        return cls([rat(c)], var)
+    def const(cls, c) -> "UniPoly":
+        return cls([rat(c)])
 
     @classmethod
-    def gen(cls, var: str = "x") -> "UniPoly":
-        return cls([0, 1], var)
+    def gen(cls) -> "UniPoly":
+        return cls([0, 1])
 
     @classmethod
-    def monomial(cls, c, k: int, var: str = "x") -> "UniPoly":
-        return cls([0] * k + [rat(c)], var)
+    def monomial(cls, c, k: int) -> "UniPoly":
+        return cls([0] * k + [rat(c)])
 
     @property
     def degree(self) -> int:
@@ -106,7 +106,7 @@ class UniPoly:
         if isinstance(other, UniPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return UniPoly.const(other, self.var)
+            return UniPoly.const(other)
         return None
 
     def __add__(self, other):
@@ -114,14 +114,12 @@ class UniPoly:
         if o is None:
             return NotImplemented
         n = max(len(self.coeffs), len(o.coeffs))
-        return UniPoly(
-            [self.coeff(k) + o.coeff(k) for k in range(n)], self.var or o.var
-        )
+        return UniPoly([self.coeff(k) + o.coeff(k) for k in range(n)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly([-c for c in self.coeffs], self.var)
+        return UniPoly([-c for c in self.coeffs])
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -137,28 +135,20 @@ class UniPoly:
         if o is None:
             return NotImplemented
         if not self.coeffs or not o.coeffs:
-            return UniPoly((), self.var)
+            return UniPoly()
         out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(o.coeffs):
                     out[i + j] += a * b
-        return UniPoly(out, self.var)
+        return UniPoly(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        result = UniPoly.const(1, self.var)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return power(self, k, UniPoly.const(1))
 
     def __divmod__(self, other):
         o = self._coerce(other)
@@ -187,42 +177,75 @@ class UniPoly:
 
     def scale(self, c) -> "UniPoly":
         c = rat(c)
-        return UniPoly([a * c for a in self.coeffs], self.var)
-
-    def with_var(self, var: str) -> "UniPoly":
-        return UniPoly(self.coeffs, var)
+        return UniPoly([a * c for a in self.coeffs])
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __str__(self):
-        return poly_str(self)
-
     def __repr__(self):
-        return f"UniPoly({list(self.coeffs)!r}, var={self.var!r})"
+        return f"UniPoly({list(self.coeffs)!r})"
 
 
-def poly_str(p: UniPoly) -> str:
-    """Text form "c_k*x^k + ..." with explicit rational coefficients."""
-    if p.is_zero():
-        return "0"
+def power(base, k: int, one):
+    """base^k for an integer k >= 0 by binary powering, from the unit one."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
+# Variable names, given to a polynomial only when it is printed or parsed:
+# t for W_n and product factors, n for eventual polynomials, z for Q[z].
+TVAR = "t"
+NVAR = "n"
+ZVAR = "z"
+
+
+def join_terms(terms) -> str:
+    """Join (sign, body) pairs as "a + b - c": sign is any number whose
+    sign the term takes, a negative first term prints as "-a", and the
+    empty sum as "0"."""
     parts = []
+    for sign, body in terms:
+        if not parts:
+            parts.append(body if sign > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if sign > 0 else f"- {body}")
+    return " ".join(parts) or "0"
+
+
+def power_str(var: str, k: int) -> str:
+    """"var^k" for k >= 1, written "var" at k = 1."""
+    return var if k == 1 else f"{var}^{k}"
+
+
+def monomial_str(c: Fraction, k: int, var: str) -> tuple:
+    """(sign, body) of the nonzero term c*var^k, with body "|c|*var^k" and
+    a factor 1 left out."""
+    if k == 0:
+        return c, rat_str(abs(c))
+    if abs(c) == 1:
+        return c, power_str(var, k)
+    return c, f"{rat_str(abs(c))}*{power_str(var, k)}"
+
+
+def poly_str(p: UniPoly, var: str) -> str:
+    """Text form "c_k*var^k + ..." in the named variable, with every
+    rational coefficient written out."""
+    terms = []
     for k in range(p.degree, -1, -1):
         c = p.coeff(k)
         if c == 0:
             continue
-        mag = rat_str(abs(c))
-        if k == 0:
-            body = mag
-        elif k == 1:
-            body = f"{mag}*{p.var}"
-        else:
-            body = f"{mag}*{p.var}^{k}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+        body = rat_str(abs(c))
+        if k:
+            body += "*" + power_str(var, k)
+        terms.append((c, body))
+    return join_terms(terms)
 
 
 def poly_divrem(a: UniPoly, b: UniPoly) -> tuple:
@@ -243,7 +266,7 @@ def poly_divrem(a: UniPoly, b: UniPoly) -> tuple:
         q[k] = f
         for j in range(db + 1):
             r[k + j] -= f * b.coeffs[j]
-    return UniPoly(q, a.var), UniPoly(r, a.var)
+    return UniPoly(q), UniPoly(r)
 
 
 def resultant(a: UniPoly, b: UniPoly) -> Fraction:

@@ -14,11 +14,9 @@ from itertools import accumulate
 from fractions import Fraction
 from typing import List, Sequence
 
-from .exactcore import UniPoly, rat, resultant
-from .symfunc import ZVAR, coeff_poly
-
-TVAR = "t"
-NVAR = "n"
+from .exactcore import (TVAR, ZVAR, UniPoly, join_terms, monomial_str, poly_str,
+                        power_str, rat, resultant)
+from .symfunc import coeff_poly
 
 
 class InternalConsistencyError(AssertionError):
@@ -106,8 +104,8 @@ def punctured_power_sum_stable(h: int) -> UniPoly:
     if h < 0:
         raise ValueError("h must be nonnegative")
     if h % 2 == 0:
-        return UniPoly([-(2**h), math.comb(h, h // 2)], NVAR)
-    return UniPoly([-(2**h)], NVAR)
+        return UniPoly([-(2**h), math.comb(h, h // 2)])
+    return UniPoly([-(2**h)])
 
 
 def vieta_lucas_coeffs(n: int, top: int) -> List[int]:
@@ -141,7 +139,7 @@ def punctured_min_poly(n: int) -> UniPoly:
     if quotient[0] + c[0] != 1:
         raise InternalConsistencyError(f"T_{n} - 1 not divisible by t - 1")
     lead = 2 ** (n - 1)
-    W = UniPoly([Fraction(q, lead) for q in quotient], TVAR)
+    W = UniPoly([Fraction(q, lead) for q in quotient])
     if not W.is_monic() or W.degree != n - 1:
         raise InternalConsistencyError(f"W_{n} is not monic of degree {n - 1}")
     return W
@@ -157,7 +155,7 @@ class QPoly:
         cs = [coeff_poly(c) for c in coeffs]
         while len(cs) > 1 and cs[-1].is_zero():
             cs.pop()
-        if not cs or cs[0] != UniPoly.const(1, ZVAR):
+        if not cs or cs[0] != UniPoly.const(1):
             raise ValueError("product factor not unit-normalized: Q(z,0) != 1")
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -167,7 +165,7 @@ class QPoly:
     def specialize_z(self, value) -> UniPoly:
         """Evaluate the z-dependence, leaving a plain polynomial in t."""
         value = rat(value)
-        return UniPoly([c(value) for c in self.coeffs], TVAR)
+        return UniPoly([c(value) for c in self.coeffs])
 
     def __eq__(self, other):
         if not isinstance(other, QPoly):
@@ -178,33 +176,15 @@ class QPoly:
         return hash(self.coeffs)
 
     def __str__(self):
-        from .exactcore import poly_str, rat_str
-
-        parts = []
+        terms = []
         for k, c in enumerate(self.coeffs):
             if c.is_zero():
                 continue
             if c.is_constant():
-                v = c.constant()
-                sign = 1 if v > 0 else -1
-                mag = rat_str(abs(v))
-                if k == 0:
-                    body = mag
-                else:
-                    tpart = TVAR if k == 1 else f"{TVAR}^{k}"
-                    body = tpart if abs(v) == 1 else f"{mag}*{tpart}"
-            else:
-                sign = 1
-                body = f"({poly_str(c)})"
-                if k == 1:
-                    body += f"*{TVAR}"
-                elif k > 1:
-                    body += f"*{TVAR}^{k}"
-            if not parts:
-                parts.append(body if sign > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if sign > 0 else f"- {body}")
-        return " ".join(parts) if parts else "1"
+                terms.append(monomial_str(c.constant(), k, TVAR))
+            else:  # k >= 1, since the constant coefficient is 1
+                terms.append((1, f"({poly_str(c, ZVAR)})*{power_str(TVAR, k)}"))
+        return join_terms(terms)
 
     def __repr__(self):
         return f"QPoly({self!s})"
@@ -215,8 +195,4 @@ def multiplicative_invariant(Q: QPoly, n: int) -> Fraction:
     the resultant of the monic W_n against Q with z specialized to n-1."""
     if n < 2:
         raise ValueError("level n must be >= 2")
-    W = punctured_min_poly(n)
-    qn = Q.specialize_z(n - 1)
-    if qn.degree == 0:
-        return qn.constant() ** (n - 1)
-    return resultant(W, qn)
+    return resultant(punctured_min_poly(n), Q.specialize_z(n - 1))

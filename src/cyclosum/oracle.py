@@ -261,7 +261,7 @@ def exact_newton_powersums(n: int, d: int) -> List[Fraction]:
 @dataclass(frozen=True)
 class CheckReport:
     quantity: str
-    exact: Optional[Fraction]
+    exact: Fraction
     float_value: str
     residual: str
     tolerance: str
@@ -270,7 +270,7 @@ class CheckReport:
     def to_dict(self) -> dict:
         return {
             "quantity": self.quantity,
-            "exact": rat_str(self.exact) if self.exact is not None else None,
+            "exact": rat_str(self.exact),
             "float": self.float_value,
             "residual": self.residual,
             "tolerance": self.tolerance,

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Tuple
 
-from .exactcore import UniPoly, rat_str
+from .exactcore import NVAR, UniPoly, poly_str, rat_str
 from .invariants import (
-    NVAR,
     InternalConsistencyError,
     QPoly,
     multiplicative_invariant,
@@ -142,7 +141,7 @@ def _interpolate(x0: int, values) -> UniPoly:
         coeffs = [newton[k]] + coeffs
         for i in range(len(coeffs) - 1):
             coeffs[i] -= root * coeffs[i + 1]
-    return UniPoly([Fraction(a, M * scale) for a in coeffs], NVAR)
+    return UniPoly([Fraction(a, M * scale) for a in coeffs])
 
 
 def eventual_polynomial(F: AdmissibleFormula) -> UniPoly:
@@ -212,9 +211,10 @@ class VerificationReport:
             "formula": self.formula,
             "d": self.d,
             "n_star": self.n_star,
-            "eventual_polynomial": str(self.eventual),
+            "eventual_polynomial": poly_str(self.eventual, NVAR),
             "symbolic_match": self.symbolic_match,
-            "difference": None if self.symbolic_match else str(self.difference),
+            "difference": (None if self.symbolic_match
+                           else poly_str(self.difference, NVAR)),
             "per_level": [
                 {
                     "n": c.n,
@@ -245,7 +245,6 @@ def verify_identity(
             "symbolic verification requires the polynomial case; "
             "'cyclosum oracle' checks a product formula at one level"
         )
-    conjecture = conjecture.with_var(NVAR)
     eventual = eventual_polynomial(F)
     levels: List[LevelCheck] = []
     if check_below_threshold:

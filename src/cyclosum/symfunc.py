@@ -1,7 +1,7 @@
 """Symmetric polynomials in the power-sum basis over Q[z].
 
 PowerSumExpr is a polynomial in abstract generators v_1..v_d (the power
-sums p_1..p_d) with UniPoly('z') coefficients; its substitute is the one
+sums p_1..p_d) with coefficients in Q[z]; its substitute is the one
 exact evaluation kernel, over integer power sums and an integer z.  By
 stable-range rigidity this presentation is all the pipelines need; the
 monomial-orbit basis and the reduction into power sums, which the tests
@@ -14,20 +14,15 @@ import math
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .exactcore import UniPoly, rat, rat_str
-
-ZVAR = "z"
+from .exactcore import (ZVAR, UniPoly, join_terms, monomial_str, poly_str, power,
+                        power_str, rat)
 
 
 def coeff_poly(c) -> UniPoly:
     """Coerce a scalar or polynomial to a coefficient in Q[z]."""
     if isinstance(c, UniPoly):
-        return c if c.var == ZVAR else c.with_var(ZVAR)
-    return UniPoly.const(rat(c), ZVAR)
-
-
-def z_poly() -> UniPoly:
-    return UniPoly.gen(ZVAR)
+        return c
+    return UniPoly.const(c)
 
 
 def _trim(exps) -> Tuple[int, ...]:
@@ -41,7 +36,7 @@ class PowerSumExpr:
     """Polynomial in generators v_1, v_2, ... over Q[z].
 
     terms maps trimmed exponent tuples (e_1, e_2, ...) to nonzero
-    UniPoly('z') coefficients; the weighted degree of a monomial is
+    coefficients in Q[z]; the weighted degree of a monomial is
     sum_r r*e_r.  Equality is structural (canonical form).  substitute
     evaluates at integer power sums P_h and an integer z only; the
     eventual polynomial in n is interpolated from such values.
@@ -79,11 +74,11 @@ class PowerSumExpr:
     def gen(cls, r: int) -> "PowerSumExpr":
         if r < 1:
             raise ValueError("generator index must be >= 1")
-        return cls({(0,) * (r - 1) + (1,): UniPoly.const(1, ZVAR)})
+        return cls({(0,) * (r - 1) + (1,): UniPoly.const(1)})
 
     @classmethod
     def z(cls) -> "PowerSumExpr":
-        return cls({(): z_poly()})
+        return cls({(): UniPoly.gen()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -94,8 +89,6 @@ class PowerSumExpr:
     @property
     def weighted_degree(self) -> int:
         """Max over monomials of sum_r r*e_r (0 for constants and zero)."""
-        if not self.terms:
-            return 0
         return max(
             (sum((i + 1) * e for i, e in enumerate(k)) for k in self.terms),
             default=0,
@@ -114,7 +107,7 @@ class PowerSumExpr:
             return NotImplemented
         out = dict(self.terms)
         for k, c in o.terms.items():
-            out[k] = out.get(k, UniPoly((), ZVAR)) + c
+            out[k] = out.get(k, UniPoly()) + c
         return PowerSumExpr(out)
 
     __radd__ = __add__
@@ -152,22 +145,14 @@ class PowerSumExpr:
                         for j, b in enumerate(cb.coeffs):
                             if b:
                                 row[i + j] += a * b
-        return PowerSumExpr({k: UniPoly(row, ZVAR) for k, row in out.items()})
+        return PowerSumExpr({k: UniPoly(row) for k, row in out.items()})
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = PowerSumExpr.const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return power(self, k, PowerSumExpr.const(1))
 
     def scale(self, c) -> "PowerSumExpr":
         c = rat(c)
@@ -248,39 +233,16 @@ def _coeff_parts(c: UniPoly):
     nonzero = [(k, v) for k, v in enumerate(c.coeffs) if v]
     if len(nonzero) == 1:
         k, v = nonzero[0]
-        sign = 1 if v > 0 else -1
-        v = abs(v)
-        if k == 0:
-            return sign, rat_str(v)
-        zpart = "z" if k == 1 else f"z^{k}"
-        if v == 1:
-            return sign, zpart
-        return sign, f"{rat_str(v)}*{zpart}"
-    from .exactcore import poly_str
-
-    return 1, f"({poly_str(c)})"
+        return monomial_str(v, k, ZVAR)
+    return 1, f"({poly_str(c, ZVAR)})"
 
 
 def render_powersum(psi: PowerSumExpr) -> str:
     """Text form over tokens p1..pd and z, e.g. "z*p2 - p1^2"."""
-    if psi.is_zero():
-        return "0"
-    parts = []
+    terms = []
     for exps in sorted(psi.terms, key=_term_sort_key):
-        c = psi.terms[exps]
-        gens = []
-        for i, e in enumerate(exps):
-            if e == 1:
-                gens.append(f"p{i + 1}")
-            elif e > 1:
-                gens.append(f"p{i + 1}^{e}")
-        sign, ctext = _coeff_parts(c)
-        if gens:
-            body = "*".join(gens) if ctext == "1" else "*".join([ctext] + gens)
-        else:
-            body = ctext
-        if not parts:
-            parts.append(body if sign > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if sign > 0 else f"- {body}")
-    return " ".join(parts)
+        gens = [power_str(f"p{i + 1}", e) for i, e in enumerate(exps) if e]
+        sign, ctext = _coeff_parts(psi.terms[exps])
+        factors = gens if gens and ctext == "1" else [ctext] + gens
+        terms.append((sign, "*".join(factors)))
+    return join_terms(terms)

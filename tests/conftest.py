@@ -33,9 +33,9 @@ def random_rational(rng, bound=50):
     return Fraction(num, den)
 
 
-def random_unipoly(rng, max_degree, var="x", bound=20):
+def random_unipoly(rng, max_degree, bound=20):
     degree = rng.randint(0, max_degree)
-    return UniPoly([random_rational(rng, bound) for _ in range(degree + 1)], var)
+    return UniPoly([random_rational(rng, bound) for _ in range(degree + 1)])
 
 
 def random_powersum_expr(rng, d, max_terms=3, z_degree=1):
@@ -51,7 +51,7 @@ def random_powersum_expr(rng, d, max_terms=3, z_degree=1):
             remaining -= r * e
             r += 1
         key = tuple(exps)
-        coeff = random_unipoly(rng, rng.randint(0, z_degree), "z", bound=6)
+        coeff = random_unipoly(rng, rng.randint(0, z_degree), bound=6)
         if not coeff.is_zero():
             terms[key] = coeff
     psi = PowerSumExpr(terms)

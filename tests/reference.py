@@ -20,11 +20,11 @@ from fractions import Fraction
 
 from cyclosum.catalan import catalan_a, h_global_series
 from cyclosum.exactcore import UniPoly
-from cyclosum.invariants import TVAR, vieta_lucas_coeffs
-from cyclosum.symfunc import ZVAR, PowerSumExpr, coeff_poly
+from cyclosum.invariants import vieta_lucas_coeffs
+from cyclosum.symfunc import PowerSumExpr, coeff_poly
 
-ONE = UniPoly.const(1, ZVAR)
-ZERO = UniPoly((), ZVAR)
+ONE = UniPoly.const(1)
+ZERO = UniPoly()
 
 # ---------------------------------------------------------------------------
 # Symmetric polynomials in m variables, per monomial orbit
@@ -187,13 +187,13 @@ def chebyshev_T(n):
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
-        return UniPoly([1], TVAR)
+        return UniPoly([1])
     coeffs = [0] * (n + 1)
     for k, L in enumerate(vieta_lucas_coeffs(n, n)):
         j = n - 2 * k
         c = L << j >> 1  # L_k 2^(j-1), an integer: at j = 0, L_k = 2
         coeffs[j] = -c if k % 2 else c
-    return UniPoly(coeffs, TVAR)
+    return UniPoly(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +244,9 @@ def h_stable(r):
     if r < 2:
         raise ValueError("h_stable is defined for r >= 2")
     m = r // 2
-    poly = UniPoly([0, 1], "n")
+    poly = UniPoly([0, 1])
     for j in range(m + 1, 2 * m):
-        poly = poly * UniPoly([j, 1], "n")
+        poly = poly * UniPoly([j, 1])
     poly = poly.scale(Fraction(1, 4**m * math.factorial(m)))
     return -poly if r % 2 else poly
 

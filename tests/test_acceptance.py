@@ -70,7 +70,7 @@ def test_criterion_01_quadratic_energy():
     for n in range(3, 51):
         assert evaluate(F, n).value == Fraction(n * (n - 3), 2)
     assert eventual_polynomial(F) == UniPoly(
-        [0, Fraction(-3, 2), Fraction(1, 2)], "n"
+        [0, Fraction(-3, 2), Fraction(1, 2)]
     )
 
 
@@ -138,7 +138,7 @@ def test_criterion_06_stable_power_sums():
 
 @_criterion(7, "h_r identities and the three-way consistency triangle for 2 <= r <= 8")
 def test_criterion_07_h_family_suite():
-    cubic = UniPoly([0, Fraction(5, 96), Fraction(3, 128), Fraction(1, 384)], "n")
+    cubic = UniPoly([0, Fraction(5, 96), Fraction(3, 128), Fraction(1, 384)])
     assert h_stable(6) == cubic
     assert h_stable(7) == -cubic
     assert h_global_series(9, 7)[7] == Fraction(-273, 64)

@@ -143,6 +143,14 @@ GOLDEN = [
     (['verify', '--formula', '(p1 + p2 + z)^6', '--conjecture', SUM6 + ' + 1/3'], 1,
      '1bb788209ed83e19f27cf506e0ddbc98c549842d16062b8779fcaec29819f5b3',
      EMPTY),
+    # The symbolic FAIL as json and tsv: VerificationReport.to_dict's
+    # "difference" string.
+    (['verify', '--formula', '(p1 + p2 + z)^6', '--conjecture', SUM6 + ' + 1/3', '--format', 'json'], 1,
+     '0c86aa925b72c2fe47cf7f879b79f10948d177d68ea72adf6c8de5548e31df71',
+     EMPTY),
+    (['verify', '--formula', '(p1 + p2 + z)^6', '--conjecture', SUM6 + ' + 1/3', '--format', 'tsv'], 1,
+     'c782a6899c95d999f7309cdfa54a2f4b938aaf1780b5a31a3803a1d45020f575',
+     EMPTY),
     (['verify', '--formula', 'h(18)', '--conjecture', H18], 0,
      'ae842721604123d24703c623fcfa86dc2f8880f3c752d5b12d35373bf94065e3',
      EMPTY),

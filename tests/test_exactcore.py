@@ -19,8 +19,8 @@ from conftest import random_rational, random_unipoly
 from reference import Series, a_power_series, series_mul
 
 
-def P(coeffs, var="t"):
-    return UniPoly(coeffs, var)
+def P(coeffs):
+    return UniPoly(coeffs)
 
 
 class TestRational:
@@ -116,8 +116,8 @@ class TestUniPoly:
             acc = acc * p
 
     def test_text_form(self):
-        assert poly_str(P([Fraction(1, 4), 1, 1])) == "1*t^2 + 1*t + 1/4"
-        assert poly_str(P([])) == "0"
+        assert poly_str(P([Fraction(1, 4), 1, 1]), "t") == "1*t^2 + 1*t + 1/4"
+        assert poly_str(P([]), "t") == "0"
 
     def test_compose(self):
         p = P([1, 2, 1])  # (t+1)^2
@@ -133,7 +133,7 @@ class TestResultant:
         rng = random.Random(4)
         for _ in range(25):
             c = random_rational(rng)
-            b = random_unipoly(rng, 5, "t")
+            b = random_unipoly(rng, 5)
             if b.is_zero():
                 continue
             assert resultant(P([-c, 1]), b) == b(c)
@@ -149,12 +149,12 @@ class TestResultant:
     def test_multiplicative_in_second_argument(self):
         rng = random.Random(5)
         for _ in range(30):
-            a = random_unipoly(rng, 4, "t")
+            a = random_unipoly(rng, 4)
             if a.degree < 1:
                 continue
-            a = UniPoly(list(a.coeffs[:-1]) + [1], "t")  # make monic
-            b = random_unipoly(rng, 5, "t")
-            c = random_unipoly(rng, 5, "t")
+            a = UniPoly(list(a.coeffs[:-1]) + [1])  # make monic
+            b = random_unipoly(rng, 5)
+            c = random_unipoly(rng, 5)
             if b.is_zero() or c.is_zero():
                 continue
             assert resultant(a, b * c) == resultant(a, b) * resultant(a, c)

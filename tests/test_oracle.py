@@ -147,7 +147,7 @@ def qpolys(draw):
     for _ in range(draw(st.integers(1, 3))):
         c = draw(small_rationals)
         if with_z and draw(st.booleans()):
-            c = UniPoly([c, draw(small_rationals)], "z")
+            c = UniPoly([c, draw(small_rationals)])
         coeffs.append(c)
     return QPoly(coeffs)
 

@@ -76,3 +76,24 @@ def test_every_export_has_a_caller_in_the_cli():
         if (getattr(cyclosum, name).__module__.rpartition(".")[2], name) not in reached
     ]
     assert sorted(unreached) == sorted(NOT_YET_CALLED)
+
+
+def test_every_top_level_import_is_read():
+    """Each name a module imports at top level is read in that module.
+    __init__.py imports to re-export, and __future__ imports are
+    directives, so both are left out."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unread += [f"{path.name}: {name}" for name in names if name not in reads]
+    assert unread == []

@@ -111,7 +111,7 @@ class TestStableEval:
 class TestEventualPolynomial:
     def test_energy(self):
         got = eventual_polynomial(energy())
-        assert got == UniPoly([0, Fraction(-3, 2), Fraction(1, 2)], "n")
+        assert got == UniPoly([0, Fraction(-3, 2), Fraction(1, 2)])
 
     def test_h6(self):
         F = AdmissibleFormula(h_family(6))
@@ -121,7 +121,7 @@ class TestEventualPolynomial:
         # closed form -n(n+4)(n+5)/384, plus a spot value
         F = AdmissibleFormula(h_family(7))
         got = eventual_polynomial(F)
-        expected = UniPoly([0, 1], "n") * UniPoly([4, 1], "n") * UniPoly([5, 1], "n")
+        expected = UniPoly([0, 1]) * UniPoly([4, 1]) * UniPoly([5, 1])
         expected = expected.scale(Fraction(-1, 384))
         assert got == expected
         assert got(Fraction(9)) == Fraction(-273, 64)
@@ -186,13 +186,13 @@ class TestKernelAgainstReference:
             h: punctured_power_sum_stable(h).scale(Fraction(1, 2**h))
             for h in range(1, F.d + 1)
         }
-        expected = reference_substitute(psi, gen_values, UniPoly([-1, 1], "n"))
+        expected = reference_substitute(psi, gen_values, UniPoly([-1, 1]))
         assert eventual_polynomial(F) == expected
 
 
 class TestVerifyIdentity:
     def test_energy_pass(self):
-        conjecture = UniPoly([0, Fraction(-3, 2), Fraction(1, 2)], "n")
+        conjecture = UniPoly([0, Fraction(-3, 2), Fraction(1, 2)])
         rep = verify_identity(energy(), conjecture)
         assert rep.symbolic_match is True
         assert rep.passed
@@ -200,7 +200,7 @@ class TestVerifyIdentity:
 
     def test_energy_below_threshold_mismatch(self):
         # the eventual polynomial gives -1 at n = 2 but the true value is 0
-        conjecture = UniPoly([0, Fraction(-3, 2), Fraction(1, 2)], "n")
+        conjecture = UniPoly([0, Fraction(-3, 2), Fraction(1, 2)])
         rep = verify_identity(energy(), conjecture, check_below_threshold=True)
         assert rep.symbolic_match is True
         assert not rep.passed
@@ -209,19 +209,19 @@ class TestVerifyIdentity:
         assert by_n[3].passed
 
     def test_wrong_conjecture_reports_difference(self):
-        conjecture = UniPoly([1, Fraction(-3, 2), Fraction(1, 2)], "n")
+        conjecture = UniPoly([1, Fraction(-3, 2), Fraction(1, 2)])
         rep = verify_identity(energy(), conjecture)
         assert rep.symbolic_match is False
         assert not rep.passed
-        assert rep.difference == UniPoly([-1], "n")
+        assert rep.difference == UniPoly([-1])
 
     def test_product_formula_is_refused(self):
         F = AdmissibleFormula(PowerSumExpr.const(1), [(QPoly([1, -1]), 1)])
         with pytest.raises(ProductCaseError, match="cyclosum oracle"):
-            verify_identity(F, UniPoly([0, 0, 1], "n"))
+            verify_identity(F, UniPoly([0, 0, 1]))
 
     def test_report_dict(self):
-        conjecture = UniPoly([0, Fraction(-3, 2), Fraction(1, 2)], "n")
+        conjecture = UniPoly([0, Fraction(-3, 2), Fraction(1, 2)])
         d = verify_identity(energy(), conjecture, check_below_threshold=True).to_dict()
         assert d["symbolic_match"] is True
         assert d["pass"] is False
