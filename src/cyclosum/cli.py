@@ -8,6 +8,7 @@ rational strings "a/b", decimals are opt-in renderings.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -181,6 +182,10 @@ COMMANDS = {
 }
 
 
+# Built on first use and shared by every later call, so callers must not
+# change it: argparse keeps no state between parses, and --help and usage
+# text wrap at the COLUMNS read when they print.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclosum",
@@ -224,7 +229,8 @@ def main(argv=None) -> int:
         result = handler(args)
         payload, passed = result if isinstance(result, tuple) else (result, True)
         _emit(payload, args.fmt, text_key)
-    except (ValueError, OSError) as exc:
+    # OverflowError: an int too large for a list size, such as a huge --n
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK if passed else EXIT_MISMATCH

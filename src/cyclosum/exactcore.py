@@ -77,10 +77,6 @@ class UniPoly:
     def gen(cls) -> "UniPoly":
         return cls([0, 1])
 
-    @classmethod
-    def monomial(cls, c, k: int) -> "UniPoly":
-        return cls([0] * k + [rat(c)])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

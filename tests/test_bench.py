@@ -2,6 +2,7 @@
 and report a correct result.  No timing is asserted."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -24,3 +25,27 @@ def test_crosscheck_smoke_run():
     assert summary["failed"] == 0
     # the oracle's verdict accepts every correct value
     assert summary["metrics"]["checked_ok_frac"]["value"] == 1.0
+
+
+# The traced run's order (bench/worker.py): import the CLI, then wrap the
+# layers that are imported by then, then run ops.
+SPANS_SCRIPT = """
+import json
+from cyclosum import cli
+import spans
+recorder = spans.Recorder()
+recorder.install()
+rc = cli.main(["oracle", "--formula", "p1*prod(1 + 4*t)", "--n", "7"])
+print(json.dumps({"rc": rc, "names": sorted({span[2] for span in recorder.spans})}))
+"""
+
+
+def test_traced_layers_are_imported_with_the_cli():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", "bench"]))
+    res = subprocess.run([sys.executable, "-c", SPANS_SCRIPT], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    result = json.loads(res.stdout.strip().splitlines()[-1])
+    assert result["rc"] == 0
+    assert {"cli.main", "oracle.cross_check", "oracle.float_eval", "oracle.points",
+            "invariants.mq"} <= set(result["names"])

@@ -412,6 +412,16 @@ GOLDEN = [
     (['oracle', '--formula', 'p1', '--n', '7', '--tolerance', '1e-10000000'], 2,
      EMPTY,
      '84e6aae89bf602e4e9802a0ddbdb6ade698cb2b887562509deda829fa153ede3'),
+    # A level too large for a list size is refused with exit 2.
+    (['minpoly', '--n', '99999999999999999999999'], 2,
+     EMPTY,
+     '490a6c43e5a8770a7547de006ffd02fd31562c078c487c75c3ebdaf05061f294'),
+    (['mq', '--formula', '1+t', '--n', '99999999999999999999999'], 2,
+     EMPTY,
+     '490a6c43e5a8770a7547de006ffd02fd31562c078c487c75c3ebdaf05061f294'),
+    (['eval', '--formula', 'prod(1-t)', '--n', '99999999999999999999999'], 2,
+     EMPTY,
+     '490a6c43e5a8770a7547de006ffd02fd31562c078c487c75c3ebdaf05061f294'),
 ]
 
 
@@ -437,6 +447,33 @@ def test_cli_output_is_pinned(argv, code, stdout_sha, stderr_sha, monkeypatch):
     assert rc == code
     assert _digest(out) == stdout_sha, out
     assert _digest(err) == stderr_sha, err
+
+
+# The parser is built once per process, so a usage error or --help must
+# print the same bytes when it runs again after other calls.
+REPEATED = [c for c in GOLDEN if c[1] == 2 or "--help" in c[0]]
+
+
+@pytest.mark.parametrize(
+    "argv,code,stdout_sha,stderr_sha", REPEATED,
+    ids=[" ".join(c[0]) or "(no arguments)" for c in REPEATED],
+)
+def test_reused_parser_carries_no_state(argv, code, stdout_sha, stderr_sha, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):
+        rc, out, err = _run(argv)
+        assert (rc, _digest(out), _digest(err)) == (code, stdout_sha, stderr_sha), err
+        assert _run(["power-sum", "--n", "7", "--h", "3"])[0] == 0
+
+
+def test_parser_is_built_once():
+    _run(["power-sum", "--n", "7", "--h", "3"])
+    hits = cli.build_parser.cache_info().hits
+    for _ in range(5):
+        _run(["power-sum", "--n", "7", "--h", "3"])
+        _run(["frobnicate"])
+    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser.cache_info().hits == hits + 10
 
 
 def _format(argv):
