@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Tuple
 
-from .exactcore import UniPoly
+from .exactcore import UniPoly, convolve_add, nonzero_entries
 from .invariants import QPoly, vieta_lucas_coeffs
 from .symfunc import PowerSumExpr
 
@@ -63,22 +63,27 @@ def h_global_series(n: int, order: int) -> Tuple[Fraction, ...]:
     return tuple(Fraction(x, 2**r) for r, x in enumerate(H))
 
 
-def _log_coeff_list(Q: QPoly, order: int):
-    """Coefficients L_0..L_order of log Q, in Q[z]; Q(z, 0) = 1.
+def _log_rows(Q: QPoly, order: int):
+    """(A, N) for the coefficients L_0..L_order of log Q in Q[z], where
+    Q(z, 0) = 1: A is the lcm of the denominators of Q's coefficients up to
+    t^order, and N[k] the nonzero entries of the integer row in z of
+    A^k k L_k.
 
-    From Q * L' = Q', with a_l the t^l coefficient of Q:
-    (k+1) L_{k+1} = (k+1) a_{k+1} - sum_{j>=1} a_j (k-j+1) L_{k-j+1}.
+    From Q * t (log Q)' = t Q', with q_j the t^j coefficient of Q and d_j
+    the integer row of -A^j q_j: N_k = -k d_k + sum_{j=1}^{k-1} d_j N_{k-j}.
     """
-    zero = UniPoly()
-    a = [Q.coeffs[k] if k < len(Q.coeffs) else zero for k in range(order + 1)]
-    out = [zero] * (order + 1)
-    for k in range(order):
-        s = a[k + 1].scale(k + 1)
-        for j in range(1, k + 1):
-            if not a[j].is_zero():
-                s = s - a[j] * out[k - j + 1].scale(k - j + 1)
-        out[k + 1] = s.scale(Fraction(1, k + 1))
-    return out
+    q = [Q.coeffs[j].coeffs if j < len(Q.coeffs) else () for j in range(order + 1)]
+    A = math.lcm(*(a.denominator for c in q for a in c))
+    rows = [[-a.numerator * (A**j // a.denominator) for a in c] for j, c in enumerate(q)]
+    d = [nonzero_entries(row) for row in rows]
+    N = [[]]
+    for k in range(1, order + 1):
+        row = [-k * x for x in rows[k]]
+        for j in range(1, k):
+            if d[j] and N[k - j]:
+                convolve_add(row, d[j], N[k - j])
+        N.append(nonzero_entries(row))
+    return A, N
 
 
 def extract_coefficient_family(Q: QPoly, r: int) -> PowerSumExpr:
@@ -94,30 +99,40 @@ def extract_coefficient_family(Q: QPoly, r: int) -> PowerSumExpr:
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    L = _log_coeff_list(Q, r)
-    one = UniPoly.const(1)
-    # weights[l][m] = L_l^m / m!
-    weights = [[one] for _ in range(r + 1)]
+    A, N = _log_rows(Q, r)
+    # With L_l = N_l / (l A^l), L_l^m / m! is the row N_l^m over
+    # A^(l m) l^m m!; weights[l][m] = (l^m m!, N_l^m).  The parts of a leaf
+    # sum to r, so the walk multiplies rows and denominators l^m m! and
+    # reduces each coefficient of a leaf once, over A^r.
+    weights = [[(1, [(0, 1)])] for _ in range(r + 1)]
     for l in range(1, r + 1):
-        for m in range(1, r // l + 1):
-            weights[l].append((weights[l][-1] * L[l]).scale(Fraction(1, m)))
+        if N[l]:
+            for m in range(1, r // l + 1):
+                den, w = weights[l][-1]
+                w = nonzero_entries(convolve_add([], w, N[l]))
+                weights[l].append((den * l * m, w))
+    Ar = A**r
     terms = {}
     exps = [0] * r
 
-    def walk(top: int, rest: int, weight: UniPoly):
+    def walk(top: int, rest: int, den: int, row: list):
         # partitions of rest into parts <= top, largest part first
         if rest == 0:
-            terms[tuple(exps)] = weight
+            terms[tuple(exps)] = UniPoly([Fraction(x, Ar * den) for x in row])
             return
+        row = nonzero_entries(row)
         for l in range(min(top, rest), 0, -1):
-            if L[l].is_zero():
+            if not N[l]:
                 continue
-            for m in range(1, rest // l + 1):
+            # parts of size 1 come last, so they take all of the rest
+            for m in range(1, rest // l + 1) if l > 1 else (rest,):
                 exps[l - 1] = m
-                walk(l - 1, rest - m * l, weight * weights[l][m])
+                wden, w = weights[l][m]
+                walk(l - 1, rest - m * l, den * wden, convolve_add([], row, w))
             exps[l - 1] = 0
 
-    walk(r, r, one)
+    walk(r, r, 1, [1])
+    del walk  # it refers to itself: free its rows now, not at the next gc run
     # Decreasing lexicographic order of (m_1, m_2, ...): the term order of
     # a parsed h(r) or e(r), which tests/test_cli_golden.py pins.
     return PowerSumExpr({exps: terms[exps] for exps in sorted(terms, reverse=True)})

@@ -35,6 +35,8 @@ from .symfunc import PowerSumExpr
 from .rigidity import AdmissibleFormula
 
 MAX_POWER_SUM_INDEX = 32
+# Longest number token: CPython's default limit on the digits int() reads.
+MAX_NUMBER_DIGITS = 4300
 MAX_NESTING = 100  # groups, (...) or prod(...), open at once
 
 
@@ -70,6 +72,14 @@ class _Token:
         self.col = col
 
 
+def _check_digits(digits: str, line: int, column: int):
+    if len(digits) > MAX_NUMBER_DIGITS:
+        raise FormulaSyntaxError(
+            f"number of {len(digits)} digits exceeds the maximum of "
+            f"{MAX_NUMBER_DIGITS} digits", line, column
+        )
+
+
 def _tokenize(text: str) -> List[_Token]:
     tokens = []
     line, col = 1, 1
@@ -80,6 +90,8 @@ def _tokenize(text: str) -> List[_Token]:
             raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", line, col)
         kind = m.lastgroup
         chunk = m.group()
+        if kind == "number":
+            _check_digits(chunk, line, col)
         if kind != "ws":
             tokens.append(_Token(kind, chunk, line, col))
         newlines = chunk.count("\n")
@@ -265,6 +277,7 @@ class _Parser:
             self.fail(f"unknown symbol {name!r} inside prod(...) (use 't' and 'z')")
         # formula mode
         if re.fullmatch(r"p\d+", name):
+            _check_digits(name[1:], tok.line, tok.col)
             index = int(name[1:])
             if index < 1:
                 raise FormulaSemanticError("power-sum index must be >= 1")

@@ -183,15 +183,34 @@ class UniPoly:
 
 
 def power(base, k: int, one):
-    """base^k for an integer k >= 0 by binary powering, from the unit one."""
-    result = one
+    """base^k for an integer k >= 0 by binary powering; one is base^0."""
+    result = None
     while k:
         if k & 1:
-            result = result * base
+            result = base if result is None else result * base
         k >>= 1
         if k:
             base = base * base
-    return result
+    return one if result is None else result
+
+
+def nonzero_entries(row) -> list:
+    """The (index, value) pairs of the nonzero entries of a sequence."""
+    return [(i, x) for i, x in enumerate(row) if x]
+
+
+def convolve_add(row: list, a, b) -> list:
+    """row[i + j] += x * y over the nonzero entries (i, x) of a and (j, y)
+    of b, given by nonzero_entries of two nonzero integer rows, after
+    extending row with zeros to the product's length; returns row.  The
+    exact products multiply integer rows over a common denominator with
+    it, so they reduce once per output coefficient, not once per partial
+    product."""
+    row.extend([0] * (a[-1][0] + b[-1][0] + 1 - len(row)))
+    for i, x in a:
+        for j, y in b:
+            row[i + j] += x * y
+    return row
 
 
 # Variable names, given to a polynomial only when it is printed or parsed:

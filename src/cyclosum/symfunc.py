@@ -1,21 +1,24 @@
 """Symmetric polynomials in the power-sum basis over Q[z].
 
 PowerSumExpr is a polynomial in abstract generators v_1..v_d (the power
-sums p_1..p_d) with coefficients in Q[z]; its substitute is the one
-exact evaluation kernel, over integer power sums and an integer z.  By
-stable-range rigidity this presentation is all the pipelines need; the
-monomial-orbit basis and the reduction into power sums, which the tests
-compare against, live in tests/reference.py.
+sums p_1..p_d) with coefficients in Q[z].  Its exact kernels work on one
+integer form, each term's z-coefficients scaled to integers over a
+common denominator: substitute evaluates at integer power sums and an
+integer z, and the product multiplies the integer rows and reduces once
+per output coefficient.  By stable-range rigidity this presentation is
+all the pipelines need; the monomial-orbit basis and the reduction into
+power sums, which the tests compare against, live in tests/reference.py.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Dict, Tuple
 
-from .exactcore import (ZVAR, UniPoly, join_terms, monomial_str, poly_str, power,
-                        power_str, rat)
+from .exactcore import (ZVAR, UniPoly, convolve_add, join_terms, monomial_str,
+                        nonzero_entries, poly_str, power, power_str, rat)
 
 
 def coeff_poly(c) -> UniPoly:
@@ -58,6 +61,7 @@ class PowerSumExpr:
                     continue
             clean[key] = c
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_scaled", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PowerSumExpr is immutable")
@@ -128,24 +132,23 @@ class PowerSumExpr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # Each key's z-coefficients accumulate in one list, skipping zero
-        # entries, so a sparse coefficient costs only its nonzero products.
+        # The integer rows of both factors (see _integer_terms) multiply
+        # into one row per key over La*Lb, so each output coefficient is
+        # reduced once.
+        La, rows_a = self._integer_terms()
+        Lb, rows_b = o._integer_terms()
+        b = [(kb, nonzero_entries(rb)) for kb, (_, _, rb) in zip(o.terms, rows_b)]
         out: Dict[Tuple[int, ...], list] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in o.terms.items():
-                n = max(len(ka), len(kb))
-                key = tuple(
-                    (ka[i] if i < len(ka) else 0) + (kb[i] if i < len(kb) else 0)
-                    for i in range(n)
-                )
-                row = out.setdefault(key, [])
-                row.extend([0] * (len(ca.coeffs) + len(cb.coeffs) - 1 - len(row)))
-                for i, a in enumerate(ca.coeffs):
-                    if a:
-                        for j, b in enumerate(cb.coeffs):
-                            if b:
-                                row[i + j] += a * b
-        return PowerSumExpr({k: UniPoly(row) for k, row in out.items()})
+        for ka, (_, _, ra) in zip(self.terms, rows_a):
+            ra = nonzero_entries(ra)
+            for kb, rb in b:
+                # entries past the shorter key come from the longer one
+                key = tuple(map(add, ka, kb)) + (ka[len(kb):] or kb[len(ka):])
+                convolve_add(out.setdefault(key, []), ra, rb)
+        L = La * Lb
+        return PowerSumExpr(
+            {k: UniPoly([Fraction(x, L) for x in row]) for k, row in out.items()}
+        )
 
     __rmul__ = __mul__
 
@@ -170,12 +173,12 @@ class PowerSumExpr:
     def _integer_terms(self):
         """(L, rows): L is the lcm of the coefficient denominators and each
         row is (nonzero (index, exponent) pairs, weight, integer
-        coefficients of L*c in z).  Built on first use and kept, because
-        one formula is evaluated at many levels."""
-        try:
+        coefficients of L*c in z), in the order of terms.  substitute and
+        the product read it; it is built on first use and kept, because
+        one formula is evaluated at many levels and a factor of a power
+        is multiplied more than once."""
+        if self._scaled is not None:
             return self._scaled
-        except AttributeError:
-            pass
         L = math.lcm(*(a.denominator for c in self.terms.values() for a in c.coeffs))
         rows = []
         for exps, c in self.terms.items():

@@ -11,7 +11,10 @@ The tests check it against the independent routes kept here:
 - the Chebyshev polynomial T_n(t), the reference for W_n through
   T_n - 1 = 2^(n-1) (t - 1) W_n;
 - truncated power series, the Catalan series A(t)^n, the stable closed
-  form of h_r and the trunk congruence H_n(t) = (1 - t) A(t)^n.
+  form of h_r and the trunk congruence H_n(t) = (1 - t) A(t)^n;
+- the products with one Fraction operation per partial product: the
+  PowerSumExpr product and powers, and the coefficient extraction with
+  UniPoly weights, references for the library's integer routes.
 """
 
 import itertools
@@ -264,3 +267,89 @@ def verify_trunk(n, R):
         raise TrunkRangeError(f"outside the congruence range: need n > R, got n={n}, R={R}")
     rhs = series_mul(Series([1, -1], R), a_power_series(n, R))
     return h_global_series(n, R) == rhs.coeffs
+
+
+# ---------------------------------------------------------------------------
+# Products over Fraction coefficients
+# ---------------------------------------------------------------------------
+
+
+def fraction_mul(a, b):
+    """a * b for PowerSumExpr with a Fraction product per pair of nonzero
+    z-coefficients, keys inserted in the order the library's product
+    inserts them: the reference for PowerSumExpr.__mul__."""
+    out = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            n = max(len(ka), len(kb))
+            key = tuple(
+                (ka[i] if i < len(ka) else 0) + (kb[i] if i < len(kb) else 0)
+                for i in range(n)
+            )
+            row = out.setdefault(key, [])
+            row.extend([0] * (len(ca.coeffs) + len(cb.coeffs) - 1 - len(row)))
+            for i, x in enumerate(ca.coeffs):
+                if x:
+                    for j, y in enumerate(cb.coeffs):
+                        if y:
+                            row[i + j] += x * y
+    return PowerSumExpr({k: UniPoly(row) for k, row in out.items()})
+
+
+def fraction_power(base, k):
+    """base^k by the binary powering of exactcore.power, multiplying with
+    fraction_mul."""
+    result = PowerSumExpr.const(1)
+    while k:
+        if k & 1:
+            result = fraction_mul(result, base)
+        k >>= 1
+        if k:
+            base = fraction_mul(base, base)
+    return result
+
+
+def log_coeff_list(Q, order):
+    """Coefficients L_0..L_order of log Q, in Q[z]; Q(z, 0) = 1.
+
+    From Q * L' = Q', with a_l the t^l coefficient of Q:
+    (k+1) L_{k+1} = (k+1) a_{k+1} - sum_{j>=1} a_j (k-j+1) L_{k-j+1}.
+    """
+    a = [Q.coeffs[k] if k < len(Q.coeffs) else ZERO for k in range(order + 1)]
+    out = [ZERO] * (order + 1)
+    for k in range(order):
+        s = a[k + 1].scale(k + 1)
+        for j in range(1, k + 1):
+            if not a[j].is_zero():
+                s = s - a[j] * out[k - j + 1].scale(k - j + 1)
+        out[k + 1] = s.scale(Fraction(1, k + 1))
+    return out
+
+
+def fraction_extract(Q, r):
+    """The s^r coefficient family of prod_j Q(z, s x_j) as the partition sum
+    over prod_l L_l^(m_l) / m_l!, with every weight a UniPoly over Q and the
+    terms in the library's order: the reference for
+    extract_coefficient_family."""
+    L = log_coeff_list(Q, r)
+    weights = [[ONE] for _ in range(r + 1)]  # weights[l][m] = L_l^m / m!
+    for l in range(1, r + 1):
+        for m in range(1, r // l + 1):
+            weights[l].append((weights[l][-1] * L[l]).scale(Fraction(1, m)))
+    terms = {}
+    exps = [0] * r
+
+    def walk(top, rest, weight):
+        if rest == 0:
+            terms[tuple(exps)] = weight
+            return
+        for l in range(min(top, rest), 0, -1):
+            if L[l].is_zero():
+                continue
+            for m in range(1, rest // l + 1):
+                exps[l - 1] = m
+                walk(l - 1, rest - m * l, weight * weights[l][m])
+            exps[l - 1] = 0
+
+    walk(r, r, ONE)
+    return PowerSumExpr({exps: terms[exps] for exps in sorted(terms, reverse=True)})

@@ -1,6 +1,9 @@
+import gc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cyclosum.catalan import (
     catalan_a,
@@ -13,7 +16,7 @@ from cyclosum.invariants import QPoly
 from cyclosum.rigidity import AdmissibleFormula, evaluate
 from cyclosum.symfunc import PowerSumExpr, coeff_poly
 
-from conftest import newton_e, newton_h, random_rational
+from conftest import newton_e, newton_h, random_rational, random_unipoly
 from reference import (
     H1_VALUE,
     Series,
@@ -21,6 +24,7 @@ from reference import (
     TrunkRangeError,
     a_power_series,
     expand,
+    fraction_extract,
     h_stable,
     series_mul,
     verify_trunk,
@@ -172,6 +176,28 @@ class TestHGlobalSeries:
             verify_trunk(5, 5)
 
 
+# 1 + z*t - 3*t^3 and 1 + (z^2 - 1/3)*t + 5/7*t^2
+ZT_FACTOR = [1, UniPoly([0, 1]), 0, -3]
+MIXED_FACTOR = [1, UniPoly([Fraction(-1, 3), 0, 1]), Fraction(5, 7)]
+
+
+@st.composite
+def factor_coeffs(draw, max_tdeg=4):
+    """Coefficients [1, q_1, ..., q_k] of a product factor, each q_j zero,
+    a rational or a polynomial in z of degree <= 2."""
+    rng = draw(st.randoms(use_true_random=False))
+    coeffs = [1]
+    for _ in range(draw(st.integers(1, max_tdeg))):
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            coeffs.append(0)
+        elif kind == 1:
+            coeffs.append(random_rational(rng, 9))
+        else:
+            coeffs.append(random_unipoly(rng, 2, bound=9))
+    return coeffs
+
+
 class TestExtraction:
     def test_h_family_matches_newton(self):
         for r in range(0, 13):
@@ -194,16 +220,52 @@ class TestExtraction:
     def test_against_direct_expansion(self, rng):
         # compare with literally multiplying out prod_j Q(z, s x_j) in
         # m = r variables and reading off the s^r coefficient
+        cases = []
         for _ in range(12):
             tdeg = rng.randint(1, 3)
             r = rng.randint(1, 4)
-            coeffs = [1] + [random_rational(rng, 6) for _ in range(tdeg)]
+            cases.append(([1] + [random_rational(rng, 6) for _ in range(tdeg)], r))
+        # t^j coefficients in Q[z]
+        for _ in range(12):
+            tdeg = rng.randint(1, 3)
+            r = rng.randint(1, 5)
+            cases.append(([1] + [random_unipoly(rng, 2, bound=6) for _ in range(tdeg)], r))
+        for r in range(1, 6):
+            cases.append((ZT_FACTOR, r))
+            cases.append((MIXED_FACTOR, r))
+        for coeffs, r in cases:
             psi = extract_coefficient_family(QPoly(coeffs), r)
             assert expand(psi, r) == _direct_s_coefficient(coeffs, r)
 
+    def test_no_reference_cycle_is_left(self):
+        # the partition walk's rows are freed when extraction returns, not
+        # at the next run of the cyclic garbage collector
+        gc.collect()
+        gc.disable()
+        try:
+            extract_coefficient_family(QPoly([1, UniPoly([0, 1]), 3]), 8)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @settings(max_examples=150)
+    @given(coeffs=factor_coeffs(), r=st.integers(0, 12))
+    @example(coeffs=[1, 1], r=18)
+    @example(coeffs=[1] * 19, r=18)
+    @example(coeffs=[1, 0, 1], r=9)
+    @example(coeffs=ZT_FACTOR, r=12)
+    @example(coeffs=MIXED_FACTOR, r=10)
+    def test_integer_walk_matches_fraction_walk(self, coeffs, r):
+        # the same terms, inserted in the same order, as the walk over
+        # UniPoly weights in tests/reference.py
+        got = extract_coefficient_family(QPoly(coeffs), r)
+        ref = fraction_extract(QPoly(coeffs), r)
+        assert got == ref
+        assert list(got.terms) == list(ref.terms)
+
 
 def _direct_s_coefficient(coeffs, r):
-    """[s^r] prod_{j=1}^{r} Q(s x_j) in the monomial-orbit basis, by
+    """[s^r] prod_{j=1}^{r} Q(z, s x_j) in the monomial-orbit basis, by
     expanding the product over per-variable term choices."""
     import itertools
 
@@ -213,11 +275,11 @@ def _direct_s_coefficient(coeffs, r):
     for pick in itertools.product(choices, repeat=m):
         if sum(pick) != r:
             continue
-        c = Fraction(1)
+        c = UniPoly.const(1)
         for k in pick:
-            c *= Fraction(coeffs[k])
+            c = c * coeff_poly(coeffs[k])
         key = tuple(pick)
-        raw[key] = raw.get(key, Fraction(0)) + c
+        raw[key] = raw.get(key, UniPoly()) + c
     return SymMonomialPoly.from_monomials(
-        m, {k: coeff_poly(v) for k, v in raw.items() if v}
+        m, {k: v for k, v in raw.items() if not v.is_zero()}
     )

@@ -35,6 +35,8 @@ SUM6 = ("729/64*n^6 - 2187/16*n^5 + 10935/16*n^4 - 3645/2*n^3"
         " + 10935/4*n^2 - 2187*n + 729")
 # One group past the DSL's nesting cap of 100.
 DEEP = "(" * 101 + "p1" + ")" * 101
+# One digit past the DSL's number-token limit of 4,300 digits.
+LONG = "1" * 4301
 
 # (argv, exit code, sha256 of stdout, sha256 of stderr)
 GOLDEN = [
@@ -232,6 +234,21 @@ GOLDEN = [
     (['extract', '--formula', '1 + z*t - t^2/3', '--r', '4'], 0,
      '76407d512bc5da3b5b3ac378ae4ec6b45cc950051123d446cbff2df1d8aff840',
      EMPTY),
+    # Inputs of the integer product and extraction kernels: a factor with
+    # a z-dependent coefficient at r = 24, and powers of sums with
+    # z-dependent and rational coefficients.
+    (['extract', '--formula', '1 + z*t - 3*t^3', '--r', '24'], 0,
+     '67663efcf2e3a1b0ed71c427aa84cc868652a7c5dd05a9cc4a483da3ed1cfb80',
+     EMPTY),
+    (['eventual', '--formula', '(p1+p2+z)^40'], 0,
+     'c201621f5a5867d715013f45be39a2ed507b9271b22f26a0620fc0b59974ed6b',
+     EMPTY),
+    (['eventual', '--formula', 'h(3)^40'], 0,
+     '793978db683d0589679360dfd13c9ba12154fd9a0cd587895a131ad9d1f3edd2',
+     EMPTY),
+    (['eventual', '--formula', '(1/3*p1 + 2/5*z*p2 - 7/9)^30'], 0,
+     '98bf38e8d74226acbbe436aa3c18d51f041b2c95024b08599087cacba6f0cff4',
+     EMPTY),
     # A Q that vanishes at a cosine point: the exact value is 0.
     (['oracle', '--formula', 'prod(1+t)', '--n', '10'], 0,
      'f4c6fc101200012feff1d3f6e141faa5770996b206ae5c27a75fd84e7ec7a337',
@@ -266,6 +283,9 @@ GOLDEN = [
     (['eventual', '--formula', DEEP], 2,
      EMPTY,
      '6c4483c5996adaf5b14c3fcc41aeae3bf7da7d0ad9213d613080bcd15a052e70'),
+    (['eventual', '--formula', 'p1 + ' + LONG], 2,
+     EMPTY,
+     'fa885ecfcd96afa21fdbdb22a56f28add432613c20fc16dbaafad8171000d925'),
     # cos-sum, sin-sum and catalan-a in text, and every command in json and tsv.
     (['cos-sum', '--n', '3', '--h', '2'], 0,
      '8228c6ffceb1891bb4615da65920d06b1b5a44a1747183b163c0abb088c3ea1a',
@@ -429,6 +449,13 @@ def _digest(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _case_id(argv):
+    """The call as typed, with arguments of more than 300 characters cut
+    to their start and length."""
+    words = [a if len(a) <= 300 else f"{a[:20]}...({len(a)} chars)" for a in argv]
+    return " ".join(words) or "(no arguments)"
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -438,7 +465,7 @@ def _run(argv):
 
 @pytest.mark.parametrize(
     "argv,code,stdout_sha,stderr_sha", GOLDEN,
-    ids=[" ".join(c[0]) or "(no arguments)" for c in GOLDEN],
+    ids=[_case_id(c[0]) for c in GOLDEN],
 )
 def test_cli_output_is_pinned(argv, code, stdout_sha, stderr_sha, monkeypatch):
     # argparse wraps help and usage text at the terminal width
@@ -456,7 +483,7 @@ REPEATED = [c for c in GOLDEN if c[1] == 2 or "--help" in c[0]]
 
 @pytest.mark.parametrize(
     "argv,code,stdout_sha,stderr_sha", REPEATED,
-    ids=[" ".join(c[0]) or "(no arguments)" for c in REPEATED],
+    ids=[_case_id(c[0]) for c in REPEATED],
 )
 def test_reused_parser_carries_no_state(argv, code, stdout_sha, stderr_sha, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
@@ -511,10 +538,12 @@ def _load_workloads():
     return module
 
 
-REPLAY = [("identities", 90), ("crosscheck", 40), ("levels", 20)]
+# identities replays one full cycle (IDENTITY_CYCLE new formulas and half
+# as many repeats), so every (family, degree, kind) slot is pinned.
+REPLAY = [("identities", 270), ("crosscheck", 40), ("levels", 20)]
 REPLAY_SEED = 601000
 REPLAY_SHA = {
-    "identities": "531482550161c273e3ee8dcbe01c366a9c2266bf2505ec144e3949daaf626af5",
+    "identities": "96fad3e12105a2f584b87c5b9e4847ccca4275b8e72718e7db96baa746d2a78d",
     "crosscheck": "0dc82d745f8751fa6534d3201466001b314c5844f10856c78b87231d7a05d100",
     "levels": "953b3f8ebeeefdcf9320df562669bdb08ec6b19173605cd0e9d14f192e53f9d0",
 }

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from cyclosum.catalan import extract_coefficient_family, h_family
 from cyclosum.dsl import (
     MAX_NESTING,
+    MAX_NUMBER_DIGITS,
     FormulaSemanticError,
     FormulaSyntaxError,
     parse_conjecture,
@@ -152,6 +153,27 @@ class TestFormulaErrors:
             with pytest.raises(FormulaSyntaxError, match="nest deeper") as err:
                 parse_formula(text)
             assert err.value.column == text.index("(", MAX_NESTING) + 1
+
+    def test_number_digit_cap(self):
+        # a number token of MAX_NUMBER_DIGITS digits parses; one digit more
+        # is refused at its position wherever it stands, before int() reads it
+        ok = "0" * (MAX_NUMBER_DIGITS - 1) + "1"
+        assert parse_formula(f"{ok}*p1 + p{ok}^{ok} + h({ok})") == parse_formula(
+            "p1 + p1 + h(1)"
+        )
+        long = "1" * (MAX_NUMBER_DIGITS + 1)
+        for parse, text, column in [
+            (parse_formula, f"p1 + {long}", 6),
+            (parse_formula, f"p1 + p2^{long}", 9),
+            (parse_formula, f"p1 + h({long})", 8),
+            (parse_formula, f"p1 + mixed(2, {long})", 15),
+            (parse_formula, f"p1 + p{long}", 6),
+            (parse_conjecture, f"n + {long}", 5),
+            (parse_qpoly, f"1 + {long}*t", 5),
+        ]:
+            with pytest.raises(FormulaSyntaxError, match="exceeds the maximum of 4300") as err:
+                parse(text)
+            assert err.value.column == column
 
     def test_addition_of_products_rejected(self):
         with pytest.raises(FormulaSemanticError, match="top level"):

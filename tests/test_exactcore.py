@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cyclosum.catalan import _log_coeff_list
+from cyclosum.catalan import _log_rows
 from cyclosum.exactcore import (
     UniPoly,
     ZeroDivisorError,
@@ -165,10 +165,12 @@ def geometric(order):
 
 
 def log_series(a: Series) -> Series:
-    """Formal log of a rational series through the Q[z] log routine."""
-    out = _log_coeff_list(QPoly(a.coeffs), a.order)
-    assert all(c.is_constant() for c in out)
-    return Series([c.constant() for c in out], a.order)
+    """Formal log of a rational series through the extraction's integer
+    log routine: L_k = N_k / (k A^k)."""
+    A, N = _log_rows(QPoly(a.coeffs), a.order)
+    assert all(i == 0 for row in N for i, _ in row)
+    coeffs = [Fraction(row[0][1], k * A**k) if row else 0 for k, row in enumerate(N)]
+    return Series(coeffs, a.order)
 
 
 class TestSeries:

@@ -16,6 +16,8 @@ from reference import (
     NotSymmetricError,
     SymMonomialPoly,
     expand,
+    fraction_mul,
+    fraction_power,
     reduce_to_powersum,
     truncation_check,
 )
@@ -256,3 +258,38 @@ class TestArithmeticAgainstSubstitution:
         expected = [k for k in a.terms if k in total]
         expected += [k for k in b.terms if k not in a.terms and k in total]
         assert list(total) == expected
+
+
+def _same_terms_in_same_order(got, ref):
+    assert got == ref
+    assert list(got.terms) == list(ref.terms)
+
+
+class TestIntegerProductAgainstFractions:
+    """The product multiplies integer rows over one denominator; the
+    Fraction loop of tests/reference.py must give the same terms, inserted
+    in the same order."""
+
+    # zero and constant operands, sparse z-coefficients, and products
+    # whose cross terms cancel: z*p1*p2 in the last one
+    @settings(max_examples=200)
+    @given(a=powersum_exprs(max_d=9), b=powersum_exprs(max_d=9))
+    @example(a=PowerSumExpr.zero(), b=SPARSE_A)
+    @example(a=SPARSE_B, b=PowerSumExpr.zero())
+    @example(a=PowerSumExpr.const(Fraction(-3, 7)), b=SPARSE_B)
+    @example(a=PowerSumExpr.const(Fraction(5, 2)), b=PowerSumExpr.const(Fraction(4, 15)))
+    @example(a=SPARSE_A, b=SPARSE_B)
+    @example(a=SPARSE_A + SPARSE_B, b=SPARSE_A - SPARSE_B)
+    @example(a=z * v1 + v2.scale(Fraction(2, 3)), b=z * v1 - v2.scale(Fraction(2, 3)))
+    def test_product(self, a, b):
+        _same_terms_in_same_order(a * b, fraction_mul(a, b))
+
+    @settings(max_examples=100)
+    @given(a=powersum_exprs(max_d=4), k=st.integers(0, 8))
+    @example(a=PowerSumExpr.zero(), k=0)
+    @example(a=PowerSumExpr.zero(), k=3)
+    @example(a=PowerSumExpr.const(Fraction(2, 3)), k=7)
+    @example(a=SPARSE_A, k=8)
+    @example(a=v1 + v2 + z, k=8)
+    def test_power(self, a, k):
+        _same_terms_in_same_order(a**k, fraction_power(a, k))
