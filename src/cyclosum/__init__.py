@@ -10,7 +10,6 @@ from .invariants import (
     multiplicative_invariant,
     punctured_min_poly,
     punctured_power_sum,
-    punctured_power_sum_stable,
     sin_power_sum,
 )
 from .rigidity import (
@@ -39,8 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "UniPoly", "poly_divrem", "rat_str", "resultant", "PowerSumExpr",
     "QPoly", "cos_power_sum", "multiplicative_invariant",
-    "punctured_min_poly", "punctured_power_sum",
-    "punctured_power_sum_stable", "sin_power_sum",
+    "punctured_min_poly", "punctured_power_sum", "sin_power_sum",
     "AdmissibleFormula", "EvalReport", "evaluate",
     "eventual_polynomial", "verify_identity",
     "catalan_a", "extract_coefficient_family", "h_family", "h_global_series",

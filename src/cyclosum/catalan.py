@@ -4,6 +4,8 @@ at cosine points.
 A(t) = 2 / (1 + sqrt(1 - t^2)) is handled purely through the closed form
 of its power coefficients a_l(n).  The global generating function of the
 h_r values at level n comes from the Chebyshev factorization of T_n - 1.
+Extraction reads log Q from exactcore.log_rows, which also gives the
+oracle's Newton route its power sums.
 The series A(t)^n, the stable closed form of h_r and the trunk
 congruence H_n(t) = (1 - t) A(t)^n are test reference code, in
 tests/reference.py.
@@ -15,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Tuple
 
-from .exactcore import UniPoly, convolve_add, nonzero_entries
+from .exactcore import UniPoly, convolve_add, log_rows, nonzero_entries
 from .invariants import QPoly, vieta_lucas_coeffs
 from .symfunc import PowerSumExpr
 
@@ -63,29 +65,6 @@ def h_global_series(n: int, order: int) -> Tuple[Fraction, ...]:
     return tuple(Fraction(x, 2**r) for r, x in enumerate(H))
 
 
-def _log_rows(Q: QPoly, order: int):
-    """(A, N) for the coefficients L_0..L_order of log Q in Q[z], where
-    Q(z, 0) = 1: A is the lcm of the denominators of Q's coefficients up to
-    t^order, and N[k] the nonzero entries of the integer row in z of
-    A^k k L_k.
-
-    From Q * t (log Q)' = t Q', with q_j the t^j coefficient of Q and d_j
-    the integer row of -A^j q_j: N_k = -k d_k + sum_{j=1}^{k-1} d_j N_{k-j}.
-    """
-    q = [Q.coeffs[j].coeffs if j < len(Q.coeffs) else () for j in range(order + 1)]
-    A = math.lcm(*(a.denominator for c in q for a in c))
-    rows = [[-a.numerator * (A**j // a.denominator) for a in c] for j, c in enumerate(q)]
-    d = [nonzero_entries(row) for row in rows]
-    N = [[]]
-    for k in range(1, order + 1):
-        row = [-k * x for x in rows[k]]
-        for j in range(1, k):
-            if d[j] and N[k - j]:
-                convolve_add(row, d[j], N[k - j])
-        N.append(nonzero_entries(row))
-    return A, N
-
-
 def extract_coefficient_family(Q: QPoly, r: int) -> PowerSumExpr:
     """Stable power-sum presentation of the coefficient of s^r in
     prod_j Q(z, s x_j), for a unit-normalized product factor Q.
@@ -99,7 +78,7 @@ def extract_coefficient_family(Q: QPoly, r: int) -> PowerSumExpr:
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    A, N = _log_rows(Q, r)
+    A, N = log_rows([c.coeffs for c in Q.coeffs], r)
     # With L_l = N_l / (l A^l), L_l^m / m! is the row N_l^m over
     # A^(l m) l^m m!; weights[l][m] = (l^m m!, N_l^m).  The parts of a leaf
     # sum to r, so the walk multiplies rows and denominators l^m m! and

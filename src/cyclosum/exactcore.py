@@ -1,7 +1,8 @@
 """Exact arithmetic substrate: rationals, dense univariate polynomials,
-division with remainder, resultants and the text forms of polynomials.
-(The truncated power series of the trunk congruence are test reference
-code, in tests/reference.py.)
+division with remainder, resultants, the text forms of polynomials, and
+the integer rows of log q, the one recurrence behind both coefficient
+extraction and Newton's identities for W_n.  (The truncated power series
+of the trunk congruence are test reference code, in tests/reference.py.)
 
 Everything here is immutable after construction and all operations are
 pure, so values can be shared freely between threads.
@@ -9,6 +10,7 @@ pure, so values can be shared freely between threads.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -211,6 +213,31 @@ def convolve_add(row: list, a, b) -> list:
         for j, y in b:
             row[i + j] += x * y
     return row
+
+
+def log_rows(q, order: int):
+    """(A, N) for the coefficients L_0..L_order of log q, where
+    q = sum_j q_j t^j has Q[z] coefficients and q_0 = 1, and q[j] holds the
+    rational z-coefficients of q_j (q_j = 0 past the end of q): A is the
+    lcm of the denominators of q_0..q_order, and N[k] the nonzero entries
+    of the integer row in z of A^k k L_k.
+
+    From q * t (log q)' = t q', with d_j the integer row of -A^j q_j:
+    N_k = -k d_k + sum_{j=1}^{k-1} d_j N_{k-j}.  For q = prod_i (1 - x_i t)
+    these are Newton's identities, k L_k = -p_k(x) (Macdonald, Symmetric
+    Functions, I.2)."""
+    q = [q[j] if j < len(q) else () for j in range(order + 1)]
+    A = math.lcm(*(a.denominator for c in q for a in c))
+    rows = [[-a.numerator * (A**j // a.denominator) for a in c] for j, c in enumerate(q)]
+    d = [nonzero_entries(row) for row in rows]
+    N = [[]]
+    for k in range(1, order + 1):
+        row = [-k * x for x in rows[k]]
+        for j in range(1, k):
+            if d[j] and N[k - j]:
+                convolve_add(row, d[j], N[k - j])
+        N.append(nonzero_entries(row))
+    return A, N
 
 
 # Variable names, given to a polynomial only when it is printed or parsed:

@@ -31,6 +31,8 @@ def _stride_binomials(n: int, h: int):
     each binomial follows from the previous one by the exact integer
     ratio C(h, u + s) = C(h, u) (h-u)...(h-u-s+1) / ((u+1)...(u+s)).
     """
+    if h < 0:
+        raise ValueError("h must be nonnegative")
     bound = h // n
     r = -bound
     if (r * n + h) % 2:
@@ -56,8 +58,6 @@ def cos_power_sum(n: int, h: int) -> Fraction:
     """C(n,h) = sum_{k=0}^{n-1} cos^h(2 pi k / n), exactly."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if h < 0:
-        raise ValueError("h must be nonnegative")
     total = sum(b for _, b in _stride_binomials(n, h))
     return Fraction(n, 2**h) * total
 
@@ -71,8 +71,6 @@ def sin_power_sum(n: int, h: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if h < 0:
-        raise ValueError("h must be nonnegative")
     re = im = 0
     for r, b in _stride_binomials(n, h):
         k = r * n
@@ -93,19 +91,7 @@ def punctured_power_sum(n: int, h: int) -> Fraction:
     every regime of n and h."""
     if n < 2:
         raise ValueError("level n must be >= 2")
-    if h < 0:
-        raise ValueError("h must be nonnegative")
     return Fraction(n * sum(b for _, b in _stride_binomials(n, h)) - 2**h)
-
-
-def punctured_power_sum_stable(h: int) -> UniPoly:
-    """Stable-range closed form of P_h as a polynomial in n (valid n > h):
-    n*binom(h, h/2) - 2^h for even h, the constant -2^h for odd h."""
-    if h < 0:
-        raise ValueError("h must be nonnegative")
-    if h % 2 == 0:
-        return UniPoly([-(2**h), math.comb(h, h // 2)])
-    return UniPoly([-(2**h)])
 
 
 def vieta_lucas_coeffs(n: int, top: int) -> List[int]:
@@ -193,6 +179,4 @@ class QPoly:
 def multiplicative_invariant(Q: QPoly, n: int) -> Fraction:
     """M_Q(n) = prod_{k=1}^{n-1} Q(n-1, alpha_{k,n}), computed exactly as
     the resultant of the monic W_n against Q with z specialized to n-1."""
-    if n < 2:
-        raise ValueError("level n must be >= 2")
     return resultant(punctured_min_poly(n), Q.specialize_z(n - 1))

@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 import mpmath
 from mpmath.libmp import to_fixed, to_rational
 
-from .exactcore import rat, rat_str
+from .exactcore import log_rows, rat, rat_str
 from .invariants import punctured_min_poly
 from .rigidity import AdmissibleFormula, evaluate
 
@@ -232,30 +232,18 @@ def float_eval(
 
 def exact_newton_powersums(n: int, d: int) -> List[Fraction]:
     """Power sums p_1..p_d of the punctured cosine points, derived from
-    the coefficients of W_n by Newton's identities.  Never touches the
-    parity-binomial formulas."""
+    the coefficients of W_n by Newton's identities, through the recurrence
+    of coefficient extraction.  Never touches the parity-binomial
+    formulas."""
     if n < 2:
         raise ValueError("level n must be >= 2")
     if d < 0:
         raise ValueError("d must be nonnegative")
     W = punctured_min_poly(n)
-    N = W.degree  # = n - 1, monic
-    # elementary symmetric functions of the roots
-    e = [Fraction(0)] * (N + 1)
-    e[0] = Fraction(1)
-    for i in range(1, N + 1):
-        e[i] = (-1) ** i * W.coeff(N - i)
-    # Newton: p_k = sum_{i=1}^{k-1} (-1)^(i-1) e_i p_{k-i} + (-1)^(k-1) k e_k
-    # (the last term only while k <= N; e_i = 0 for i > N).
-    p: List[Fraction] = []
-    for k in range(1, d + 1):
-        s = Fraction(0)
-        for i in range(1, min(k - 1, N) + 1):
-            s += (-1) ** (i - 1) * e[i] * p[k - i - 1]
-        if k <= N:
-            s += (-1) ** (k - 1) * k * e[k]
-        p.append(s)
-    return p
+    # W reversed is prod_k (1 - alpha_k t), whose log has k L_k = -p_k
+    A, N = log_rows([(W.coeff(W.degree - j),) for j in range(min(d, W.degree) + 1)], d)
+    return [Fraction(-row[0][1], A**k) if row else Fraction(0)
+            for k, row in enumerate(N[1:], start=1)]
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from .invariants import (
     QPoly,
     multiplicative_invariant,
     punctured_power_sum,
-    punctured_power_sum_stable,
 )
 from .symfunc import PowerSumExpr, render_powersum
 
@@ -162,9 +161,10 @@ def eventual_polynomial(F: AdmissibleFormula) -> UniPoly:
         (c.degree + sum(exps[1::2]) for exps, c in F.psi_star.terms.items()),
         default=0,
     )
-    stable = [punctured_power_sum_stable(h) for h in range(1, F.d + 1)]
-    P = [p(F.n_star).numerator for p in stable]
-    slopes = [p.coeff(1).numerator for p in stable]  # P_h is at most linear
+    hs = range(1, F.d + 1)
+    P = [punctured_power_sum(F.n_star, h).numerator for h in hs]
+    # P_h is at most linear in n > h, and n_star = d + 2 > h
+    slopes = [punctured_power_sum(F.n_star + 1, h).numerator - p for h, p in zip(hs, P)]
     values = []
     for n in range(F.n_star, F.n_star + D + 2):
         values.append(F.psi_star.substitute(P, n - 1))

@@ -7,7 +7,8 @@ The tests check it against the independent routes kept here:
   per orbit sum m_lam, expand (power sums to orbits) and
   reduce_to_powersum (orbits back to power sums, by leading-partition
   elimination in graded-lex order);
-- the parity binomial binom(h, u) of the trigonometric power sums;
+- the parity binomial binom(h, u) of the trigonometric power sums, and
+  the stable closed form of P_h as a polynomial in n;
 - the Chebyshev polynomial T_n(t), the reference for W_n through
   T_n - 1 = 2^(n-1) (t - 1) W_n;
 - truncated power series, the Catalan series A(t)^n, the stable closed
@@ -178,6 +179,16 @@ def parity_binom(h, u):
     if u.denominator != 1 or not 0 <= u <= h:
         return 0
     return math.comb(h, u.numerator)
+
+
+def punctured_power_sum_stable(h):
+    """Stable-range closed form of P_h as a polynomial in n (valid n > h):
+    n*binom(h, h/2) - 2^h for even h, the constant -2^h for odd h."""
+    if h < 0:
+        raise ValueError("h must be nonnegative")
+    if h % 2 == 0:
+        return UniPoly([-(2**h), math.comb(h, h // 2)])
+    return UniPoly([-(2**h)])
 
 
 # ---------------------------------------------------------------------------

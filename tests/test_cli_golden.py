@@ -442,6 +442,19 @@ GOLDEN = [
     (['eval', '--formula', 'prod(1-t)', '--n', '99999999999999999999999'], 2,
      EMPTY,
      '490a6c43e5a8770a7547de006ffd02fd31562c078c487c75c3ebdaf05061f294'),
+    # Out-of-range n or h, refused by the library's own checks.
+    (['power-sum', '--n', '10', '--h', '-1'], 2,
+     EMPTY,
+     'e64c22985ad3182805760798a2196751e1c155a92a1319029f4dd630c6372484'),
+    (['cos-sum', '--n', '0', '--h', '1'], 2,
+     EMPTY,
+     '4a72bc152fbf0a078494ef76aff3a2605eed3aef7b4c415da188bb9e9736af5a'),
+    (['sin-sum', '--n', '4', '--h', '-1'], 2,
+     EMPTY,
+     'e64c22985ad3182805760798a2196751e1c155a92a1319029f4dd630c6372484'),
+    (['mq', '--formula', '1 - t', '--n', '1'], 2,
+     EMPTY,
+     '176be6f3b5bceeb61026ba0b2a059988d3edd4cd734082189251478da1af6320'),
 ]
 
 

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from cyclosum.catalan import _log_rows
 from cyclosum.exactcore import (
     UniPoly,
     ZeroDivisorError,
+    log_rows,
     poly_divrem,
     poly_str,
     rat_str,
@@ -16,7 +16,7 @@ from cyclosum.exactcore import (
 from cyclosum.invariants import QPoly
 
 from conftest import random_rational, random_unipoly
-from reference import Series, a_power_series, series_mul
+from reference import Series, a_power_series, log_coeff_list, series_mul
 
 
 def P(coeffs):
@@ -165,9 +165,9 @@ def geometric(order):
 
 
 def log_series(a: Series) -> Series:
-    """Formal log of a rational series through the extraction's integer
-    log routine: L_k = N_k / (k A^k)."""
-    A, N = _log_rows(QPoly(a.coeffs), a.order)
+    """Formal log of a rational series through the integer log routine of
+    extraction and of the Newton route: L_k = N_k / (k A^k)."""
+    A, N = log_rows([c.coeffs for c in QPoly(a.coeffs).coeffs], a.order)
     assert all(i == 0 for row in N for i, _ in row)
     coeffs = [Fraction(row[0][1], k * A**k) if row else 0 for k, row in enumerate(N)]
     return Series(coeffs, a.order)
@@ -200,6 +200,15 @@ class TestSeries:
     def test_log_requires_unit_constant(self):
         with pytest.raises(ValueError, match="not unit-normalized"):
             log_series(Series([2, 1], 3))
+
+    def test_log_rows_of_scalar_rows(self):
+        # one z-coefficient per row, as the Newton route passes them, and
+        # an order past the end of the rows
+        rng = random.Random(11)
+        coeffs = [Fraction(1)] + [random_rational(rng) for _ in range(6)]
+        A, N = log_rows([(c,) for c in coeffs], 9)
+        got = [Fraction(row[0][1], k * A**k) if row else 0 for k, row in enumerate(N)]
+        assert got == [L.constant() for L in log_coeff_list(QPoly(coeffs), 9)]
 
     def test_log_of_catalan_series(self):
         # log A(t) = sum_j (1/2j) binom(2j,j) (t^2/4)^j

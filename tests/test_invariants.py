@@ -11,11 +11,10 @@ from cyclosum.invariants import (
     multiplicative_invariant,
     punctured_min_poly,
     punctured_power_sum,
-    punctured_power_sum_stable,
     sin_power_sum,
 )
 
-from reference import chebyshev_T, parity_binom
+from reference import chebyshev_T, parity_binom, punctured_power_sum_stable
 
 
 class TestParityBinom:

@@ -212,10 +212,11 @@ class TestNewtonPowerSums:
         assert exact_newton_powersums(5, 2) == [Fraction(-1), Fraction(3, 2)]
 
     def test_two_oracle_agreement(self):
-        # Newton route from W_n against the parity-binomial route
-        for n in range(2, 41):
-            ps = exact_newton_powersums(n, 12)
-            for j in range(1, 13):
+        # Newton route from W_n against the parity-binomial route, up to
+        # the DSL's index cap of 32, past deg W_n for every n <= 32
+        for n in range(2, 65):
+            ps = exact_newton_powersums(n, 32)
+            for j in range(1, 33):
                 assert ps[j - 1] == punctured_power_sum(n, j) / 2**j
 
     def test_beyond_degree(self):

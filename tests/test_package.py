@@ -78,6 +78,20 @@ def test_every_export_has_a_caller_in_the_cli():
     assert sorted(unreached) == sorted(NOT_YET_CALLED)
 
 
+def test_every_top_level_definition_has_a_caller_in_the_cli():
+    """Exported or not, each function, class and assignment at the top
+    level of a module is reached from cli.main, so a routine that lost its
+    last caller fails here.  __init__.py's __version__ and __all__ are
+    package metadata, read by no module."""
+    reached = _reached_from_cli_main()
+    unreached = [
+        name for module, (defs, _imports) in _module_graph().items() for name in defs
+        if (module, name) not in reached
+        and not (module == "__init__" and name in ("__version__", "__all__"))
+    ]
+    assert sorted(unreached) == sorted(NOT_YET_CALLED)
+
+
 def test_every_top_level_import_is_read():
     """Each name a module imports at top level is read in that module.
     __init__.py imports to re-export, and __future__ imports are

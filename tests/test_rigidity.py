@@ -11,7 +11,6 @@ from cyclosum.invariants import (
     QPoly,
     multiplicative_invariant,
     punctured_power_sum,
-    punctured_power_sum_stable,
 )
 from cyclosum.rigidity import (
     AdmissibleFormula,
@@ -23,7 +22,7 @@ from cyclosum.rigidity import (
 from cyclosum.symfunc import PowerSumExpr
 
 from conftest import powersum_exprs, random_powersum_expr, reference_substitute
-from reference import h_stable
+from reference import h_stable, punctured_power_sum_stable
 
 v1, v2 = PowerSumExpr.gen(1), PowerSumExpr.gen(2)
 z = PowerSumExpr.z()
