@@ -3,14 +3,18 @@
 Two routes that share no code with the parity-binomial formulas:
 
 - float_eval evaluates a formula at the literal cosine points
-  cos(2 pi k/n), taken from mpmath.cos, in fixed point: every real is an
-  integer scaled by 2^W at W = precision bits.  The mirror k <-> n-k
-  leaves only the points k <= n/2 distinct.  The same pass bounds its own
-  error (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3
-  and 5), and cross_check takes that bound as its default tolerance, so
-  the verdict means the same at every magnitude.
+  cos(2 pi k/n), each correctly rounded from its own Taylor series, in
+  fixed point: every real is an integer scaled by 2^W at W = precision
+  bits.  The mirror k <-> n-k leaves only the points k <= n/2 distinct.
+  The same pass bounds its own error (Higham, Accuracy and Stability of
+  Numerical Algorithms, ch. 3 and 5), and cross_check takes that bound as
+  its default tolerance, so the verdict means the same at every
+  magnitude.  Results are dyadic (man, exp) pairs, man * 2^exp, printed
+  in decimal by _nstr.
 - exact_newton_powersums recovers the power sums from the coefficients
   of W_n by Newton's identities.
+
+The float route needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
@@ -21,41 +25,123 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-import mpmath
-from mpmath.libmp import to_fixed, to_rational
-
 from .exactcore import log_rows, rat, rat_str
 from .invariants import punctured_min_poly
 from .rigidity import AdmissibleFormula, evaluate
 
 DEFAULT_PRECISION = 256
 _GUARD = 64  # bits a product mantissa keeps beyond the working precision
+_HALVINGS = 8  # the cosine's angle is halved this often before its series
+_ZIV_GUARD = 40  # first guard bits of a cosine point; each retry doubles them
+# floor(2^64 ln 2) and floor(2^64 ln 10), the logarithms that _nstr's
+# power of ten for an exponent beyond 3500 bits reads.
+_LN2, _LN10 = 0xB17217F7D1CF79AB, 0x24D763776AAA2B05B
+
+Dyadic = Tuple[int, int]  # (man, exp): the number man * 2^exp
+
+
+@functools.cache
+def _pi_fixed(bits: int) -> int:
+    """2^bits pi within 2, by Machin's formula 16 atan(1/5) - 4 atan(1/239)."""
+    guard = bits.bit_length() + 8
+    one = 1 << (bits + guard)
+
+    def atan_inv(x):
+        # Each term is an exact floor, so it is off by less than 1, and
+        # the tail is below the first term that floors to 0.
+        total, power, k = 0, one // x, 1
+        while power:
+            total += power // k if k % 4 == 1 else -(power // k)
+            power //= x * x
+            k += 2
+        return total
+
+    # Off by at most 16(J5 + 1) + 4(J239 + 1) < 2^(guard - 1) before the
+    # shift, for J terms at bits + guard bits.
+    return (16 * atan_inv(5) - 4 * atan_inv(239)) >> guard
+
+
+def _cos_turns(a: int, b: int, precision: int) -> int:
+    """round(2^precision cos(2 pi a/b)) for 0 < a/b <= 1/4, correctly
+    rounded (Brent and Zimmermann, Modern Computer Arithmetic, ch. 4).
+
+    At B = precision + g bits the angle is halved _HALVINGS times, its
+    cosine summed as a Taylor series, and c <- 2c^2 - 1 undoes the
+    halvings.  The result c is within E of 2^B cos: each series term is
+    off by at most 3 and each doubling multiplies the error by at most 4,
+    plus 2.  When c lies within E of a rounding boundary, g doubles
+    (Ziv's test).  By Niven's theorem cos(2 pi a/b) is rational only at
+    0, +-1/2 and +-1, so 2^precision cos is never a half-integer and the
+    retries end."""
+    guard = _ZIV_GUARD
+    while True:
+        B = precision + guard
+        one = 1 << B
+        # the angle 2 pi a/b / 2^_HALVINGS, within 2 since 2a/b <= 1/2
+        x = (2 * a * _pi_fixed(B)) // (b << _HALVINGS)
+        x2 = (x * x) >> B
+        c, term, j = one, one, 0
+        while term:
+            j += 2
+            term = ((term * x2) >> B) // ((j - 1) * j)
+            c += term if j % 4 == 0 else -term
+        for _ in range(_HALVINGS):
+            c = ((c * c) >> (B - 1)) - one
+        err = (2 * j + 8) << (2 * _HALVINGS)
+        half = 1 << (guard - 1)
+        low, high = (c - err + half) >> guard, (c + err + half) >> guard
+        if low == high:
+            return low
+        guard *= 2
 
 
 @functools.cache
 def cosine_points(n: int, precision: int = DEFAULT_PRECISION) -> Tuple[int, ...]:
     """The distinct punctured cosine points cos(2 pi k/n), 1 <= k <= n/2,
-    as integers X_k = round(2^precision cos(2 pi k/n)) with
-    |X_k - 2^precision cos(2 pi k/n)| <= 1.  Point n-k equals point k, so
+    as integers X_k = round(2^precision cos(2 pi k/n)), correctly rounded:
+    |X_k - 2^precision cos(2 pi k/n)| < 1/2.  Point n-k equals point k, so
     each stands for two of the n-1 points, except k = n/2 for even n.
 
-    Each point is mpmath.cos of its own angle at precision + 16 bits, not
-    any recurrence, to stay independent of the Chebyshev machinery."""
+    Each point with k/n <= 1/4 is the Taylor series of its own angle, not
+    any recurrence, to stay independent of the Chebyshev machinery; past
+    1/4, cos(2 pi k/n) = -cos(2 pi (1/2 - k/n)).  For even n, 1/2 - k/n
+    is the point n/2 - k, so X_k = -X_(n/2-k) exactly and only k <= n/4
+    sums a series."""
     if n < 2:
         raise ValueError("level n must be >= 2")
     if precision < 64:
         raise ValueError("precision must be >= 64 bits")
-    with mpmath.workprec(precision + 16):
-        step = 2 * mpmath.pi / n
-        # floor(2^(precision+1) cos) + 1, halved with floor: the nearest integer
-        return tuple(
-            (to_fixed(mpmath.cos(step * k)._mpf_, precision + 1) + 1) >> 1
-            for k in range(1, n // 2 + 1)
-        )
+    X = [1 << precision]  # X_0 = 2^precision, the mirror of k = n/2
+    for k in range(1, n // 2 + 1):
+        if 4 * k <= n:
+            X.append(_cos_turns(k, n, precision))
+        elif n % 2 == 0:
+            X.append(-X[n // 2 - k])
+        else:
+            X.append(-_cos_turns(n - 2 * k, 2 * n, precision))
+    return tuple(X[1:])
 
 
-def _to_mpf(q: Fraction) -> mpmath.mpf:
-    return mpmath.mpf(q.numerator) / q.denominator
+def _round(num: int, den: int, bits: int, mode: str = "n", exp: int = 0) -> Dyadic:
+    """num/den * 2^exp, for num >= 0 and den > 0, rounded to `bits` bits:
+    to nearest with ties to even ("n"), toward zero ("d") or away from
+    zero ("u").  The mantissa is odd, or 0, so each number has one form."""
+    if not num:
+        return 0, 0
+    shift = bits + 2 + den.bit_length() - num.bit_length()
+    q, r = divmod(num << shift, den) if shift >= 0 else divmod(num, den << -shift)
+    cut = q.bit_length() - bits  # 2 or 3
+    man, low, half = q >> cut, q & ((1 << cut) - 1), 1 << (cut - 1)
+    if (mode == "u" and (low or r)
+            or mode == "n" and (low > half or low == half and (r or man & 1))):
+        man += 1
+    zeros = (man & -man).bit_length() - 1
+    return man >> zeros, exp + cut - shift + zeros
+
+
+def _fraction(x: Dyadic) -> Fraction:
+    man, exp = x
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def _weighted_sum(values, even: bool):
@@ -96,9 +182,10 @@ def _log2_dyadic(man: int, exp: int) -> float:
 
 def float_eval(
     F: AdmissibleFormula, n: int, precision: int = DEFAULT_PRECISION
-) -> Tuple[mpmath.mpf, mpmath.mpf]:
+) -> Tuple[Dyadic, Dyadic]:
     """(value, bound): F at level n by one fixed-point pass over the
-    distinct cosine points, and a bound on |value - F(n)|.  There is no
+    distinct cosine points, rounded to W + 64 bits, and a bound on
+    |value - F(n)|, both as (man, exp) pairs.  There is no
     stable-range requirement, so this is also the below-threshold route.
 
     With W = precision, u = 2^-W, N = n - 1, H = max_gen, points x_k and
@@ -223,11 +310,11 @@ def float_eval(
     log_S += _log2_sum(log_kappas)
     G = 2 + K.bit_length()
 
-    with mpmath.workprec(W + _GUARD):
-        value = mpmath.mpf((man, exp))
-    with mpmath.workprec(64):
-        bound = mpmath.mpf(2) ** (log_S + G - W)
-    return value, bound
+    vman, vexp = _round(abs(man), 1, W + _GUARD, "n", exp)
+    log_bound = log_S + G - W
+    top = math.floor(log_bound)
+    bman, bden = math.exp2(log_bound - top).as_integer_ratio()
+    return (-vman if man < 0 else vman, vexp), (bman, top + 1 - bden.bit_length())
 
 
 def exact_newton_powersums(n: int, d: int) -> List[Fraction]:
@@ -244,6 +331,75 @@ def exact_newton_powersums(n: int, d: int) -> List[Fraction]:
     A, N = log_rows([(W.coeff(W.degree - j),) for j in range(min(d, W.degree) + 1)], d)
     return [Fraction(-row[0][1], A**k) if row else Fraction(0)
             for k, row in enumerate(N[1:], start=1)]
+
+
+def _digits_exp(man: int, exp: int, dps: int) -> Tuple[str, int]:
+    """(digits, exponent) of man * 2^exp > 0: the number floored to a
+    binary fixed point of about dps decimal digits, then floored to
+    decimal, so the digit string may run past dps digits and its leading
+    digit stands at 10^exponent.  Past 2^3500 or below 2^-3500 the number
+    is first divided, rounding down, by 10^b with b = trunc(exp log10 2)
+    from 64-bit logarithms; 10^b is rounded down, and 10^-b up before its
+    reciprocal is rounded down, each to the working bits."""
+    bitprec = int(dps * math.log(10, 2)) + 10
+    exponent = 0
+    if abs(exp + man.bit_length()) > 3500:
+        e = abs(exp).bit_length() + 5
+        b = abs(exp) * (_LN2 >> (64 - e)) // (4 * (_LN10 >> (66 - e)))
+        if exp < 0:
+            b = -b
+            im, ie = _round(5**-b, 1, bitprec + 5, "u", -b)
+            pm, pe = _round(1, im, bitprec, "d", -ie)
+        else:
+            pm, pe = _round(5**b, 1, bitprec, "d", b)
+        man, exp = _round(man, pm, bitprec, "d", exp - pe)
+        exponent = b
+    fixprec = max(bitprec - exp - man.bit_length(), 0)
+    fixdps = int(fixprec / math.log(10, 2) + 0.5)
+    shift = exp + fixprec
+    fixed = man << shift if shift >= 0 else man >> -shift
+    digits = str(fixed * 10**fixdps >> fixprec)
+    return digits, exponent + len(digits) - fixdps - 1
+
+
+def _nstr(x: Dyadic, dps: int) -> str:
+    """x, with an odd mantissa or 0 as _round leaves it, in decimal with
+    at most dps significant digits: the floored digits of _digits_exp
+    rounded half up at digit dps, fixed point for a leading digit at 10^e
+    with min(-(dps//3), -5) < e < dps and an exponent otherwise, and
+    trailing zeros stripped.  These are the digits the oracle has always
+    printed, digit for digit."""
+    man, exp = x
+    if not man:
+        return "0.0"
+    digits, exponent = _digits_exp(abs(man), exp, dps + 3)
+    if len(digits) > dps and digits[dps] >= "5":
+        digits = str(int(digits[:dps]) + 1)
+        if len(digits) > dps:  # a carry through nines
+            digits, exponent = digits[:dps], exponent + 1
+    else:
+        digits = digits[:dps]
+    split = 1
+    if min(-(dps // 3), -5) < exponent < dps:
+        if exponent < 0:
+            digits = "0" * -exponent + digits
+        else:
+            split = exponent + 1
+        exponent = 0
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if digits[-1] == ".":
+        digits += "0"
+    sign = "-" if man < 0 else ""
+    if exponent == 0:
+        return sign + digits
+    return f"{sign}{digits}e{'+' if exponent > 0 else ''}{exponent}"
+
+
+def _round_rational(q: Fraction, bits: int) -> Dyadic:
+    """q >= 0 rounded to `bits` bits in two steps, the numerator first and
+    then the quotient, as the printed residual and tolerance always were."""
+    man, exp = _round(q.numerator, 1, bits)
+    return _round(man, q.denominator, bits, "n", exp)
 
 
 @dataclass(frozen=True)
@@ -282,15 +438,14 @@ def cross_check(
             raise ValueError(f"tolerance must be nonnegative, got {rat_str(tolerance)}")
     exact = evaluate(F, n).value
     value, bound = float_eval(F, n, precision)
-    residual = abs(Fraction(*to_rational(value._mpf_)) - exact)
+    residual = abs(_fraction(value) - exact)
     if tolerance is None:
-        tolerance = Fraction(*to_rational(bound._mpf_))
-    with mpmath.workprec(precision):
-        return CheckReport(
-            quantity=F.render(),
-            exact=exact,
-            float_value=mpmath.nstr(value, 30),
-            residual=mpmath.nstr(_to_mpf(residual), 10),
-            tolerance=mpmath.nstr(_to_mpf(tolerance), 10),
-            passed=residual <= tolerance,
-        )
+        tolerance = _fraction(bound)
+    return CheckReport(
+        quantity=F.render(),
+        exact=exact,
+        float_value=_nstr(value, 30),
+        residual=_nstr(_round_rational(residual, precision), 10),
+        tolerance=_nstr(_round_rational(tolerance, precision), 10),
+        passed=residual <= tolerance,
+    )

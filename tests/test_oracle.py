@@ -5,7 +5,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import to_rational
+from mpmath.libmp import mpf_ln2, mpf_ln10, to_rational
 
 from cyclosum import oracle
 from cyclosum.dsl import parse_formula
@@ -32,10 +32,16 @@ def close(a, b, bits=200):
         return abs(a - b) < mpmath.mpf(2) ** -bits
 
 
+def dyadic(pair):
+    """A (man, exp) pair, man * 2^exp, as an mpf, exactly."""
+    man, exp = pair
+    with mpmath.workprec(abs(man).bit_length() + 1):
+        return mpmath.ldexp(mpmath.mpf(man), exp)
+
+
 def fixed(x, precision=256):
     """A fixed-point cosine point as an mpf, exactly."""
-    with mpmath.workprec(x.bit_length() + 1):
-        return mpmath.ldexp(mpmath.mpf(x), -precision)
+    return dyadic((x, -precision))
 
 
 def frac(x):
@@ -72,6 +78,37 @@ class TestCosinePoints:
                         exact = mpmath.ldexp(mpmath.cos(2 * mpmath.pi * k / n), precision)
                         assert abs(x - exact) <= 1
 
+    @pytest.mark.parametrize("precision", [64, 128, 256, 512])
+    def test_correctly_rounded(self, precision):
+        # every point is the integer nearest 2^precision cos(2 pi k/n),
+        # against a reference of 2 precision + 64 bits that is itself
+        # far from a rounding tie
+        for n in range(2, 301):
+            pts = cosine_points(n, precision)
+            with mpmath.workprec(2 * precision + 64):
+                step = 2 * mpmath.pi / n
+                for k, x in enumerate(pts, start=1):
+                    exact = mpmath.ldexp(mpmath.cos(step * k), precision)
+                    ref = int(mpmath.nint(exact))
+                    assert abs(abs(exact - ref) - 0.5) > mpmath.mpf(2) ** -32
+                    assert x == ref, (n, k)
+
+    @pytest.mark.parametrize("precision", [64, 128, 256, 512])
+    def test_even_mirror_is_exact(self, precision):
+        for n in range(2, 301, 2):
+            pts = cosine_points(n, precision)
+            assert pts[-1] == -(1 << precision)
+            for k in range(1, n // 2):
+                assert pts[n // 2 - k - 1] == -pts[k - 1], (n, k)
+
+    def test_ziv_retry_gives_the_same_points(self, monkeypatch):
+        # With 1 guard bit every point fails the rounding test and retries
+        # with 2, 4, ... guard bits until its error bound is small enough.
+        expected = {(k, n): oracle._cos_turns(k, n, 64) for n in (7, 12, 97) for k in
+                    range(1, n // 4 + 1)}
+        monkeypatch.setattr(oracle, "_ZIV_GUARD", 1)
+        assert {key: oracle._cos_turns(*key, 64) for key in expected} == expected
+
     def test_roots_of_min_poly(self):
         # the independent float points must be roots of the exact W_n
         for n in [*range(2, 21), 64, 128]:
@@ -90,19 +127,19 @@ class TestFloatEval:
     def test_energy(self):
         F = AdmissibleFormula(z * v2 - v1**2)
         value, _ = float_eval(F, 10)
-        assert close(value, 35)
+        assert close(dyadic(value), 35)
 
     def test_product(self):
         F = AdmissibleFormula(PowerSumExpr.const(1), [(QPoly([1, -1]), 1)])
         value, _ = float_eval(F, 6)
-        assert close(value, mpmath.mpf(36) / 32)
+        assert close(dyadic(value), mpmath.mpf(36) / 32)
 
     def test_below_threshold(self):
         F = AdmissibleFormula(h_family(4))
         # exact general-regime value at n = 3, below n_star = 6
         expected = float(evaluate(F, 3).value)
         value, _ = float_eval(F, 3)
-        assert close(value, mpmath.mpf(expected), bits=40)
+        assert close(dyadic(value), mpmath.mpf(expected), bits=40)
 
 
 def reference_float_eval(F, n, precision):
@@ -156,10 +193,10 @@ def check_bound(F, n, precision):
     """No false FAIL: the float value is within its bound of the exact
     value, and of the earlier route's value at twice the precision."""
     value, bound = float_eval(F, n, precision)
-    tol = frac(bound)
-    assert abs(frac(value) - evaluate(F, n).value) <= tol
+    tol, value = frac(dyadic(bound)), frac(dyadic(value))
+    assert abs(value - evaluate(F, n).value) <= tol
     ref = reference_float_eval(F, n, 2 * precision)
-    assert abs(frac(value) - frac(ref)) <= tol
+    assert abs(value - frac(ref)) <= tol
 
 
 # The formulas of the crosscheck benchmark workload.
@@ -311,3 +348,101 @@ class TestCrossCheck:
         assert d["exact"] == "-1"
         assert d["pass"] is True
         assert "residual" in d and "tolerance" in d
+
+
+def canonical(man, exp):
+    """(man, exp) with the mantissa's trailing zero bits moved into exp."""
+    if not man:
+        return 0, 0
+    zeros = (man & -man).bit_length() - 1
+    return man >> zeros, exp + zeros
+
+
+def near(q, bits, offset):
+    """The dyadic `offset` units of 2^-bits (relative) away from q > 0."""
+    shift = bits - (q.numerator.bit_length() - q.denominator.bit_length())
+    scaled = q * Fraction(2) ** shift
+    return canonical(round(scaled) + offset, -shift)
+
+
+mantissas = st.integers(-(1 << 300), 1 << 300)
+offsets = st.integers(-3, 3)
+digit_counts = st.sampled_from([10, 30])
+
+
+class TestDecimalFormatter:
+    """oracle._nstr prints what mpmath.nstr prints for the same number."""
+
+    def check(self, man, exp, dps):
+        x = canonical(man, exp)
+        assert oracle._nstr(x, dps) == mpmath.nstr(dyadic(x), dps), (x, dps)
+
+    @settings(max_examples=400)
+    @given(man=mantissas, exp=st.integers(-1200, 1200), dps=digit_counts)
+    def test_random_dyadics(self, man, exp, dps):
+        self.check(man, exp, dps)
+
+    @pytest.mark.parametrize("dps", [10, 30])
+    def test_zero_and_small_integers(self, dps):
+        for man in range(-1100, 1101):
+            self.check(man, 0, dps)
+
+    @settings(max_examples=150)
+    @given(man=mantissas, exp=st.integers(3400, 40000), negative=st.booleans(),
+           dps=digit_counts)
+    def test_exponents_beyond_3500_bits(self, man, exp, negative, dps):
+        self.check(man, -exp if negative else exp, dps)
+
+    @settings(max_examples=60)
+    @given(bits=st.integers(3400, 5000), exp=st.integers(-200, 200), dps=digit_counts,
+           data=st.data())
+    def test_long_mantissas(self, bits, exp, dps, data):
+        # bit length past 3500 with a small exponent: a small power of ten
+        man = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+        self.check(man, exp, dps)
+
+    @settings(max_examples=300)
+    @given(e=st.integers(-14, 34), bits=st.sampled_from([60, 120, 320]), offset=offsets,
+           dps=digit_counts)
+    def test_fixed_exponent_switch(self, e, bits, offset, dps):
+        # around 10^e, where the leading digit moves across the switch
+        # between fixed point and an exponent
+        self.check(*near(Fraction(10) ** e, bits, offset), dps)
+
+    @settings(max_examples=300)
+    @given(e=st.integers(-1200, 1200), bits=st.sampled_from([60, 120, 320]),
+           offset=offsets, dps=digit_counts)
+    def test_carries_through_nines(self, e, bits, offset, dps):
+        # 99...99.5 * 10^e: digits ending in ...9995 round up through every nine
+        q = (10 ** (dps + 1) - 5) * Fraction(10) ** e
+        self.check(*near(q, bits, offset), dps)
+
+    def test_log_constants(self):
+        # the 64-bit logarithms that choose the power of ten past 3500 bits
+        for e in range(5, 65):
+            assert Fraction(*to_rational(mpf_ln2(e))) == Fraction(oracle._LN2 >> (64 - e), 2**e)
+            assert Fraction(*to_rational(mpf_ln10(e))) == Fraction(oracle._LN10 >> (66 - e),
+                                                                   2 ** (e - 2))
+
+    @settings(max_examples=300)
+    @given(num=st.integers(0, 1 << 2000), den=st.integers(1, 1 << 400),
+           bits=st.sampled_from([64, 128, 256, 1000]))
+    def test_rational_rounding(self, num, den, bits):
+        # the residual and tolerance are rounded as mpf(num) / den was
+        q = Fraction(num, den)
+        with mpmath.workprec(bits):
+            expected = frac(mpmath.mpf(q.numerator) / q.denominator)
+        assert frac(dyadic(oracle._round_rational(q, bits))) == expected
+
+    @settings(max_examples=300)
+    @given(man=st.one_of(st.integers(-(1 << 800), 1 << 800),
+                         st.builds(lambda m, s: s * (2 * m + 1) << 5,  # ties at 320 bits
+                                   st.integers(1 << 319, (1 << 320) - 1),
+                                   st.sampled_from([-1, 1]))),
+           exp=st.integers(-600, 600), bits=st.sampled_from([128, 320, 576]))
+    def test_value_rounding(self, man, exp, bits):
+        # the value is rounded to nearest, ties to even, as mpf((man, exp)) was
+        rounded = oracle._round(abs(man), 1, bits, "n", exp)
+        with mpmath.workprec(bits):
+            expected = frac(mpmath.mpf((man, exp)))
+        assert frac(dyadic(rounded)) == abs(expected)

@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import cyclosum
@@ -111,3 +114,15 @@ def test_every_top_level_import_is_read():
                 continue
             unread += [f"{path.name}: {name}" for name in names if name not in reads]
     assert unread == []
+
+
+def test_cli_imports_no_third_party_module():
+    """The package runs on the standard library: a fresh interpreter that
+    imports the CLI loads no mpmath, the tests' reference for the oracle."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, cyclosum.cli; print('mpmath' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
