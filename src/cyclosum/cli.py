@@ -93,7 +93,7 @@ def _eval(args):
 
 def _eventual(args):
     F = _load_formula(args)
-    return {"formula": F.render(),
+    return {"formula": F.render,
             "eventual_polynomial": poly_str(eventual_polynomial(F), NVAR)}
 
 
@@ -103,7 +103,7 @@ def _verify(args):
                              check_below_threshold=args.below_threshold)
     if args.fmt != "text":
         return report.to_dict(), report.passed
-    lines = [f"symbolic (all n >= {report.n_star}): "
+    lines = [f"symbolic (all n >= {report.F.n_star}): "
              + ("PASS" if report.symbolic_match else "FAIL")]
     if not report.symbolic_match:
         lines.append(f"difference: {poly_str(report.difference, NVAR)}")
@@ -150,7 +150,8 @@ _ARGS = {
 
 # Subcommand -> (help, argument keys, handler, the one payload key that
 # text output prints, or None for every key as "key: value").  A handler
-# returns its payload, or (payload, passed) when it can report a mismatch.
+# returns its payload, or (payload, passed) when it can report a mismatch;
+# a value that text output may skip can be a callable that makes it.
 COMMANDS = {
     "power-sum": ("punctured power sum P_h(n)", ("n", "h", "format"),
                   _scalar(punctured_power_sum), "value"),
@@ -204,18 +205,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: dict, fmt: str, text_key):
-    """Render a flat payload as text, json, or tsv."""
+    """Render a flat payload as text, json, or tsv.  A value may be a
+    zero-argument callable, called only when its key is printed."""
+    text_only = fmt == "text" and text_key
+    if text_only:
+        payload = {text_key: payload[text_key]}
+    payload = {k: v() if callable(v) else v for k, v in payload.items()}
     if fmt == "json":
         print(json.dumps(payload, indent=2))
         return
-    flat = {k: json.dumps(v) if isinstance(v, (list, dict)) else v
-            for k, v in payload.items()}
-    if fmt == "text" and text_key:
-        print(flat[text_key])
-        return
     sep = "\t" if fmt == "tsv" else ": "
-    for k, v in flat.items():
-        print(f"{k}{sep}{v}")
+    for k, v in payload.items():
+        v = json.dumps(v) if isinstance(v, (list, dict)) else v
+        print(v if text_only else f"{k}{sep}{v}")
 
 
 def main(argv=None) -> int:

@@ -11,6 +11,7 @@ single eventual polynomial in n.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Tuple
@@ -35,7 +36,7 @@ ProductDatum = Tuple[Tuple[QPoly, int], ...]
 def _normalize_products(products) -> ProductDatum:
     out = []
     for Q, mult in products or ():
-        mult = int(mult)
+        mult = operator.index(mult)
         if mult < 0:
             raise ValueError("product exponent must be nonnegative")
         if mult:
@@ -191,9 +192,7 @@ class LevelCheck:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    formula: str
-    d: int
-    n_star: int
+    F: AdmissibleFormula
     eventual: UniPoly
     difference: UniPoly  # eventual - conjecture
     per_level: Tuple[LevelCheck, ...]
@@ -208,9 +207,9 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return {
-            "formula": self.formula,
-            "d": self.d,
-            "n_star": self.n_star,
+            "formula": self.F.render(),
+            "d": self.F.d,
+            "n_star": self.F.n_star,
             "eventual_polynomial": poly_str(self.eventual, NVAR),
             "symbolic_match": self.symbolic_match,
             "difference": (None if self.symbolic_match
@@ -250,11 +249,4 @@ def verify_identity(
     if check_below_threshold:
         for n in range(2, F.n_star):
             levels.append(LevelCheck(n, conjecture(Fraction(n)), evaluate(F, n).value))
-    return VerificationReport(
-        formula=F.render(),
-        d=F.d,
-        n_star=F.n_star,
-        eventual=eventual,
-        difference=eventual - conjecture,
-        per_level=tuple(levels),
-    )
+    return VerificationReport(F, eventual, eventual - conjecture, tuple(levels))

@@ -71,10 +71,6 @@ class PowerSumExpr:
         return cls({(): coeff_poly(c)})
 
     @classmethod
-    def zero(cls) -> "PowerSumExpr":
-        return cls({})
-
-    @classmethod
     def gen(cls, r: int) -> "PowerSumExpr":
         if r < 1:
             raise ValueError("generator index must be >= 1")

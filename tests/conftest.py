@@ -66,7 +66,7 @@ def powersum_exprs(draw, max_d=18):
     degree <= max_d and z-degree <= 3 (degree 0 gives the constants), or
     the zero formula."""
     if draw(st.integers(0, 9)) == 0:
-        return PowerSumExpr.zero()
+        return PowerSumExpr()
     rng = draw(st.randoms(use_true_random=False))
     return random_powersum_expr(
         rng,
@@ -98,7 +98,7 @@ def newton_e(r):
     r*e_r = sum_{i=1}^{r} (-1)^(i-1) e_{r-i} p_i."""
     if r == 0:
         return PowerSumExpr.const(1)
-    acc = PowerSumExpr.zero()
+    acc = PowerSumExpr()
     for i in range(1, r + 1):
         term = newton_e(r - i) * PowerSumExpr.gen(i)
         acc = acc + (term if i % 2 == 1 else -term)
@@ -110,7 +110,7 @@ def newton_h(r):
     """Reference h_r in the power sums, via r*h_r = sum_{i=1}^{r} h_{r-i} p_i."""
     if r == 0:
         return PowerSumExpr.const(1)
-    acc = PowerSumExpr.zero()
+    acc = PowerSumExpr()
     for i in range(1, r + 1):
         acc = acc + newton_h(r - i) * PowerSumExpr.gen(i)
     return acc.scale(Fraction(1, r))

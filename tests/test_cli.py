@@ -1,6 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+
+import pytest
+
+from cyclosum import cli
+from cyclosum.rigidity import AdmissibleFormula
 
 from conftest import src_env
 
@@ -133,6 +140,39 @@ class TestVerify:
         assert payload["symbolic_match"] is True
         assert payload["pass"] is False
         assert payload["per_level"][0]["n"] == 2
+
+
+class TestFormulaIsRenderedOnlyWhenPrinted:
+    """Text output of eventual and verify prints no formula, so it renders
+    none; json and tsv print every key, the formula among them."""
+
+    CALLS = [["eventual", "--formula", "h(6)"],
+             ["verify", "--formula", "energy", "--conjecture", "(n^2 - 3*n)/2"]]
+
+    @staticmethod
+    def run(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(argv)
+        return rc, out.getvalue()
+
+    @pytest.mark.parametrize("argv", CALLS)
+    def test_text_renders_no_formula(self, argv, monkeypatch):
+        def refuse(self):
+            raise RuntimeError("formula rendered for text output")
+        monkeypatch.setattr(AdmissibleFormula, "render", refuse)
+        rc, out = self.run(argv)
+        assert rc == 0
+        assert out.strip()
+
+    @pytest.mark.parametrize("fmt,line", [("json", '  "formula": "RENDERED",'),
+                                          ("tsv", "formula\tRENDERED")])
+    @pytest.mark.parametrize("argv", CALLS)
+    def test_json_and_tsv_print_the_formula(self, argv, fmt, line, monkeypatch):
+        monkeypatch.setattr(AdmissibleFormula, "render", lambda self: "RENDERED")
+        rc, out = self.run([*argv, "--format", fmt])
+        assert rc == 0
+        assert line in out.splitlines()
 
 
 class TestSeriesAndOracle:

@@ -153,6 +153,20 @@ GOLDEN = [
     (['verify', '--formula', '(p1 + p2 + z)^6', '--conjecture', SUM6 + ' + 1/3', '--format', 'tsv'], 1,
      'c782a6899c95d999f7309cdfa54a2f4b938aaf1780b5a31a3803a1d45020f575',
      EMPTY),
+    # The largest formula renders as json and tsv: the "formula" key is
+    # the whole power-sum presentation of h(18) and e(16).
+    (['eventual', '--formula', 'h(18)', '--format', 'json'], 0,
+     'e67742b6b439f9a9d76f5c28e51f8047d053387311df5579472ed32cf4a9459f',
+     EMPTY),
+    (['verify', '--formula', 'h(18)', '--conjecture', H18, '--format', 'tsv'], 0,
+     'b7f3b7d332752f4ba7ec50bd5fb3f7b1a9e80c7305e38890b50544589e09ffd7',
+     EMPTY),
+    (['eventual', '--formula', 'e(16)', '--format', 'json'], 0,
+     '0481dc7fe5767fd19a624e0445d4bcff4d42068d84afe9c0dac5437c7028b96d',
+     EMPTY),
+    (['verify', '--formula', 'e(16)', '--conjecture', E16, '--format', 'tsv'], 0,
+     '95d8fd352ed307e0fb2adfcc1af9dfd6327daee6607a0706a09cec11855b202e',
+     EMPTY),
     (['verify', '--formula', 'h(18)', '--conjecture', H18], 0,
      'ae842721604123d24703c623fcfa86dc2f8880f3c752d5b12d35373bf94065e3',
      EMPTY),

@@ -22,10 +22,23 @@ def test_all_entries_resolve_and_are_not_modules():
         assert not isinstance(value, types.ModuleType), name
 
 
+def _uses(nodes):
+    """(names read, attribute names read, relative imports) inside nodes."""
+    walked = [n for node in nodes for n in ast.walk(node)]
+    reads = {n.id for n in walked if isinstance(n, ast.Name)}
+    attrs = {n.attr for n in walked if isinstance(n, ast.Attribute)}
+    inner = {(n.module, a.name) for n in walked
+             if isinstance(n, ast.ImportFrom) and n.level == 1 for a in n.names}
+    return reads, attrs, inner
+
+
 def _module_graph():
-    """Per module of the package: its top-level definitions, as name ->
-    (names the definition reads, relative imports inside it), and its
-    top-level relative imports, as local name -> (module, name)."""
+    """Per module of the package: its definitions, as name -> (names the
+    definition reads, attribute names it reads, relative imports inside
+    it), and its top-level relative imports, as local name -> (module,
+    name).  The definitions are the top-level ones and, as
+    "Class.method", each method of a class whose name is not a dunder;
+    the class itself reads what the rest of its body reads."""
     graph = {}
     for path in SRC.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -35,40 +48,54 @@ def _module_graph():
                 for alias in node.names:
                     imports[alias.asname or alias.name] = (node.module, alias.name)
                 continue
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, ast.FunctionDef)
+                           and not (m.name.startswith("__") and m.name.endswith("__"))]
+                for method in methods:
+                    defs[f"{node.name}.{method.name}"] = _uses([method])
+                rest = [*node.bases, *node.keywords, *node.decorator_list,
+                        *(m for m in node.body if m not in methods)]
+                defs[node.name] = _uses(rest)
+                continue
+            if isinstance(node, ast.FunctionDef):
                 targets = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
                 targets = [t.id for t in nodes if isinstance(t, ast.Name)]
             else:
                 continue
-            reads = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-            inner = {(n.module, a.name) for n in ast.walk(node)
-                     if isinstance(n, ast.ImportFrom) and n.level == 1 for a in n.names}
             for target in targets:
-                defs[target] = (reads, inner)
+                defs[target] = _uses([node])
         graph[path.stem] = (defs, imports)
     return graph
 
 
 def _reached_from_cli_main():
-    """(module, name) of every top-level definition that cli.main reaches
-    through names it reads, following imports between the modules.  A
-    class reaches everything its methods read."""
+    """(module, name) of every definition that cli.main reaches through
+    names it reads, following imports between the modules.  A method is
+    reached when its class is and a reached definition reads its name as
+    an attribute; dunders go with their class, since operators and
+    protocols call them without naming them."""
     graph = _module_graph()
-    reached, todo = set(), [("cli", "main")]
+    reached, attrs, todo = set(), set(), [("cli", "main")]
     while todo:
-        module, name = todo.pop()
-        defs, imports = graph[module]
-        if name in imports:
-            todo.append(imports[name])
-            continue
-        if name not in defs or (module, name) in reached:
-            continue
-        reached.add((module, name))
-        reads, inner = defs[name]
-        todo.extend((module, read) for read in reads)
-        todo.extend(inner)
+        while todo:
+            module, name = todo.pop()
+            defs, imports = graph[module]
+            if name in imports:
+                todo.append(imports[name])
+                continue
+            if name not in defs or (module, name) in reached:
+                continue
+            reached.add((module, name))
+            reads, read_attrs, inner = defs[name]
+            todo.extend((module, read) for read in reads)
+            todo.extend(inner)
+            attrs |= read_attrs
+        todo = [(module, name) for module, (defs, _imports) in graph.items()
+                for name in defs if (module, name) not in reached
+                and name.partition(".")[2] in attrs
+                and (module, name.partition(".")[0]) in reached]
     return reached
 
 
@@ -89,10 +116,22 @@ def test_every_top_level_definition_has_a_caller_in_the_cli():
     reached = _reached_from_cli_main()
     unreached = [
         name for module, (defs, _imports) in _module_graph().items() for name in defs
-        if (module, name) not in reached
+        if "." not in name and (module, name) not in reached
         and not (module == "__init__" and name in ("__version__", "__all__"))
     ]
     assert sorted(unreached) == sorted(NOT_YET_CALLED)
+
+
+def test_every_method_has_a_caller_in_the_cli():
+    """Each method of a class, dunders aside, is read as an attribute by
+    a definition that cli.main reaches, so a method that lost its last
+    caller fails here."""
+    reached = _reached_from_cli_main()
+    unreached = [
+        f"{module}.{name}" for module, (defs, _imports) in _module_graph().items()
+        for name in defs if "." in name and (module, name) not in reached
+    ]
+    assert unreached == []
 
 
 def test_every_top_level_import_is_read():

@@ -55,6 +55,11 @@ class TestBuild:
         with pytest.raises(ValueError, match="nonnegative"):
             AdmissibleFormula(v1, [(QPoly([1, -1]), -1)])
 
+    @pytest.mark.parametrize("mult", [2.5, "3", Fraction(3)])
+    def test_non_integer_exponent_rejected(self, mult):
+        with pytest.raises(TypeError):
+            AdmissibleFormula(PowerSumExpr.const(1), [(QPoly([1, -1]), mult)])
+
     def test_render(self):
         F = AdmissibleFormula(z * v2 - v1**2, [(QPoly([1, -1]), 1)])
         assert F.render() == "(-p1^2 + z*p2) * prod(1 - t)"
@@ -164,7 +169,7 @@ class TestKernelAgainstReference:
     @example(psi=h_family(18), offset=-1)
     @example(psi=h_family(18), offset=0)
     @example(psi=(v1 + v2 + z) ** 6, offset=-3)
-    @example(psi=PowerSumExpr.zero(), offset=0)
+    @example(psi=PowerSumExpr(), offset=0)
     def test_evaluate_on_both_sides_of_threshold(self, psi, offset):
         F = AdmissibleFormula(psi)
         n = max(2, F.n_star + offset)
@@ -178,7 +183,7 @@ class TestKernelAgainstReference:
     @example(psi=h_family(18))
     @example(psi=(v1 + v2 + z) ** 6)
     @example(psi=z**3 * v2 - z * v1**2)
-    @example(psi=PowerSumExpr.zero())
+    @example(psi=PowerSumExpr())
     def test_eventual_matches_stable_substitution(self, psi):
         F = AdmissibleFormula(psi)
         gen_values = {
@@ -224,5 +229,7 @@ class TestVerifyIdentity:
         d = verify_identity(energy(), conjecture, check_below_threshold=True).to_dict()
         assert d["symbolic_match"] is True
         assert d["pass"] is False
+        assert d["formula"] == "-p1^2 + z*p2"
+        assert d["d"] == 2
         assert d["n_star"] == 4
         assert len(d["per_level"]) == 2

@@ -62,7 +62,7 @@ class TestNewtonConversions:
     def test_newton_duality(self):
         # sum_{i=0}^{r} (-1)^i e_i h_{r-i} = 0 for r >= 1
         for r in range(1, 11):
-            acc = PowerSumExpr.zero()
+            acc = PowerSumExpr()
             for i in range(r + 1):
                 term = e_family(i) * h_family(r - i)
                 acc = acc + (term if i % 2 == 0 else -term)
@@ -80,7 +80,7 @@ class TestNewtonConversions:
                     elif j <= i:
                         row.append(PowerSumExpr.gen(i - j + 1))
                     else:
-                        row.append(PowerSumExpr.zero())
+                        row.append(PowerSumExpr())
                 rows.append(row)
             det = _det(rows)
             assert det.scale(Fraction(1, _factorial(r))) == e_family(r)
@@ -97,7 +97,7 @@ def _det(rows):
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    acc = PowerSumExpr.zero()
+    acc = PowerSumExpr()
     for j in range(n):
         entry = rows[0][j]
         if entry.is_zero():
@@ -186,7 +186,7 @@ class TestRendering:
         assert render_powersum(z * v2 - v1**2) == "-p1^2 + z*p2"
 
     def test_zero(self):
-        assert render_powersum(PowerSumExpr.zero()) == "0"
+        assert render_powersum(PowerSumExpr()) == "0"
 
     def test_rational_and_power(self):
         psi = v2.scale(Fraction(1, 2)) + v1**2 * z
@@ -274,8 +274,8 @@ class TestIntegerProductAgainstFractions:
     # whose cross terms cancel: z*p1*p2 in the last one
     @settings(max_examples=200)
     @given(a=powersum_exprs(max_d=9), b=powersum_exprs(max_d=9))
-    @example(a=PowerSumExpr.zero(), b=SPARSE_A)
-    @example(a=SPARSE_B, b=PowerSumExpr.zero())
+    @example(a=PowerSumExpr(), b=SPARSE_A)
+    @example(a=SPARSE_B, b=PowerSumExpr())
     @example(a=PowerSumExpr.const(Fraction(-3, 7)), b=SPARSE_B)
     @example(a=PowerSumExpr.const(Fraction(5, 2)), b=PowerSumExpr.const(Fraction(4, 15)))
     @example(a=SPARSE_A, b=SPARSE_B)
@@ -286,8 +286,8 @@ class TestIntegerProductAgainstFractions:
 
     @settings(max_examples=100)
     @given(a=powersum_exprs(max_d=4), k=st.integers(0, 8))
-    @example(a=PowerSumExpr.zero(), k=0)
-    @example(a=PowerSumExpr.zero(), k=3)
+    @example(a=PowerSumExpr(), k=0)
+    @example(a=PowerSumExpr(), k=3)
     @example(a=PowerSumExpr.const(Fraction(2, 3)), k=7)
     @example(a=SPARSE_A, k=8)
     @example(a=v1 + v2 + z, k=8)
