@@ -2,7 +2,7 @@
 punctured cyclotomic cosine points, with stable-range reduction through
 the universal invariants and finite verification of global identities."""
 
-from .exactcore import UniPoly, poly_divrem, rat_str, resultant
+from .exactcore import UniPoly, rat_str, resultant
 from .symfunc import PowerSumExpr
 from .invariants import (
     QPoly,
@@ -36,7 +36,7 @@ from .dsl import parse_conjecture, parse_formula, parse_qpoly
 __version__ = "0.1.0"
 
 __all__ = [
-    "UniPoly", "poly_divrem", "rat_str", "resultant", "PowerSumExpr",
+    "UniPoly", "rat_str", "resultant", "PowerSumExpr",
     "QPoly", "cos_power_sum", "multiplicative_invariant",
     "punctured_min_poly", "punctured_power_sum", "sin_power_sum",
     "AdmissibleFormula", "EvalReport", "evaluate",

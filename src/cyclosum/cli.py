@@ -235,6 +235,11 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # MemoryError: a list too long for memory, such as --n 2^62, refused
+    # before anything is allocated
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK if passed else EXIT_MISMATCH
 
 

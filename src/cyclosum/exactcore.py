@@ -1,5 +1,5 @@
 """Exact arithmetic substrate: rationals, dense univariate polynomials,
-division with remainder, resultants, the text forms of polynomials, and
+the resultant by Euclid's remainders, the text forms of polynomials, and
 the integer rows of log q, the one recurrence behind both coefficient
 extraction and Newton's identities for W_n.  (The truncated power series
 of the trunk congruence are test reference code, in tests/reference.py.)
@@ -92,11 +92,6 @@ class UniPoly:
     def constant(self) -> Fraction:
         return self.coeffs[0] if self.coeffs else Fraction(0)
 
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ZeroDivisorError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def coeff(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
@@ -147,15 +142,6 @@ class UniPoly:
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
         return power(self, k, UniPoly.const(1))
-
-    def __divmod__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return poly_divrem(self, o)
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -290,51 +276,41 @@ def poly_str(p: UniPoly, var: str) -> str:
     return join_terms(terms)
 
 
-def poly_divrem(a: UniPoly, b: UniPoly) -> tuple:
-    """Exact division with remainder: a = b*q + r, deg r < deg b."""
-    if b.is_zero():
-        raise ZeroDivisorError("zero divisor")
-    q = [Fraction(0)] * max(len(a.coeffs) - len(b.coeffs) + 1, 0)
-    r = list(a.coeffs)
-    lead = b.leading()
-    db = b.degree
-    while len(r) - 1 >= db and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        k = len(r) - 1 - db
-        f = r[-1] / lead
-        q[k] = f
-        for j in range(db + 1):
-            r[k + j] -= f * b.coeffs[j]
-    return UniPoly(q), UniPoly(r)
-
-
 def resultant(a: UniPoly, b: UniPoly) -> Fraction:
     """Resultant of two nonzero polynomials, computed exactly.
 
     For monic a with roots alpha_i (with multiplicity) this equals
-    prod_i b(alpha_i).
+    prod_i b(alpha_i).  Euclid runs on the coefficient lists: with
+    deg a >= deg b >= 1 and r = a mod b,
+    res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) res(b, r), and
+    res(a, c) = c^(deg a) for a constant c (von zur Gathen & Gerhard,
+    Modern Computer Algebra, ch. 6).
     """
     if a.is_zero() or b.is_zero():
         raise ZeroDivisorError("resultant of a zero polynomial")
+    a, b = list(a.coeffs), list(b.coeffs)
     acc = Fraction(1)
-    while True:
-        da, db = a.degree, b.degree
-        if da == 0:
-            return acc * a.leading() ** db
-        if db == 0:
-            return acc * b.leading() ** da
-        if da < db:
-            if (da * db) % 2:
-                acc = -acc
-            a, b = b, a
-            continue
-        r = a % b
-        if r.is_zero():
-            return Fraction(0)
-        if (da * db) % 2:
+    if len(a) < len(b):
+        if (len(a) - 1) * (len(b) - 1) % 2:
             acc = -acc
-        acc *= b.leading() ** (da - r.degree)
-        a, b = b, r
+        a, b = b, a
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        lead = b[-1]
+        tail = [-c / lead for c in b[:-1]]
+        # a becomes r in place: each popped top coefficient f cancels
+        # against f * b / lead, whose lower terms are f * tail
+        for k in range(da - db, -1, -1):
+            f = a.pop()
+            if f:
+                for j, c in enumerate(tail, k):
+                    a[j] += f * c
+        while a and a[-1] == 0:
+            a.pop()
+        if not a:
+            return Fraction(0)
+        if da * db % 2:
+            acc = -acc
+        acc *= lead ** (da - (len(a) - 1))
+        a, b = b, a
+    return acc * b[0] ** (len(a) - 1)

@@ -11,6 +11,8 @@ The tests check it against the independent routes kept here:
   the stable closed form of P_h as a polynomial in n;
 - the Chebyshev polynomial T_n(t), the reference for W_n through
   T_n - 1 = 2^(n-1) (t - 1) W_n;
+- the resultant as the determinant of the Sylvester matrix, the
+  reference for the remainder sequence of exactcore.resultant;
 - truncated power series, the Catalan series A(t)^n, the stable closed
   form of h_r and the trunk congruence H_n(t) = (1 - t) A(t)^n;
 - the products with one Fraction operation per partial product: the
@@ -208,6 +210,37 @@ def chebyshev_T(n):
         c = L << j >> 1  # L_k 2^(j-1), an integer: at j = 0, L_k = 2
         coeffs[j] = -c if k % 2 else c
     return UniPoly(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# The resultant
+# ---------------------------------------------------------------------------
+
+
+def sylvester_resultant(a, b):
+    """Resultant of two nonzero UniPoly as the determinant of their
+    Sylvester matrix: deg b shifted rows of a's coefficients, then deg a
+    shifted rows of b's, highest degree first, so that for monic a it is
+    prod_i b(alpha_i).  The determinant is taken by Fraction Gaussian
+    elimination with row swaps."""
+    m, n = a.degree, b.degree
+    rows = [[0] * k + list(a.coeffs[::-1]) + [0] * (n - 1 - k) for k in range(n)]
+    rows += [[0] * k + list(b.coeffs[::-1]) + [0] * (m - 1 - k) for k in range(m)]
+    det = Fraction(1)
+    for col in range(m + n):
+        pivot = next((i for i in range(col, m + n) if rows[i][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        top = rows[col]
+        det *= top[col]
+        for i in range(col + 1, m + n):
+            f = rows[i][col] / top[col]
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], top)]
+    return det
 
 
 # ---------------------------------------------------------------------------

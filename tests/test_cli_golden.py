@@ -456,6 +456,26 @@ GOLDEN = [
     (['eval', '--formula', 'prod(1-t)', '--n', '99999999999999999999999'], 2,
      EMPTY,
      '490a6c43e5a8770a7547de006ffd02fd31562c078c487c75c3ebdaf05061f294'),
+    # A level whose list fits an index but not memory (2^62) is refused
+    # with exit 2 and nothing on stdout.
+    (['minpoly', '--n', '4611686018427387904'], 2,
+     EMPTY,
+     '59b647143a2e3ba558a750709e176249c1263ab34e1546a527f0e76de884ead6'),
+    (['mq', '--formula', '1 - t', '--n', '4611686018427387904'], 2,
+     EMPTY,
+     '59b647143a2e3ba558a750709e176249c1263ab34e1546a527f0e76de884ead6'),
+    # M_Q shapes the other calls leave out: deg Q > deg W_n, so the
+    # resultant swaps its arguments first (3), and a Q whose top
+    # coefficient vanishes at z = n - 1 (1/16), also through eval.
+    (['mq', '--formula', '1 + z*t - 3*t^3', '--n', '2'], 0,
+     '1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2',
+     EMPTY),
+    (['mq', '--formula', '1 + t + (z - 4)*t^2', '--n', '5'], 0,
+     'a6866a3c341481cdbdc10c15e98f1448e5d6e1e5485bebd8293f835a5d0dc7ec',
+     EMPTY),
+    (['eval', '--formula', 'p1*prod(1 + t + (z - 4)*t^2)', '--n', '5', '--format', 'json'], 0,
+     'a187e640b68adb05acf690de6d1b5d92f8dd6286f88353d5edb3a610ae22ab2a',
+     EMPTY),
     # Out-of-range n or h, refused by the library's own checks.
     (['power-sum', '--n', '10', '--h', '-1'], 2,
      EMPTY,

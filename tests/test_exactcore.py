@@ -3,12 +3,13 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cyclosum.exactcore import (
     UniPoly,
     ZeroDivisorError,
     log_rows,
-    poly_divrem,
     poly_str,
     rat_str,
     resultant,
@@ -16,11 +17,37 @@ from cyclosum.exactcore import (
 from cyclosum.invariants import QPoly
 
 from conftest import random_rational, random_unipoly
-from reference import Series, a_power_series, log_coeff_list, series_mul
+from reference import (
+    Series,
+    a_power_series,
+    log_coeff_list,
+    series_mul,
+    sylvester_resultant,
+)
 
 
 def P(coeffs):
     return UniPoly(coeffs)
+
+
+def _poly(draw, degree):
+    """A rational polynomial of exactly the given degree, with numerators
+    in [-20, 20] and denominators in [1, 12]."""
+    nums = draw(st.lists(st.integers(-20, 20), min_size=degree + 1, max_size=degree + 1))
+    dens = draw(st.lists(st.integers(1, 12), min_size=degree + 1, max_size=degree + 1))
+    nums[-1] = nums[-1] or 1
+    return P([Fraction(x, y) for x, y in zip(nums, dens)])
+
+
+@st.composite
+def resultant_pairs(draw):
+    """(a, b): nonzero rational polynomials of degree 0 to 6, either one
+    the larger.  In about three pairs in five both are multiples of a
+    common g of degree 1 to 3, so that their resultant is 0."""
+    g = _poly(draw, draw(st.sampled_from((0, 0, 1, 2, 3))))
+    a = _poly(draw, draw(st.integers(0, 6 - g.degree))) * g
+    b = _poly(draw, draw(st.integers(0, 6 - g.degree))) * g
+    return a, b
 
 
 class TestRational:
@@ -77,37 +104,6 @@ class TestUniPoly:
             if not a.is_zero() and not b.is_zero():
                 assert (a * b).degree == a.degree + b.degree
 
-    def test_divrem_difference_of_squares(self):
-        q, r = poly_divrem(P([-1, 0, 1]), P([-1, 1]))
-        assert q == P([1, 1])
-        assert r.is_zero()
-
-    def test_divrem_cubic(self):
-        # expected quotient frozen after expanding (t-1)(4t^2+4t+1) = 4t^3-3t-1
-        q, r = poly_divrem(P([-1, -3, 0, 4]), P([-1, 1]))
-        assert q == P([1, 4, 4])
-        assert r.is_zero()
-
-    def test_divrem_low_degree_numerator(self):
-        q, r = poly_divrem(P([0, 0, 1]), P([0, 0, 0, 1]))
-        assert q.is_zero()
-        assert r == P([0, 0, 1])
-
-    def test_divrem_zero_divisor(self):
-        with pytest.raises(ZeroDivisorError, match="zero divisor"):
-            poly_divrem(P([1, 1]), P([]))
-
-    def test_divrem_round_trip(self):
-        rng = random.Random(3)
-        for _ in range(100):
-            a = random_unipoly(rng, 12)
-            b = random_unipoly(rng, 12)
-            if b.is_zero():
-                continue
-            q, r = poly_divrem(a, b)
-            assert b * q + r == a
-            assert r.degree < b.degree or r.is_zero()
-
     def test_power_matches_repeated_product(self):
         p = P([1, Fraction(-2, 3), 0, 5])
         acc = P([1])
@@ -145,6 +141,18 @@ class TestResultant:
     def test_zero_input_rejected(self):
         with pytest.raises(ZeroDivisorError):
             resultant(P([]), P([1, 1]))
+
+    @settings(max_examples=400)
+    @given(resultant_pairs())
+    @example((P([-1, 0, 1]), P([1, 0, 0, -3])))  # deg a < deg b: swapped once
+    @example((P([5]), P([1, 2, 3])))  # constant a
+    @example((P([1, 2, 3]), P([Fraction(-2, 3)])))  # constant b
+    @example((P([7]), P([Fraction(1, 2)])))  # both constant
+    @example((P([-1, 0, 1]), P([2, -3, 1])))  # shared factor t - 1
+    @example((P([1, 1, 1, 1]), P([0, 1, 1])))  # odd degrees: a sign flip
+    def test_matches_sylvester_determinant(self, pair):
+        a, b = pair
+        assert resultant(a, b) == sylvester_resultant(a, b)
 
     def test_multiplicative_in_second_argument(self):
         rng = random.Random(5)
