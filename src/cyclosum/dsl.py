@@ -15,12 +15,14 @@ A formula is an expression.  prod(...) is an atom that any product may
 hold, with the ordinary "^" INT; a value holding one cannot be added,
 subtracted or divided by.
 
-Every mode parses into PowerSumExpr, the formula's own type: "pN" is
-the generator v_N and "z" the coefficient variable.  Inside prod(...)
-"t" is v_1, so the coefficient of t^k is terms[(k,)]; in a conjecture
-"n" stands where "z" would, and the constant term is the polynomial.
-Division is restricted to nonzero rational constants.  Every input
-either yields a value or a positioned syntax/semantic error.
+Every value the parser builds is an AdmissibleFormula: a PowerSumExpr
+psi_star times the product factors.  In psi_star "pN" is the generator
+v_N and "z" the coefficient variable.  Inside prod(...) "t" is v_1, so
+the coefficient of t^k is terms[(k,)]; in a conjecture "n" stands where
+"z" would, and the constant term is the polynomial.  Division is
+restricted to nonzero rational constants.  Every input yields a value,
+a FormulaSyntaxError that names its line and column, or a
+FormulaSemanticError, which names no position.
 """
 
 from __future__ import annotations
@@ -41,10 +43,13 @@ MAX_NESTING = 100  # groups, (...) or prod(...), open at once
 
 
 class FormulaSyntaxError(ValueError):
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} (line {line}, column {column})")
-        self.line = line
-        self.column = column
+    """A syntax error at a character offset of the input, reported by its
+    line and column."""
+
+    def __init__(self, message: str, text: str, offset: int):
+        self.line = text.count("\n", 0, offset) + 1
+        self.column = offset - text.rfind("\n", 0, offset)
+        super().__init__(f"{message} (line {self.line}, column {self.column})")
 
 
 class FormulaSemanticError(ValueError):
@@ -57,51 +62,27 @@ _TOKEN_RE = re.compile(
   | (?P<number>\d+)
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>[-+*/^(),])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
+_TOO_LONG = "number of {} digits exceeds the maximum of %d digits" % MAX_NUMBER_DIGITS
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _check_digits(digits: str, line: int, column: int):
-    if len(digits) > MAX_NUMBER_DIGITS:
-        raise FormulaSyntaxError(
-            f"number of {len(digits)} digits exceeds the maximum of "
-            f"{MAX_NUMBER_DIGITS} digits", line, column
-        )
-
-
-def _tokenize(text: str) -> List[_Token]:
+def _tokenize(text: str) -> List[Tuple[str, str, int]]:
+    """(kind, text, offset) of every token, then an "eof" token.  The whole
+    input is read first, so a bad character or an over-long number is
+    reported wherever it stands."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind == "number":
-            _check_digits(chunk, line, col)
+    for m in _TOKEN_RE.finditer(text):
+        kind, chunk = m.lastgroup, m.group()
+        if kind == "bad":
+            raise FormulaSyntaxError(f"unexpected character {chunk!r}", text, m.start())
+        if kind == "number" and len(chunk) > MAX_NUMBER_DIGITS:
+            raise FormulaSyntaxError(_TOO_LONG.format(len(chunk)), text, m.start())
         if kind != "ws":
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+            tokens.append((kind, chunk, m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
@@ -114,127 +95,104 @@ def _to_qpoly(psi: PowerSumExpr) -> QPoly:
         raise FormulaSemanticError(str(exc)) from None
 
 
-class _FVal:
-    """Parse-time value: a symmetric part plus accumulated product factors."""
-
-    __slots__ = ("psi", "prods")
-
-    def __init__(self, psi: PowerSumExpr, prods: Tuple[Tuple[QPoly, int], ...] = ()):
-        self.psi = psi
-        self.prods = prods
-
-    def _require_pure(self, op: str):
-        if self.prods:
-            raise FormulaSemanticError(
-                f"product factors cannot take part in {op}; "
-                "multiply prod(...) at the top level only"
-            )
-
-    def add(self, other: "_FVal") -> "_FVal":
-        self._require_pure("addition")
-        other._require_pure("addition")
-        return _FVal(self.psi + other.psi)
-
-    def sub(self, other: "_FVal") -> "_FVal":
-        self._require_pure("subtraction")
-        other._require_pure("subtraction")
-        return _FVal(self.psi - other.psi)
-
-    def neg(self) -> "_FVal":
-        return _FVal(-self.psi, self.prods)
-
-    def mul(self, other: "_FVal") -> "_FVal":
-        return _FVal(self.psi * other.psi, self.prods + other.prods)
-
-    def div(self, other: "_FVal") -> "_FVal":
-        other._require_pure("division")
-        c = other.psi.terms.get((), UniPoly())
-        if not other.psi.is_constant() or not c.is_constant():
-            raise FormulaSemanticError("division is only allowed by rational constants")
-        if c.is_zero():
-            raise FormulaSemanticError("division by zero")
-        return _FVal(self.psi.scale(1 / c.constant()), self.prods)
-
-    def pow(self, k: int) -> "_FVal":
-        if k < 0:
-            raise FormulaSemanticError("negative exponents are not allowed")
-        return _FVal(self.psi**k, tuple((Q, m * k) for Q, m in self.prods if m * k))
+def _pure(value: AdmissibleFormula, op: str) -> PowerSumExpr:
+    """The symmetric part of a value without product factors."""
+    if value.products:
+        raise FormulaSemanticError(
+            f"product factors cannot take part in {op}; "
+            "multiply prod(...) at the top level only"
+        )
+    return value.psi_star
 
 
 class _Parser:
     def __init__(self, text: str, mode: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.mode = mode  # "formula", "qpoly", or "conjecture"
         self.depth = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> Tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> Tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.text != text:
-            self.fail(f"expected {text!r}, found {tok.text!r}" if tok.text else f"expected {text!r}")
+    def expect(self, text: str) -> Tuple[str, str, int]:
+        found = self.peek()[1]
+        if found != text:
+            self.fail(f"expected {text!r}, found {found!r}" if found else f"expected {text!r}")
         return self.advance()
 
-    def group(self) -> _FVal:
+    def integer(self, message: str) -> int:
+        kind, text, _ = self.peek()
+        if kind != "number":
+            self.fail(message)
+        self.pos += 1
+        return int(text)
+
+    def fail(self, message: str, tok=None):
+        """Raise a syntax error at tok, by default the next token."""
+        raise FormulaSyntaxError(message, self.text, (tok or self.peek())[2])
+
+    def group(self) -> AdmissibleFormula:
         """The expression between '(' and ')'.  A '(' that would open more
         than MAX_NESTING groups is refused, so the recursion stays bounded."""
         tok = self.expect("(")
         if self.depth == MAX_NESTING:
-            raise FormulaSyntaxError(
-                f"groups nest deeper than {MAX_NESTING} levels", tok.line, tok.col
-            )
+            self.fail(f"groups nest deeper than {MAX_NESTING} levels", tok)
         self.depth += 1
         value = self.expression()
         self.depth -= 1
         self.expect(")")
         return value
 
-    def fail(self, message: str):
-        tok = self.peek()
-        raise FormulaSyntaxError(message, tok.line, tok.col)
-
-    # expression := term { (+|-) term }
-    def expression(self) -> _FVal:
-        tok = self.peek()
-        negate = False
-        if tok.kind == "op" and tok.text in "+-":
+    # expression := [+|-] term { (+|-) term }
+    def expression(self) -> AdmissibleFormula:
+        kind, sign, _ = self.peek()
+        if kind == "op" and sign in "+-":
             self.advance()
-            negate = tok.text == "-"
         value = self.term()
-        if negate:
-            value = value.neg()
-        while self.peek().text in ("+", "-"):
-            op = self.advance().text
+        if sign == "-":
+            value = AdmissibleFormula(-value.psi_star, value.products)
+        while self.peek()[1] in ("+", "-"):
+            op = self.advance()[1]
             rhs = self.term()
-            value = value.add(rhs) if op == "+" else value.sub(rhs)
+            name = "addition" if op == "+" else "subtraction"
+            a, b = _pure(value, name), _pure(rhs, name)
+            value = AdmissibleFormula(a + b if op == "+" else a - b)
         return value
 
     # term := factor { (*|/) factor }
-    def term(self) -> _FVal:
+    def term(self) -> AdmissibleFormula:
         value = self.factor()
-        while self.peek().text in ("*", "/"):
-            op = self.advance().text
+        while self.peek()[1] in ("*", "/"):
+            op = self.advance()[1]
             rhs = self.factor()
-            value = value.mul(rhs) if op == "*" else value.div(rhs)
+            if op == "*":
+                value = AdmissibleFormula(value.psi_star * rhs.psi_star,
+                                          value.products + rhs.products)
+                continue
+            divisor = _pure(rhs, "division")
+            c = divisor.terms.get((), UniPoly())
+            if not divisor.is_constant() or not c.is_constant():
+                raise FormulaSemanticError("division is only allowed by rational constants")
+            if c.is_zero():
+                raise FormulaSemanticError("division by zero")
+            value = AdmissibleFormula(value.psi_star.scale(1 / c.constant()), value.products)
         return value
 
     # factor := atom [ ^ INT ]
-    def factor(self) -> _FVal:
+    def factor(self) -> AdmissibleFormula:
         value = self.atom()
-        if self.peek().text == "^":
+        if self.peek()[1] == "^":
             self.advance()
-            tok = self.peek()
-            if tok.kind != "number":
-                self.fail("expected an integer exponent after '^'")
-            self.advance()
-            value = value.pow(int(tok.text))
+            k = self.integer("expected an integer exponent after '^'")
+            value = AdmissibleFormula(value.psi_star**k,
+                                      tuple((Q, m * k) for Q, m in value.products))
         return value
 
     def _int_args(self, count: int) -> List[int]:
@@ -244,40 +202,45 @@ class _Parser:
         for i in range(count):
             if i:
                 self.expect(",")
-            tok = self.peek()
-            if tok.kind != "number":
-                self.fail("expected an integer argument")
-            args.append(int(self.advance().text))
+            args.append(self.integer("expected an integer argument"))
         self.expect(")")
         return args
 
-    def atom(self) -> _FVal:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            return _FVal(PowerSumExpr.const(int(tok.text)))
-        if tok.text == "(":
+    def atom(self) -> AdmissibleFormula:
+        kind, text, _ = tok = self.peek()
+        if text == "(":
             return self.group()
-        if tok.kind == "name":
-            return self.name_atom()
-        self.fail(f"unexpected token {tok.text!r}" if tok.text else "unexpected end of input")
+        if kind == "number":
+            self.advance()
+            return AdmissibleFormula(PowerSumExpr.const(int(text)))
+        if kind != "name":
+            self.fail(f"unexpected token {text!r}" if text else "unexpected end of input")
+        self.advance()
+        if text == "prod" and self.mode == "formula":
+            self.mode = "qpoly"
+            inner = self.group()
+            self.mode = "formula"
+            return AdmissibleFormula(PowerSumExpr.const(1), ((_to_qpoly(inner.psi_star), 1),))
+        return AdmissibleFormula(self.symbol(tok))
 
-    def name_atom(self) -> _FVal:
-        tok = self.advance()
-        name = tok.text
+    def symbol(self, tok) -> PowerSumExpr:
+        """The value of a name other than prod, with its arguments."""
+        name = tok[1]
         if self.mode == "conjecture":
             if name == NVAR:
-                return _FVal(PowerSumExpr.z())
-            self.fail(f"unknown symbol {name!r} in a conjecture (only 'n' is allowed)")
+                return PowerSumExpr.z()
+            self.fail(f"unknown symbol {name!r} in a conjecture (only 'n' is allowed)", tok)
         if name == ZVAR:
-            return _FVal(PowerSumExpr.z())
+            return PowerSumExpr.z()
         if self.mode == "qpoly":
             if name == TVAR:
-                return _FVal(PowerSumExpr.gen(1))
-            self.fail(f"unknown symbol {name!r} inside prod(...) (use 't' and 'z')")
+                return PowerSumExpr.gen(1)
+            self.fail(f"unknown symbol {name!r} inside prod(...) (use 't' and 'z')", tok)
         # formula mode
+        gen = PowerSumExpr.gen
         if re.fullmatch(r"p\d+", name):
-            _check_digits(name[1:], tok.line, tok.col)
+            if len(name) - 1 > MAX_NUMBER_DIGITS:
+                self.fail(_TOO_LONG.format(len(name) - 1), tok)
             index = int(name[1:])
             if index < 1:
                 raise FormulaSemanticError("power-sum index must be >= 1")
@@ -286,32 +249,25 @@ class _Parser:
                     f"power-sum index {index} exceeds the configured maximum "
                     f"{MAX_POWER_SUM_INDEX}"
                 )
-            return _FVal(PowerSumExpr.gen(index))
+            return gen(index)
         if name == "energy":
-            gen = PowerSumExpr.gen
-            return _FVal(PowerSumExpr.z() * gen(2) - gen(1) ** 2)
+            return PowerSumExpr.z() * gen(2) - gen(1) ** 2
         if name == "e":
             (r,) = self._int_args(1)
             self._check_index(r)
-            return _FVal(extract_coefficient_family(QPoly([1, 1]), r))
+            return extract_coefficient_family(QPoly([1, 1]), r)
         if name == "h":
             (r,) = self._int_args(1)
             self._check_index(r)
-            return _FVal(h_family(r))
+            return h_family(r)
         if name == "mixed":
             a, b = self._int_args(2)
             if a < 1 or b < 1:
                 raise FormulaSemanticError("mixed(a, b) arguments must be >= 1")
             self._check_index(a + b)
             # sum_{i != j} x_i^a x_j^b = p_a p_b - p_{a+b}
-            gen = PowerSumExpr.gen
-            return _FVal(gen(a) * gen(b) - gen(a + b))
-        if name == "prod":
-            outer, self.mode = self.mode, "qpoly"
-            inner = self.group()
-            self.mode = outer
-            return _FVal(PowerSumExpr.const(1), ((_to_qpoly(inner.psi), 1),))
-        self.fail(f"unknown symbol {name!r}")
+            return gen(a) * gen(b) - gen(a + b)
+        self.fail(f"unknown symbol {name!r}", tok)
 
     def _check_index(self, r: int):
         if r < 1:
@@ -321,37 +277,32 @@ class _Parser:
                 f"degree {r} exceeds the configured maximum {MAX_POWER_SUM_INDEX}"
             )
 
-    def parse(self) -> _FVal:
+    def parse(self) -> AdmissibleFormula:
         value = self.expression()
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.fail(f"unexpected trailing input {tok.text!r}")
+        kind, text, _ = self.peek()
+        if kind != "eof":
+            self.fail(f"unexpected trailing input {text!r}")
         return value
 
 
 def parse_formula(text: str) -> AdmissibleFormula:
     """Parse DSL text into an AdmissibleFormula."""
-    value = _Parser(text, "formula").parse()
-    return AdmissibleFormula(value.psi, value.prods)
+    return _Parser(text, "formula").parse()
 
 
 def parse_conjecture(text: str) -> UniPoly:
     """Parse a conjectured eventual polynomial in n."""
-    psi = _Parser(text, "conjecture").parse().psi
+    psi = _Parser(text, "conjecture").parse().psi_star
     return psi.terms.get((), UniPoly())
 
 
 def parse_qpoly(text: str) -> QPoly:
     """Parse a unit-normalized product factor in t (and optionally z)."""
-    return _to_qpoly(_Parser(text, "qpoly").parse().psi)
+    return _to_qpoly(_Parser(text, "qpoly").parse().psi_star)
 
 
 def strip_comments(text: str) -> str:
-    """File form: UTF-8, one formula per file, '#' starts a comment."""
-    lines = []
-    for line in text.splitlines():
-        idx = line.find("#")
-        if idx >= 0:
-            line = line[:idx]
-        lines.append(line)
-    return " ".join(lines).strip()
+    """File form: UTF-8, one formula per file, '#' starts a comment that
+    runs to the end of its line.  The lines stay apart, so an error names
+    the file's own line and column."""
+    return "\n".join(line.partition("#")[0] for line in text.splitlines()).rstrip()

@@ -10,9 +10,10 @@ single eventual polynomial in n.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
@@ -51,13 +52,19 @@ class AdmissibleFormula:
 
     psi_star: PowerSumExpr
     products: ProductDatum = ()
-    d: int = field(init=False)
-    n_star: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "products", _normalize_products(self.products))
-        object.__setattr__(self, "d", self.psi_star.weighted_degree)
-        object.__setattr__(self, "n_star", self.d + 2)
+
+    # The parser builds one formula per operator, so d scans the terms
+    # only when it is first read.
+    @functools.cached_property
+    def d(self) -> int:
+        return self.psi_star.weighted_degree
+
+    @property
+    def n_star(self) -> int:
+        return self.d + 2
 
     @property
     def is_polynomial_case(self) -> bool:

@@ -201,7 +201,7 @@ GOLDEN = [
      EMPTY),
     (['eval', '--formula', 't*p1', '--n', '40'], 2,
      EMPTY,
-     'ce01c2b32c23f60b97884db91ead37ca5c392d60ff86c182af45d56784ac46b7'),
+     'e023cf145976924e42d4df10126bbae47ae7a73844375e4c8bd87bcdfe008c5f'),
     (['eval', '--formula', 'p0', '--n', '40'], 2,
      EMPTY,
      '5a107f64b6de0d69a02a688da7ecc6993baddfb2296671af6a8e56e7a06128cd'),
@@ -219,7 +219,7 @@ GOLDEN = [
      EMPTY),
     (['eval', '--formula', 'prod(1 + p1*t)', '--n', '40'], 2,
      EMPTY,
-     'cd6e04ce7ecfdab2ee3a3bda2fff8261a3656f0f26a93d6a588da3685968156f'),
+     'c69b85ad54234e8dcc071c76a40cd421f9f0bb60cc6acc7dc05edb45d10ac28b'),
     (['eval', '--formula', 'prod(1 + t)^0', '--n', '40'], 0,
      'e2b269f0438a5c5a57eb9bd1487716857065688e40fc45cf74c55a55e55d1b83',
      EMPTY),
@@ -241,7 +241,7 @@ GOLDEN = [
      '72339f6e3e3f4069f20b97fbd1746a9096a177af1eca7f7c5cb51e98717a5c0e'),
     (['verify', '--formula', 'energy', '--conjecture', 'z'], 2,
      EMPTY,
-     '7282ef535e86791677979230817b6ee5fe428074ec301fec1ce69e10c72e0c0b'),
+     '15907b4ca982d6e94610268836c065f000fcce2c0b9404dd647e05187c420bc8'),
     (['mq', '--formula', '1 + t/0', '--n', '5'], 2,
      EMPTY,
      'e62eee0c728a1a299840e4d236c6aa7094b26b9bfac58b577c8a733473075b55'),
@@ -574,6 +574,16 @@ def test_formula_file_with_comments_is_pinned(tmp_path):
         "0ec5395eaacbd64120fcf270f4414a1eb2e23674d065e3661426b7a95a483380"
     ), out
     assert err == ""
+
+
+def test_formula_file_error_is_pinned(tmp_path):
+    path = tmp_path / "broken.txt"
+    path.write_text("# header comment\np1 + # trailing\n  $ p2\n", encoding="utf-8")
+    rc, out, err = _run(["eval", "--file", str(path), "--n", "5"])
+    assert (rc, out) == (2, "")
+    assert _digest(err) == (
+        "12199be4c58e85b4ef07362cbae0155faa7a79deb7e79bdc6d74ccff3463e4dd"
+    ), err
 
 
 def _load_workloads():

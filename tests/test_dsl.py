@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,7 @@ from cyclosum.dsl import (
     parse_qpoly,
     strip_comments,
 )
-from cyclosum.exactcore import UniPoly, poly_str
+from cyclosum.exactcore import NVAR, UniPoly, poly_str
 from cyclosum.invariants import QPoly
 from cyclosum.symfunc import PowerSumExpr, render_powersum
 
@@ -24,6 +26,10 @@ from conftest import newton_e, newton_h, powersum_exprs
 v1, v2, v3 = (PowerSumExpr.gen(r) for r in (1, 2, 3))
 z = PowerSumExpr.z()
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+
+
+def _nested(depth, inner):
+    return "(" * depth + inner + ")" * depth
 
 
 class TestFormulaParsing:
@@ -126,8 +132,17 @@ class TestFormulaErrors:
             parse_formula("p1 p2")
 
     def test_unknown_symbol(self):
-        with pytest.raises(FormulaSyntaxError, match="unknown symbol"):
-            parse_formula("q7")
+        # the error points at the symbol, not at the token after it
+        for parse, text, line, column in [
+            (parse_formula, "q7", 1, 1),
+            (parse_formula, "foo + 1", 1, 1),
+            (parse_formula, "p1 +\n  foo * 2", 2, 3),
+            (parse_qpoly, "1 + p1*t", 1, 5),
+            (parse_conjecture, "n + m*2", 1, 5),
+        ]:
+            with pytest.raises(FormulaSyntaxError, match="unknown symbol") as err:
+                parse(text)
+            assert (err.value.line, err.value.column) == (line, column)
 
     def test_mixed_zero_argument_rejected(self):
         # mixed(0, b) would need the generator p0, which has no meaning
@@ -143,13 +158,10 @@ class TestFormulaErrors:
     def test_nesting_cap(self):
         # MAX_NESTING groups parse; the '(' that opens one more is refused,
         # also far past the interpreter's recursion limit
-        def nested(depth, inner="p1"):
-            return "(" * depth + inner + ")" * depth
-
-        assert parse_formula(nested(MAX_NESTING)).psi_star == v1
-        assert parse_formula(nested(MAX_NESTING - 1, "prod(1 - t)")).products
-        for text in (nested(MAX_NESTING + 1), nested(MAX_NESTING, "prod(1 - t)"),
-                     nested(10_000)):
+        assert parse_formula(_nested(MAX_NESTING, "p1")).psi_star == v1
+        assert parse_formula(_nested(MAX_NESTING - 1, "prod(1 - t)")).products
+        for text in (_nested(MAX_NESTING + 1, "p1"), _nested(MAX_NESTING, "prod(1 - t)"),
+                     _nested(10_000, "p1")):
             with pytest.raises(FormulaSyntaxError, match="nest deeper") as err:
                 parse_formula(text)
             assert err.value.column == text.index("(", MAX_NESTING) + 1
@@ -234,3 +246,150 @@ class TestFileForm:
 
     def test_comment_only_file(self):
         assert strip_comments("# nothing here\n   # still nothing") == ""
+
+    def test_error_names_the_file_line_and_column(self):
+        text = "# header comment\np1 + # trailing\n  $ p2\n"
+        with pytest.raises(FormulaSyntaxError, match="unexpected character") as err:
+            parse_formula(strip_comments(text))
+        assert (err.value.line, err.value.column) == (3, 3)
+
+
+# The pinned corpus: hand-written inputs that reach every error message of
+# the parser, with the number and nesting limits on both sides, and seeded
+# random token strings.  Each mode's outcomes, the printed value or the
+# error's type and message, are pinned by one sha256.
+LIMIT_DIGITS = "1" * MAX_NUMBER_DIGITS
+OVER_DIGITS = "1" * (MAX_NUMBER_DIGITS + 1)
+PADDED_ONE = "0" * (MAX_NUMBER_DIGITS - 1) + "1"
+
+
+CORPUS_CASES = {
+    "formula": [
+        "energy", "h(6)", "e(6)", "mixed(2, 1)", "3*p1/2 - 1/4", "-p1", "+p1",
+        "(p1 + p2)^2 - p1^2", "z*p02 - p1*p01", "energy * prod(1 - t)^2",
+        "(z*p2 - p1^2) * prod(1 - t)", "prod(1 + z*t - 2*t^2)", "prod(1 - t)^0",
+        "-prod(1 - t)*p1", "2*prod(1 - t)*prod(1 + t)^3 / 4", "prod(1)",
+        "p1 @ p2", "p1 + é", "p1\n  + $", "p1 +\n\tq7", "\n\n  foo",
+        LIMIT_DIGITS, OVER_DIGITS, f"p1 + {OVER_DIGITS}", f"p2^{OVER_DIGITS}",
+        f"p{PADDED_ONE}", f"p{LIMIT_DIGITS}", f"p{OVER_DIGITS}",
+        f"h({OVER_DIGITS})", f"mixed(2, {OVER_DIGITS})",
+        _nested(MAX_NESTING, "p1"), _nested(MAX_NESTING + 1, "p1"),
+        _nested(MAX_NESTING - 1, "prod(1 - t)"), _nested(MAX_NESTING, "prod(1 - t)"),
+        "(p1", "(p1 p2)", "prod", "prod 1", "h 3", "h(3", "mixed(1 2)",
+        "p1^", "p1^p2", "p1^-1", "prod(1+t)^2^3", "h(p1)", "h()", "mixed(1, )",
+        "p1 + )", "", "   ", "p1 +", "p1 * * p2", "foo + 1", "t*p1", "n",
+        "prod(1 + p1*t)", "prod(prod(1 - t))", "prod(1 + n*t)", "p1 p2", "p1 )",
+        "prod(1 - t) + p1", "p1 + prod(1 - t)", "prod(1 - t) - p1",
+        "p1 - prod(1 - t)", "p1 / prod(1 - t)", "p2 / p1", "p1 / z", "p1/0",
+        "p1/(1 - 1)", "p1/z + )", "p0", "p00", "p33", "mixed(0, 2)", "mixed(2, 0)",
+        "mixed(16, 17)", "h(0)", "e(33)", "h(6) + )", "prod(t + 2)", "prod(z)",
+        "prod(2)",
+    ],
+    "conjecture": [
+        "(n^2 - 3*n)/2", "5/8", "-n*(n+4)*(n+5)/384", "0", "n - n", "n^0",
+        "n + m*2", "z", "n + t", "p1", "prod(1 - t)", "n/n", "n/0", "n^",
+        OVER_DIGITS, LIMIT_DIGITS, f"n + {OVER_DIGITS}", "n\n+ $", "\n  n + é",
+        _nested(MAX_NESTING, "n"), _nested(MAX_NESTING + 1, "n"), "(n", "n n", "",
+    ],
+    "qpoly": [
+        "1 - t", "1 - t^2", "1 + z*t - 2*t^2", "1", "(1 - t)^3", "1 + t/2",
+        "2 - t", "z", "t", "p1", "n", "prod(1 - t)", "1 - t/0", "1 + t/t", "t^",
+        "1 + $", "1 +\n\n  %", f"1 + {OVER_DIGITS}*t", f"{LIMIT_DIGITS}*t + 1",
+        _nested(MAX_NESTING, "1 - t"), _nested(MAX_NESTING + 1, "1 - t"),
+        "(1 - t", "1 - t t", "",
+    ],
+}
+
+# Token fragments of the DSL, a few characters outside it, and the mode's
+# own variables once more.  Numbers are single digits, kept apart by a
+# space, so an exponent is at most 3 and a builtin argument at most 6.
+_FRAGMENTS = (
+    "p1", "p2", "p3", "p0", "p32", "p33", "z", "t", "n", "energy", "e", "h",
+    "mixed", "prod", "q", "h(6)", "e(6)", "0", "1", "2", "3", "+", "-", "*",
+    "/", "^", "(", ")", ",", " ", "\n", "\t", "٣", "$", "é",
+)
+# Atoms of well-formed expressions in each mode, and the form a qpoly
+# takes so that its constant term is 1 more often than not.
+_ATOMS = {
+    "formula": ("p1", "p2", "p3", "z", "2", "energy", "h(3)", "e(2)",
+                "mixed(1, 2)", "prod(1 - t)", "prod(1 + z*t - t^2)"),
+    "conjecture": ("n", "n", "1", "2", "3", "0"),
+    "qpoly": ("t", "t", "z", "1", "2", "3"),
+}
+_TEMPLATE = {"formula": "{}", "conjecture": "{}", "qpoly": "1 - t*({})"}
+CORPUS_SEED = {"formula": 1900, "conjecture": 1901, "qpoly": 1902}
+CORPUS_RANDOM = 150  # fragment strings, and as many expressions, per mode
+
+
+def _random_expression(rng, atoms, depth=1):
+    """Up to three terms of up to two factors; a factor is an atom or,
+    above depth 0, a parenthesized expression, with an exponent <= 3."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = []
+        for _ in range(rng.randint(1, 2)):
+            factor = (f"({_random_expression(rng, atoms, depth - 1)})"
+                      if depth and rng.random() < 0.25 else rng.choice(atoms))
+            if rng.random() < 0.3:
+                factor += f"^{rng.randint(0, 3)}"
+            factors.append(factor)
+        terms.append(rng.choice(("*", "*", "/")).join(factors))
+    signs = [rng.choice(("", "-", "+"))] + [rng.choice((" + ", " - "))
+                                            for _ in terms[1:]]
+    return "".join(sign + term for sign, term in zip(signs, terms))
+
+
+def _random_inputs(mode):
+    """Fragment strings, then well-formed expressions, every other one
+    with one fragment inserted at a random place."""
+    rng = random.Random(CORPUS_SEED[mode])
+    texts = []
+    for _ in range(CORPUS_RANDOM):
+        text = ""
+        for _ in range(rng.randint(1, 12)):
+            piece = rng.choice(_FRAGMENTS)
+            if text[-1:].isdigit() and piece[0].isdigit():
+                text += " "
+            text += piece
+        texts.append(text)
+    for i in range(CORPUS_RANDOM):
+        text = _TEMPLATE[mode].format(_random_expression(rng, _ATOMS[mode]))
+        if i % 2:
+            at = rng.randint(0, len(text))
+            text = text[:at] + rng.choice(_FRAGMENTS) + text[at:]
+        texts.append(text)
+    return texts
+
+
+_SHOW = {
+    "formula": lambda text: parse_formula(text).render(),
+    "conjecture": lambda text: poly_str(parse_conjecture(text), NVAR),
+    "qpoly": lambda text: str(parse_qpoly(text)),
+}
+
+
+def corpus_outcomes(mode):
+    """(input, outcome) for every corpus input of the mode."""
+    out = []
+    for text in CORPUS_CASES[mode] + _random_inputs(mode):
+        try:
+            outcome = _SHOW[mode](text)
+        except (FormulaSyntaxError, FormulaSemanticError) as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        out.append((text, outcome))
+    return out
+
+
+CORPUS_SHA = {
+    "formula": "016c9e8ea00e4e67a5912aa2d366fdfe1eae239a5a2eafe0adc7da07663fad51",
+    "conjecture": "f6329e67639d2c02404ecafe877e8141cc26cfed55daaf83fcad7b644daf9a80",
+    "qpoly": "5f633cc2f177befe67226731fe4fc05243d3110e7f647bf005d90528fb2646c0",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(CORPUS_SHA))
+def test_pinned_corpus(mode):
+    digest = hashlib.sha256()
+    for text, outcome in corpus_outcomes(mode):
+        digest.update(f"{text!r}\t{outcome}\n".encode("utf-8"))
+    assert digest.hexdigest() == CORPUS_SHA[mode]
