@@ -232,6 +232,10 @@ GOLDEN = [
     (['eval', '--formula', 'p1*prod(1 + t/z)', '--n', '40'], 2,
      EMPTY,
      '72339f6e3e3f4069f20b97fbd1746a9096a177af1eca7f7c5cb51e98717a5c0e'),
+    # Numbers are ASCII digits: an Arabic-Indic digit is a number today.
+    (['eval', '--formula', 'p1^٣ + ٢', '--n', '5'], 0,
+     '056db99f16dd162810abcb6015c8fbd89bd6a7e8e7594cb522e57f5e53ac41e4',
+     EMPTY),
     # prod(...) takes one '^ INT' like any atom, so a second one trails.
     (['eval', '--formula', 'prod(1+t)^2^3', '--n', '40'], 2,
      EMPTY,
@@ -275,6 +279,19 @@ GOLDEN = [
      EMPTY),
     (['oracle', '--formula', 'prod(1 + 2*t)', '--n', '3'], 0,
      '05d40aa21eaec1e83ae052bb34a9b4a4588ef28846db393bf390ec4cf7f1f57f',
+     EMPTY),
+    # Values past 2^3500 and below 2^-3500 (1.778e+1145 and 2.002e-1106).
+    (['oracle', '--formula', 'prod(1 + 4*t)^12', '--n', '320'], 0,
+     '7a782a959e4d3801285022ebbbd459cf02b99891a5b2aeea51129e9dc9cb231e',
+     EMPTY),
+    (['oracle', '--formula', 'prod(1 + 4*t)^12', '--n', '320', '--format', 'json'], 0,
+     '460284230da0b1af5d07a8cab53226192bfdf1e094da134a1365d9644df84daa',
+     EMPTY),
+    (['oracle', '--formula', 'prod(1 - t)^13', '--n', '300'], 0,
+     '6eb9bf6eaa3657e38bf9d046808b69f513ea5555729095c908b8bef3c674ba1b',
+     EMPTY),
+    (['oracle', '--formula', 'prod(1 - t)^13', '--n', '300', '--format', 'json'], 0,
+     'e462a5e7a287e1b761acc299db50225b5a05590209dc23c4e35665d63a7a8c5f',
      EMPTY),
     # 4,366 digits: past CPython's default limit for str(int).
     (['power-sum', '--n', '2', '--h', '14500'], 0,
