@@ -9,10 +9,10 @@ Two routes that share no code with the parity-binomial formulas:
   The same pass bounds its own error (Higham, Accuracy and Stability of
   Numerical Algorithms, ch. 3 and 5), and cross_check takes that bound as
   its default tolerance, so the verdict means the same at every
-  magnitude.  Results are dyadic (man, exp) pairs, man * 2^exp, printed
-  in decimal by _nstr.
-- exact_newton_powersums recovers the power sums from the coefficients
-  of W_n by Newton's identities.
+  magnitude.  Its value and bound are exact Fractions, which _nstr
+  prints in decimal, correctly rounded.
+- exact_newton_powersums recovers the power sums from the complete
+  homogeneous series h_r of the points by Newton's identities.
 
 The float route needs nothing beyond the standard library.
 """
@@ -25,19 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
+from .catalan import h_global_series
 from .exactcore import log_rows, rat, rat_str
-from .invariants import punctured_min_poly
 from .rigidity import AdmissibleFormula, evaluate
 
 DEFAULT_PRECISION = 256
 _GUARD = 64  # bits a product mantissa keeps beyond the working precision
 _HALVINGS = 8  # the cosine's angle is halved this often before its series
 _ZIV_GUARD = 40  # first guard bits of a cosine point; each retry doubles them
-# floor(2^64 ln 2) and floor(2^64 ln 10), the logarithms that _nstr's
-# power of ten for an exponent beyond 3500 bits reads.
-_LN2, _LN10 = 0xB17217F7D1CF79AB, 0x24D763776AAA2B05B
-
-Dyadic = Tuple[int, int]  # (man, exp): the number man * 2^exp
 
 
 @functools.cache
@@ -122,28 +117,6 @@ def cosine_points(n: int, precision: int = DEFAULT_PRECISION) -> Tuple[int, ...]
     return tuple(X[1:])
 
 
-def _round(num: int, den: int, bits: int, mode: str = "n", exp: int = 0) -> Dyadic:
-    """num/den * 2^exp, for num >= 0 and den > 0, rounded to `bits` bits:
-    to nearest with ties to even ("n"), toward zero ("d") or away from
-    zero ("u").  The mantissa is odd, or 0, so each number has one form."""
-    if not num:
-        return 0, 0
-    shift = bits + 2 + den.bit_length() - num.bit_length()
-    q, r = divmod(num << shift, den) if shift >= 0 else divmod(num, den << -shift)
-    cut = q.bit_length() - bits  # 2 or 3
-    man, low, half = q >> cut, q & ((1 << cut) - 1), 1 << (cut - 1)
-    if (mode == "u" and (low or r)
-            or mode == "n" and (low > half or low == half and (r or man & 1))):
-        man += 1
-    zeros = (man & -man).bit_length() - 1
-    return man >> zeros, exp + cut - shift + zeros
-
-
-def _fraction(x: Dyadic) -> Fraction:
-    man, exp = x
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-
-
 def _weighted_sum(values, even: bool):
     """Sum over the n-1 points of values given per distinct point: the
     last distinct point is k = n/2 with weight 1 when n is even."""
@@ -182,11 +155,12 @@ def _log2_dyadic(man: int, exp: int) -> float:
 
 def float_eval(
     F: AdmissibleFormula, n: int, precision: int = DEFAULT_PRECISION
-) -> Tuple[Dyadic, Dyadic]:
+) -> Tuple[Fraction, Fraction]:
     """(value, bound): F at level n by one fixed-point pass over the
-    distinct cosine points, rounded to W + 64 bits, and a bound on
-    |value - F(n)|, both as (man, exp) pairs.  There is no
-    stable-range requirement, so this is also the below-threshold route.
+    distinct cosine points, and a bound on |value - F(n)|, both exact.
+    The value is man * 2^exp as the pass's W + 64-bit mantissa cuts leave
+    it.  There is no stable-range requirement, so this is also the
+    below-threshold route.
 
     With W = precision, u = 2^-W, N = n - 1, H = max_gen, points x_k and
     their fixed-point values y_k (|y_k - x_k| <= u, |y_k| <= 1):
@@ -310,76 +284,53 @@ def float_eval(
     log_S += _log2_sum(log_kappas)
     G = 2 + K.bit_length()
 
-    vman, vexp = _round(abs(man), 1, W + _GUARD, "n", exp)
     log_bound = log_S + G - W
     top = math.floor(log_bound)
-    bman, bden = math.exp2(log_bound - top).as_integer_ratio()
-    return (-vman if man < 0 else vman, vexp), (bman, top + 1 - bden.bit_length())
+    bound = Fraction(math.exp2(log_bound - top)) * Fraction(2) ** top
+    return man * Fraction(2) ** exp, bound
 
 
 def exact_newton_powersums(n: int, d: int) -> List[Fraction]:
     """Power sums p_1..p_d of the punctured cosine points, derived from
-    the coefficients of W_n by Newton's identities, through the recurrence
-    of coefficient extraction.  Never touches the parity-binomial
-    formulas."""
+    the series sum_r h_r s^r = 1 / prod_k (1 - alpha_k s) by Newton's
+    identities, through the recurrence of coefficient extraction.  Never
+    touches the parity-binomial formulas."""
     if n < 2:
         raise ValueError("level n must be >= 2")
     if d < 0:
         raise ValueError("d must be nonnegative")
-    W = punctured_min_poly(n)
-    # W reversed is prod_k (1 - alpha_k t), whose log has k L_k = -p_k
-    A, N = log_rows([(W.coeff(W.degree - j),) for j in range(min(d, W.degree) + 1)], d)
-    return [Fraction(-row[0][1], A**k) if row else Fraction(0)
+    # log sum_r h_r s^r = sum_k p_k s^k / k, so k L_k = p_k
+    A, N = log_rows([(h,) for h in h_global_series(n, d)], d)
+    return [Fraction(row[0][1], A**k) if row else Fraction(0)
             for k, row in enumerate(N[1:], start=1)]
 
 
-def _digits_exp(man: int, exp: int, dps: int) -> Tuple[str, int]:
-    """(digits, exponent) of man * 2^exp > 0: the number floored to a
-    binary fixed point of about dps decimal digits, then floored to
-    decimal, so the digit string may run past dps digits and its leading
-    digit stands at 10^exponent.  Past 2^3500 or below 2^-3500 the number
-    is first divided, rounding down, by 10^b with b = trunc(exp log10 2)
-    from 64-bit logarithms; 10^b is rounded down, and 10^-b up before its
-    reciprocal is rounded down, each to the working bits."""
-    bitprec = int(dps * math.log(10, 2)) + 10
-    exponent = 0
-    if abs(exp + man.bit_length()) > 3500:
-        e = abs(exp).bit_length() + 5
-        b = abs(exp) * (_LN2 >> (64 - e)) // (4 * (_LN10 >> (66 - e)))
-        if exp < 0:
-            b = -b
-            im, ie = _round(5**-b, 1, bitprec + 5, "u", -b)
-            pm, pe = _round(1, im, bitprec, "d", -ie)
-        else:
-            pm, pe = _round(5**b, 1, bitprec, "d", b)
-        man, exp = _round(man, pm, bitprec, "d", exp - pe)
-        exponent = b
-    fixprec = max(bitprec - exp - man.bit_length(), 0)
-    fixdps = int(fixprec / math.log(10, 2) + 0.5)
-    shift = exp + fixprec
-    fixed = man << shift if shift >= 0 else man >> -shift
-    digits = str(fixed * 10**fixdps >> fixprec)
-    return digits, exponent + len(digits) - fixdps - 1
-
-
-def _nstr(x: Dyadic, dps: int) -> str:
-    """x, with an odd mantissa or 0 as _round leaves it, in decimal with
-    at most dps significant digits: the floored digits of _digits_exp
-    rounded half up at digit dps, fixed point for a leading digit at 10^e
-    with min(-(dps//3), -5) < e < dps and an exponent otherwise, and
-    trailing zeros stripped.  These are the digits the oracle has always
-    printed, digit for digit."""
-    man, exp = x
-    if not man:
+def _nstr(x: Fraction, dps: int) -> str:
+    """x in decimal, correctly rounded to dps significant digits, half
+    away from zero: fixed point for a leading digit at 10^e with
+    min(-(dps//3), -5) < e < dps and an exponent otherwise, and trailing
+    zeros stripped."""
+    if not x:
         return "0.0"
-    digits, exponent = _digits_exp(abs(man), exp, dps + 3)
-    if len(digits) > dps and digits[dps] >= "5":
-        digits = str(int(digits[:dps]) + 1)
-        if len(digits) > dps:  # a carry through nines
-            digits, exponent = digits[:dps], exponent + 1
-    else:
-        digits = digits[:dps]
-    split = 1
+    num, den = abs(x.numerator), x.denominator
+    # q = floor(|x| 10^(dps-1-e)) has dps digits exactly when
+    # 10^e <= |x| < 10^(e+1); the estimate of e can be off by more than 1
+    e = math.floor((num.bit_length() - den.bit_length()) * math.log10(2))
+    while True:
+        s = dps - 1 - e
+        scaled_num, scaled_den = (num * 10**s, den) if s >= 0 else (num, den * 10**-s)
+        q, r = divmod(scaled_num, scaled_den)
+        if q < 10 ** (dps - 1):
+            e -= 1
+        elif q >= 10**dps:
+            e += 1
+        else:
+            break
+    if 2 * r >= scaled_den:
+        q += 1
+        if q == 10**dps:  # a carry through nines
+            q, e = q // 10, e + 1
+    digits, exponent, split = str(q), e, 1
     if min(-(dps // 3), -5) < exponent < dps:
         if exponent < 0:
             digits = "0" * -exponent + digits
@@ -389,17 +340,10 @@ def _nstr(x: Dyadic, dps: int) -> str:
     digits = (digits[:split] + "." + digits[split:]).rstrip("0")
     if digits[-1] == ".":
         digits += "0"
-    sign = "-" if man < 0 else ""
+    sign = "-" if x < 0 else ""
     if exponent == 0:
         return sign + digits
     return f"{sign}{digits}e{'+' if exponent > 0 else ''}{exponent}"
-
-
-def _round_rational(q: Fraction, bits: int) -> Dyadic:
-    """q >= 0 rounded to `bits` bits in two steps, the numerator first and
-    then the quotient, as the printed residual and tolerance always were."""
-    man, exp = _round(q.numerator, 1, bits)
-    return _round(man, q.denominator, bits, "n", exp)
 
 
 @dataclass(frozen=True)
@@ -438,14 +382,14 @@ def cross_check(
             raise ValueError(f"tolerance must be nonnegative, got {rat_str(tolerance)}")
     exact = evaluate(F, n).value
     value, bound = float_eval(F, n, precision)
-    residual = abs(_fraction(value) - exact)
+    residual = abs(value - exact)
     if tolerance is None:
-        tolerance = _fraction(bound)
+        tolerance = bound
     return CheckReport(
         quantity=F.render(),
         exact=exact,
         float_value=_nstr(value, 30),
-        residual=_nstr(_round_rational(residual, precision), 10),
-        tolerance=_nstr(_round_rational(tolerance, precision), 10),
+        residual=_nstr(residual, 10),
+        tolerance=_nstr(tolerance, 10),
         passed=residual <= tolerance,
     )
