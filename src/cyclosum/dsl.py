@@ -59,7 +59,7 @@ class FormulaSemanticError(ValueError):
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<number>\d+)
+  | (?P<number>[0-9]+)
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>[-+*/^(),])
   | (?P<bad>.)

@@ -232,10 +232,10 @@ GOLDEN = [
     (['eval', '--formula', 'p1*prod(1 + t/z)', '--n', '40'], 2,
      EMPTY,
      '72339f6e3e3f4069f20b97fbd1746a9096a177af1eca7f7c5cb51e98717a5c0e'),
-    # Numbers are ASCII digits: an Arabic-Indic digit is a number today.
-    (['eval', '--formula', 'p1^٣ + ٢', '--n', '5'], 0,
-     '056db99f16dd162810abcb6015c8fbd89bd6a7e8e7594cb522e57f5e53ac41e4',
-     EMPTY),
+    # Numbers are ASCII digits: an Arabic-Indic digit is refused.
+    (['eval', '--formula', 'p1^٣ + ٢', '--n', '5'], 2,
+     EMPTY,
+     'bd7951abfd12f425eaecff388d70508934a72d1786928f26d70de7298ec2db62'),
     # prod(...) takes one '^ INT' like any atom, so a second one trails.
     (['eval', '--formula', 'prod(1+t)^2^3', '--n', '40'], 2,
      EMPTY,

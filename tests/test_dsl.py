@@ -127,6 +127,17 @@ class TestFormulaErrors:
         with pytest.raises(FormulaSyntaxError, match="unexpected character"):
             parse_formula("p1 @ p2")
 
+    def test_numbers_are_ascii_digits(self):
+        # a non-ASCII decimal digit is not a number in any mode
+        for parse, text, column in [
+            (parse_formula, "p1^٣ + ٢", 4),
+            (parse_conjecture, "n + ٢", 5),
+            (parse_qpoly, "1 - ٢*t", 5),
+        ]:
+            with pytest.raises(FormulaSyntaxError, match="unexpected character") as err:
+                parse(text)
+            assert (err.value.line, err.value.column) == (1, column)
+
     def test_trailing_input(self):
         with pytest.raises(FormulaSyntaxError, match="trailing"):
             parse_formula("p1 p2")
@@ -381,9 +392,9 @@ def corpus_outcomes(mode):
 
 
 CORPUS_SHA = {
-    "formula": "016c9e8ea00e4e67a5912aa2d366fdfe1eae239a5a2eafe0adc7da07663fad51",
-    "conjecture": "f6329e67639d2c02404ecafe877e8141cc26cfed55daaf83fcad7b644daf9a80",
-    "qpoly": "5f633cc2f177befe67226731fe4fc05243d3110e7f647bf005d90528fb2646c0",
+    "formula": "f2e94dc3805ecc8f844c252f06c4e098e8b97768654c0551f10eac5035438d14",
+    "conjecture": "6dc95e50926009ada86ba64738a051b12bada12e5a0854517af3ed5db7318792",
+    "qpoly": "e8641d6c2a6cda69f8860867b784b020203e662839c59e84c5271b5a487c470a",
 }
 
 
