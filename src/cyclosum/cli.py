@@ -206,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(payload: dict, fmt: str, text_key):
     """Render a flat payload as text, json, or tsv.  A value may be a
-    zero-argument callable, called only when its key is printed."""
+    zero-argument callable, called only when its key is printed.  Lists
+    and dicts print as json, and so do booleans and None in tsv."""
     text_only = fmt == "text" and text_key
     if text_only:
         payload = {text_key: payload[text_key]}
@@ -215,8 +216,9 @@ def _emit(payload: dict, fmt: str, text_key):
         print(json.dumps(payload, indent=2))
         return
     sep = "\t" if fmt == "tsv" else ": "
+    as_json = (list, dict, bool, type(None)) if fmt == "tsv" else (list, dict)
     for k, v in payload.items():
-        v = json.dumps(v) if isinstance(v, (list, dict)) else v
+        v = json.dumps(v) if isinstance(v, as_json) else v
         print(v if text_only else f"{k}{sep}{v}")
 
 

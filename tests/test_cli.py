@@ -190,6 +190,17 @@ class TestSeriesAndOracle:
         assert lines["n"] == "4"
         assert json.loads(lines["coefficients"]) == ["1", "-1", "1", "-1"]
 
+    def test_tsv_prints_json_literals(self):
+        res = run_cli("verify", "--formula", "energy", "--conjecture", "(n^2-3*n)/2",
+                      "--format", "tsv")
+        assert res.returncode == 0
+        lines = dict(line.split("\t") for line in res.stdout.strip().splitlines())
+        assert (lines["symbolic_match"], lines["difference"], lines["pass"]) == (
+            "true", "null", "true")
+        # text keeps Python's spelling
+        res = run_cli("oracle", "--formula", "h(6)", "--n", "9")
+        assert "pass: True" in res.stdout.splitlines()
+
     def test_oracle(self):
         res = run_cli("oracle", "--formula", "h(6)", "--n", "9", "--format", "json")
         assert res.returncode == 0

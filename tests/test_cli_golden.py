@@ -151,7 +151,7 @@ GOLDEN = [
      '0c86aa925b72c2fe47cf7f879b79f10948d177d68ea72adf6c8de5548e31df71',
      EMPTY),
     (['verify', '--formula', '(p1 + p2 + z)^6', '--conjecture', SUM6 + ' + 1/3', '--format', 'tsv'], 1,
-     'c782a6899c95d999f7309cdfa54a2f4b938aaf1780b5a31a3803a1d45020f575',
+     '62281bc7b8c9551d2dec309edb9fd12a168e9c14a397c29a86038348ec9951d0',
      EMPTY),
     # The largest formula renders as json and tsv: the "formula" key is
     # the whole power-sum presentation of h(18) and e(16).
@@ -159,13 +159,13 @@ GOLDEN = [
      'e67742b6b439f9a9d76f5c28e51f8047d053387311df5579472ed32cf4a9459f',
      EMPTY),
     (['verify', '--formula', 'h(18)', '--conjecture', H18, '--format', 'tsv'], 0,
-     'b7f3b7d332752f4ba7ec50bd5fb3f7b1a9e80c7305e38890b50544589e09ffd7',
+     '5d355f5209d00402867d5215d9048cbff0e1931f131e8a2beb971dd06ddb926b',
      EMPTY),
     (['eventual', '--formula', 'e(16)', '--format', 'json'], 0,
      '0481dc7fe5767fd19a624e0445d4bcff4d42068d84afe9c0dac5437c7028b96d',
      EMPTY),
     (['verify', '--formula', 'e(16)', '--conjecture', E16, '--format', 'tsv'], 0,
-     '95d8fd352ed307e0fb2adfcc1af9dfd6327daee6607a0706a09cec11855b202e',
+     'affc7accf6373f6847f0ae767ebf77d401b661501a1af52f308910078b97fd8a',
      EMPTY),
     (['verify', '--formula', 'h(18)', '--conjecture', H18], 0,
      'ae842721604123d24703c623fcfa86dc2f8880f3c752d5b12d35373bf94065e3',
@@ -382,7 +382,7 @@ GOLDEN = [
      'dc066519dc2f46842f293c0f745ca66990c3b2c4e0bdfda1c16d1c784a3cb5d7',
      EMPTY),
     (['verify', '--formula', 'energy', '--conjecture', '(n^2-3*n)/2', '--below-threshold', '--format', 'tsv'], 1,
-     '9d0cf55870b28b40abb354b6be1c4ef66046d453398913e84f94ed66d902da58',
+     'e657b15b397194657a894c395081bebc9b5acae722cf54f4ff9ce480be38b4fd',
      EMPTY),
     (['hseries', '--n', '9', '--order', '7', '--format', 'tsv'], 0,
      '5c94445c9f609b7852086bd448fddeadd454074d373b0d64a01de374a0fc1385',
@@ -394,7 +394,7 @@ GOLDEN = [
      '62871b49ebd97c029b0b44462001324caf9dc0d96edabfdc838aa55c73346031',
      EMPTY),
     (['oracle', '--formula', 'h(6)', '--n', '9', '--format', 'tsv'], 0,
-     'b76c68f045cd8bbcdb62657db6c379bb9c5dae55dea8bfa90b65692de5753f5c',
+     '7387773271de0199942bebd8446d47b1efe8c43cea583ddec6a07dcf58fc71c1',
      EMPTY),
     # --help, for the top level and for each command, at COLUMNS=80.
     (['--help'], 0,
