@@ -330,20 +330,20 @@ def _nstr(x: Fraction, dps: int) -> str:
         q += 1
         if q == 10**dps:  # a carry through nines
             q, e = q // 10, e + 1
-    digits, exponent, split = str(q), e, 1
-    if min(-(dps // 3), -5) < exponent < dps:
-        if exponent < 0:
-            digits = "0" * -exponent + digits
+    digits, split = str(q), 1
+    if min(-(dps // 3), -5) < e < dps:
+        if e < 0:
+            digits = "0" * -e + digits
         else:
-            split = exponent + 1
-        exponent = 0
+            split = e + 1
+        e = 0
     digits = (digits[:split] + "." + digits[split:]).rstrip("0")
     if digits[-1] == ".":
         digits += "0"
     sign = "-" if x < 0 else ""
-    if exponent == 0:
+    if e == 0:
         return sign + digits
-    return f"{sign}{digits}e{'+' if exponent > 0 else ''}{exponent}"
+    return f"{sign}{digits}e{'+' if e > 0 else ''}{e}"
 
 
 @dataclass(frozen=True)
