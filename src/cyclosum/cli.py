@@ -31,7 +31,19 @@ EXIT_USAGE = 2
 # Fraction("1e-k") builds 10^k in full, superlinear in k (14 s at k = 10^7
 # on a 2-core VM); a larger --tolerance exponent is refused before that.
 MAX_TOLERANCE_EXPONENT = 100_000
-_EXPONENT = re.compile(r"[eE][-+]?([\d_]*)\s*\Z")
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]*)\s*\Z")
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(text):
+    """An integer flag in ASCII digits, as the DSL reads numbers; int()
+    alone would also take other Unicode digits, a sign, spaces and _."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
+_integer.__name__ = "int"  # argparse's "invalid int value" names the type
 
 
 def _load_formula(args):
@@ -46,7 +58,8 @@ def _load_formula(args):
 
 
 def _tolerance(text):
-    """--tolerance as an exact rational, or None when it is not given."""
+    """--tolerance as an exact rational in ASCII, or None when it is not
+    given."""
     if text is None:
         return None
     exponent = _EXPONENT.search(text)
@@ -58,6 +71,8 @@ def _tolerance(text):
             raise ValueError(f"--tolerance exponent exceeds {MAX_TOLERANCE_EXPONENT}"
                              " in magnitude")
     try:
+        if not text.isascii():  # Fraction reads any Unicode digit
+            raise ValueError
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(
@@ -128,9 +143,9 @@ def _oracle(args):
 
 # Argument key -> (flag, add_argument keywords).
 _ARGS = {
-    "n": ("--n", dict(type=int, required=True, help="cyclotomic level")),
-    "h": ("--h", dict(type=int, required=True, help="power-sum exponent")),
-    "order": ("--order", dict(type=int, required=True, help="truncation order")),
+    "n": ("--n", dict(type=_integer, required=True, help="cyclotomic level")),
+    "h": ("--h", dict(type=_integer, required=True, help="power-sum exponent")),
+    "order": ("--order", dict(type=_integer, required=True, help="truncation order")),
     "formula": ("--formula", dict(help="formula DSL text")),
     "file": ("--file", dict(help="file with one formula ('#' comments)")),
     "q": ("--formula", dict(required=True, help="unit-normalized Q in t (and z)")),
@@ -138,10 +153,10 @@ _ARGS = {
     "below-threshold": ("--below-threshold", dict(
         action="store_true",
         help="also check levels 2 <= n < n_star against the exact oracle")),
-    "catalan-n": ("--n", dict(type=int, required=True)),
-    "catalan-l": ("--r", dict(type=int, required=True, help="index l")),
-    "extract-r": ("--r", dict(type=int, required=True)),
-    "precision": ("--precision", dict(type=int, default=DEFAULT_PRECISION, help="bits")),
+    "catalan-n": ("--n", dict(type=_integer, required=True)),
+    "catalan-l": ("--r", dict(type=_integer, required=True, help="index l")),
+    "extract-r": ("--r", dict(type=_integer, required=True)),
+    "precision": ("--precision", dict(type=_integer, default=DEFAULT_PRECISION, help="bits")),
     "tolerance": ("--tolerance", dict(
         help="absolute tolerance (default: the float route's own error bound)")),
     "format": ("--format", dict(choices=("text", "json", "tsv"), default="text",

@@ -1,8 +1,9 @@
 """Exact arithmetic substrate: rationals, dense univariate polynomials,
-the resultant by Euclid's remainders, the text forms of polynomials, and
-the integer rows of log q, the one recurrence behind both coefficient
-extraction and Newton's identities for W_n.  (The truncated power series
-of the trunk congruence are test reference code, in tests/reference.py.)
+the one remainder loop and the resultant by Euclid's remainders, the
+text forms of polynomials, and the integer rows of log q, the one
+recurrence behind both coefficient extraction and Newton's identities
+for W_n.  (The truncated power series of the trunk congruence are test
+reference code, in tests/reference.py.)
 
 Everything here is immutable after construction and all operations are
 pure, so values can be shared freely between threads.
@@ -276,41 +277,65 @@ def poly_str(p: UniPoly, var: str) -> str:
     return join_terms(terms)
 
 
+def primitive_row(cs) -> tuple:
+    """(row, c) for nonzero rational coefficients cs: the integer row with
+    coprime entries and a positive last entry, and the rational c with
+    cs = c * row."""
+    L = math.lcm(*(x.denominator for x in cs))
+    row = [x.numerator * (L // x.denominator) for x in cs]
+    g = math.gcd(*row) if row[-1] > 0 else -math.gcd(*row)
+    return [x // g for x in row], Fraction(g, L)
+
+
+def reduce_rows(a: list, b: list) -> list:
+    """Reduce the integer row a in place modulo the integer row b of
+    degree >= 1 by pseudo-division, and return it.  Each of the
+    s = len(a) - deg b steps (none when a is shorter) replaces a by
+    l a - f t^k b, l = lc(b), which cancels a's top term f t^(k + deg b),
+    so a ends as l^s (a mod b)."""
+    lead, tail = b[-1], b[:-1]
+    for k in range(len(a) - len(b), -1, -1):
+        f = a.pop()
+        if lead != 1:
+            a[:] = [lead * x for x in a]
+        if f:
+            for j, c in enumerate(tail, k):
+                a[j] -= f * c
+    return a
+
+
 def resultant(a: UniPoly, b: UniPoly) -> Fraction:
     """Resultant of two nonzero polynomials, computed exactly.
 
     For monic a with roots alpha_i (with multiplicity) this equals
-    prod_i b(alpha_i).  Euclid runs on the coefficient lists: with
-    deg a >= deg b >= 1 and r = a mod b,
-    res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) res(b, r), and
-    res(a, c) = c^(deg a) for a constant c (von zur Gathen & Gerhard,
-    Modern Computer Algebra, ch. 6).
+    prod_i b(alpha_i).  The rational contents come out first,
+    res(c a, d b) = c^(deg b) d^(deg a) res(a, b), and Euclid runs on
+    primitive integer rows: with deg a >= deg b >= 1,
+    r = a mod b = g p / lc(b)^s for the s = deg a - deg b + 1 steps of
+    reduce_rows and p primitive, and
+    res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) res(b, r)
+              = (-1)^(deg a deg b) lc(b)^(deg a - deg r - s deg b) g^(deg b) res(b, p)
+    (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6).  A
+    constant is the primitive row [1], and res(a, 1) = 1.
     """
     if a.is_zero() or b.is_zero():
         raise ZeroDivisorError("resultant of a zero polynomial")
-    a, b = list(a.coeffs), list(b.coeffs)
-    acc = Fraction(1)
+    (a, ca), (b, cb) = primitive_row(a.coeffs), primitive_row(b.coeffs)
+    acc = ca ** (len(b) - 1) * cb ** (len(a) - 1)
     if len(a) < len(b):
         if (len(a) - 1) * (len(b) - 1) % 2:
             acc = -acc
         a, b = b, a
     while len(b) > 1:
         da, db = len(a) - 1, len(b) - 1
-        lead = b[-1]
-        tail = [-c / lead for c in b[:-1]]
-        # a becomes r in place: each popped top coefficient f cancels
-        # against f * b / lead, whose lower terms are f * tail
-        for k in range(da - db, -1, -1):
-            f = a.pop()
-            if f:
-                for j, c in enumerate(tail, k):
-                    a[j] += f * c
+        reduce_rows(a, b)
         while a and a[-1] == 0:
             a.pop()
         if not a:
             return Fraction(0)
+        a, g = primitive_row(a)
         if da * db % 2:
             acc = -acc
-        acc *= lead ** (da - (len(a) - 1))
+        acc *= Fraction(b[-1]) ** (da - (len(a) - 1) - (da - db + 1) * db) * g**db
         a, b = b, a
-    return acc * b[0] ** (len(a) - 1)
+    return acc

@@ -3,24 +3,45 @@
 Parity binomials, the heat-kernel cosine/sine power sums C(n,h) and
 S(n,h), the punctured power sums P_h(n), the integer coefficients of
 the Chebyshev polynomial T_n, the punctured minimal polynomial W_n, and
-multiplicative invariants M_Q(n) computed through exact resultants.
+multiplicative invariants M_Q(n).  M_Q never builds W_n: the factors
+t - 1 of Q split off through W_n(1) = n^2/2^(n-1), T_n is reduced
+modulo the rest by doubling, and one resultant of degree at most deg Q
+finishes it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import sys
 from itertools import accumulate
 from fractions import Fraction
 from typing import List, Sequence
 
 from .exactcore import (TVAR, ZVAR, UniPoly, join_terms, monomial_str, poly_str,
-                        power_str, rat, resultant)
+                        power_str, primitive_row, rat, reduce_rows, resultant)
 from .symfunc import coeff_poly
 
 
 class InternalConsistencyError(AssertionError):
     pass
+
+
+# For Q of degree D at z = n - 1, with coefficients over the common
+# denominator L and C/L the sum of their absolute values, (L 2^D)^(n-1) M_Q(n)
+# is an integer and |M_Q(n)| <= (C/L)^(n-1), since |alpha_k| <= 1.  Computing
+# M_Q peaked at 2.6 bytes per bit of its value (1 + z*t - 3*t^3 at n = 10^5),
+# so a level whose bound passes 2^29 bits (a peak near 1.4 GB) is refused
+# with MemoryError before any work.
+MAX_MQ_BITS = 2**29
+
+
+def check_level(n: int) -> None:
+    """Refuse a level below 2, or one too large for a list size, with the
+    error that building a list of n entries would raise."""
+    if n < 2:
+        raise ValueError("level n must be >= 2")
+    if n > sys.maxsize:
+        raise OverflowError("cannot fit 'int' into an index-sized integer")
 
 
 def _stride_binomials(n: int, h: int):
@@ -105,7 +126,6 @@ def vieta_lucas_coeffs(n: int, top: int) -> List[int]:
                   for k in range(1, min(top, n // 2) + 1)]
 
 
-@functools.cache
 def punctured_min_poly(n: int) -> UniPoly:
     """W_n(t) = prod_{k=1}^{n-1} (t - cos(2 pi k/n)), monic of degree n-1,
     from the factorization T_n(t) - 1 = 2^(n-1) (t-1) W_n(t).
@@ -114,8 +134,7 @@ def punctured_min_poly(n: int) -> UniPoly:
     quotient of T_n - 1 by t - 1 has their suffix sums as its
     coefficients, and T_n(1) = 1 leaves no remainder.
     """
-    if n < 2:
-        raise ValueError("level n must be >= 2")
+    check_level(n)
     c = [0] * (n + 1)
     for k, L in enumerate(vieta_lucas_coeffs(n, n)):
         j = n - 2 * k
@@ -176,7 +195,82 @@ class QPoly:
         return f"QPoly({self!s})"
 
 
+def _lucas_mod(a: list, n: int):
+    """(row, den) with C_n mod a = row / den, where C_n(x) = 2 T_n(x/2)
+    and a holds the rational coefficients of a polynomial of degree
+    D >= 1.  From C_0 = 2 and C_1 = x the doubling rules
+    C_2m = C_m^2 - 2 and C_2m+1 = C_m C_m+1 - x run on integer rows: b is
+    the primitive row of a, with leading coefficient l > 0, a residue is
+    (e, row) for row / l^e, and reduce_rows pseudo-divides by b.
+    """
+    b, _ = primitive_row(a)
+    lead, D = b[-1], len(b) - 1
+
+    def reduced(e, row):
+        return e + max(0, len(row) - D), reduce_rows(row, b)
+
+    def product_minus(u, v, w):  # u v - w
+        (eu, ru), (ev, rv), (ew, rw) = u, v, w
+        row = [0] * max(len(ru) + len(rv) - 1, len(rw))
+        for i, x in enumerate(ru):
+            if x:
+                for j, y in enumerate(rv, i):
+                    row[j] += x * y
+        p = lead ** (eu + ev - ew)
+        for i, x in enumerate(rw):
+            row[i] -= x * p
+        return reduced(eu + ev, row)
+
+    c0, c1 = (0, [2]), reduced(0, [0, 1])
+    lo, hi = c0, c1  # C_m and C_m+1, from m = 0 through the bits of n
+    for bit in bin(n)[2:]:
+        mid = product_minus(lo, hi, c1)
+        if bit == "1":
+            lo, hi = mid, product_minus(hi, hi, c0)
+        else:
+            lo, hi = product_minus(lo, lo, c0), mid
+    e, row = lo
+    return row, lead**e
+
+
 def multiplicative_invariant(Q: QPoly, n: int) -> Fraction:
-    """M_Q(n) = prod_{k=1}^{n-1} Q(n-1, alpha_{k,n}), computed exactly as
-    the resultant of the monic W_n against Q with z specialized to n-1."""
-    return resultant(punctured_min_poly(n), Q.specialize_z(n - 1))
+    """M_Q(n) = prod_{k=1}^{n-1} Q(n-1, alpha_{k,n}), exactly, without
+    building W_n.
+
+    With z specialized to n - 1, each factor t - 1 of Q is split off
+    first, since prod_k (alpha_k - 1) = (-1)^(n-1) W_n(1) with
+    W_n(1) = n^2/2^(n-1).  The rest Q' has Q'(1) != 0, degree D, leading
+    coefficient c and roots beta_i, so M_Q' = c^(n-1) (-1)^((n-1) D)
+    prod_i W_n(beta_i).  In x = 2t, A(x) = 2^D Q'(x/2) has the roots
+    2 beta_i and C_n(x) = 2 T_n(x/2), so T_n - 1 = 2^(n-1) (t - 1) W_n
+    reads C_n(2 beta) - 2 = 2^(n-1) (2 beta - 2) W_n(beta).  With
+    S = (C_n - 2) mod A, of degree below D, that gives
+    M_Q' = (-1)^(nD) c^(n - deg S) res(A, S) / (2^(nD) Q'(1)): one
+    resultant of degree at most D, and 0 when S = 0.  A constant Q' = c
+    gives c^(n-1).  C_n mod A takes O(D^2 log n) operations by doubling
+    (_lucas_mod); the resultant follows Euclid's rule by reduction modulo
+    the smaller polynomial (von zur Gathen & Gerhard, Modern Computer
+    Algebra, ch. 6).
+    """
+    check_level(n)
+    q = list(Q.specialize_z(n - 1).coeffs)
+    L = math.lcm(*(c.denominator for c in q))
+    C = sum(abs(c.numerator) * (L // c.denominator) for c in q)
+    if (n - 1) * (C.bit_length() + L.bit_length() + 2 * len(q)) > MAX_MQ_BITS:
+        raise MemoryError(f"M_Q at level {n} may need more than {MAX_MQ_BITS} bits")
+    value = Fraction(1)
+    while sum(q) == 0:  # Q = (t - 1) Q', Q' the suffix sums of Q
+        q = list(accumulate(q[:0:-1]))[::-1]
+        value *= Fraction(n * n if n % 2 else -n * n, 1 << (n - 1))
+    if len(q) == 1:
+        return value * q[0] ** (n - 1)
+    D = len(q) - 1
+    a = [c * (1 << (D - k)) for k, c in enumerate(q)]  # 2^D Q'(x/2)
+    row, den = _lucas_mod(a, n)
+    row[0] -= 2 * den
+    S = UniPoly([Fraction(c, den) for c in row])
+    if S.is_zero():
+        return Fraction(0)
+    sign = -1 if n * D % 2 else 1  # (-1)^((n-1) D) / (-1)^D
+    return (value * sign * q[-1] ** (n - S.degree) * resultant(UniPoly(a), S)
+            / (sum(q) * (1 << (n * D))))

@@ -27,6 +27,7 @@ from typing import List, Optional, Tuple
 
 from .catalan import h_global_series
 from .exactcore import log_rows, rat, rat_str
+from .invariants import check_level
 from .rigidity import AdmissibleFormula, evaluate
 
 DEFAULT_PRECISION = 256
@@ -102,8 +103,7 @@ def cosine_points(n: int, precision: int = DEFAULT_PRECISION) -> Tuple[int, ...]
     1/4, cos(2 pi k/n) = -cos(2 pi (1/2 - k/n)).  For even n, 1/2 - k/n
     is the point n/2 - k, so X_k = -X_(n/2-k) exactly and only k <= n/4
     sums a series."""
-    if n < 2:
-        raise ValueError("level n must be >= 2")
+    check_level(n)
     if precision < 64:
         raise ValueError("precision must be >= 64 bits")
     X = [1 << precision]  # X_0 = 2^precision, the mirror of k = n/2

@@ -12,7 +12,9 @@ The tests check it against the independent routes kept here:
 - the Chebyshev polynomial T_n(t), the reference for W_n through
   T_n - 1 = 2^(n-1) (t - 1) W_n;
 - the resultant as the determinant of the Sylvester matrix, the
-  reference for the remainder sequence of exactcore.resultant;
+  reference for the remainder sequence of exactcore.resultant, and
+  M_Q(n) as the resultant of W_n against Q, the reference for the
+  doubling route of multiplicative_invariant;
 - truncated power series, the Catalan series A(t)^n, the stable closed
   form of h_r and the trunk congruence H_n(t) = (1 - t) A(t)^n;
 - the products with one Fraction operation per partial product: the
@@ -25,8 +27,8 @@ import math
 from fractions import Fraction
 
 from cyclosum.catalan import catalan_a, h_global_series
-from cyclosum.exactcore import UniPoly
-from cyclosum.invariants import vieta_lucas_coeffs
+from cyclosum.exactcore import UniPoly, resultant
+from cyclosum.invariants import punctured_min_poly, vieta_lucas_coeffs
 from cyclosum.symfunc import PowerSumExpr, coeff_poly
 
 ONE = UniPoly.const(1)
@@ -241,6 +243,12 @@ def sylvester_resultant(a, b):
             if f:
                 rows[i] = [x - f * y for x, y in zip(rows[i], top)]
     return det
+
+
+def mq_reference(Q, n):
+    """M_Q(n) = prod_k Q(n-1, alpha_k) as the resultant of the monic W_n,
+    of degree n - 1, against Q with z specialized to n - 1."""
+    return resultant(punctured_min_poly(n), Q.specialize_z(n - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import resource
 import subprocess
 import sys
 
@@ -264,6 +265,25 @@ class TestBadInputs:
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr == "error: --tolerance exponent exceeds 100000 in magnitude\n"
+
+    def test_huge_level_is_refused_at_once_under_a_memory_cap(self):
+        # 2^62: M_(1+t) is 0 there, but the level is refused before any
+        # work, in well under a second and within 3 GB of address space
+        code = ("import sys, time\n"
+                "from cyclosum import cli\n"
+                "start = time.perf_counter()\n"
+                "rc = cli.main(['mq', '--formula', '1 + t', '--n', '4611686018427387904'])\n"
+                "print(time.perf_counter() - start)\n"
+                "sys.exit(rc)\n")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=src_env(), preexec_fn=cap, timeout=60)
+        assert res.returncode == 2
+        assert res.stderr == "error: out of memory\n"
+        assert float(res.stdout) < 1.0
 
     def test_verify_refuses_product_formula(self):
         res = run_cli("verify", "--formula", "prod(1-t)", "--conjecture", "n")

@@ -449,6 +449,20 @@ GOLDEN = [
     (['power-sum', '--n', '10', '--h', '4', '--format', 'xml'], 2,
      EMPTY,
      '2386ed6ddf2467e1775fc9a80f8e3e7617b39854207bb741ef25fec6f0b2a1e2'),
+    # Integer flags are ASCII digits with an optional minus, as DSL
+    # numbers are: no other Unicode digits, no plus sign, no underscores.
+    (['power-sum', '--n', '١٠', '--h', '4'], 2,
+     EMPTY,
+     '8d683c7a4b04e15b3342dbb0a3a3d87022a042f1a4f2b32797408961f53087c7'),
+    (['mq', '--formula', '1 - t + 2*t^2', '--n', '٧'], 2,
+     EMPTY,
+     '820ae7eab4f6835036b289140bcf6fd07ab982371d72729909256fdbd5972216'),
+    (['power-sum', '--n', '+10', '--h', '4'], 2,
+     EMPTY,
+     'cc0eca2b2c2eda140480392f6fe09ddec9017592473202c6cdca7b6b5af420e7'),
+    (['hseries', '--n', '5', '--order', '1_0'], 2,
+     EMPTY,
+     'effcbd47a2e8c2aa557331e5e01874ba1f8804cc399a5ad291d362b324207d75'),
     # Tolerances far below the float route's own error bound, up to the
     # largest exponent accepted; one past it is refused with exit 2.
     (['oracle', '--formula', 'p1', '--n', '7', '--tolerance', '1e-30'], 0,
@@ -463,6 +477,10 @@ GOLDEN = [
     (['oracle', '--formula', 'p1', '--n', '7', '--tolerance', '1e-10000000'], 2,
      EMPTY,
      '84e6aae89bf602e4e9802a0ddbdb6ade698cb2b887562509deda829fa153ede3'),
+    # --tolerance is ASCII too.
+    (['oracle', '--formula', 'p1', '--n', '7', '--tolerance', '١e-٣'], 2,
+     EMPTY,
+     '6270fd57a604334b4bda9323302cf25be684dbc87d3a89ef297ba616d2f3e96f'),
     # A level too large for a list size is refused with exit 2.
     (['minpoly', '--n', '99999999999999999999999'], 2,
      EMPTY,
@@ -473,6 +491,9 @@ GOLDEN = [
     (['eval', '--formula', 'prod(1-t)', '--n', '99999999999999999999999'], 2,
      EMPTY,
      '490a6c43e5a8770a7547de006ffd02fd31562c078c487c75c3ebdaf05061f294'),
+    (['oracle', '--formula', 'p1', '--n', '99999999999999999999999'], 2,
+     EMPTY,
+     '490a6c43e5a8770a7547de006ffd02fd31562c078c487c75c3ebdaf05061f294'),
     # A level whose list fits an index but not memory (2^62) is refused
     # with exit 2 and nothing on stdout.
     (['minpoly', '--n', '4611686018427387904'], 2,
@@ -481,6 +502,13 @@ GOLDEN = [
     (['mq', '--formula', '1 - t', '--n', '4611686018427387904'], 2,
      EMPTY,
      '59b647143a2e3ba558a750709e176249c1263ab34e1546a527f0e76de884ead6'),
+    (['mq', '--formula', '1 + t', '--n', '4611686018427387904'], 2,
+     EMPTY,
+     '59b647143a2e3ba558a750709e176249c1263ab34e1546a527f0e76de884ead6'),
+    # A level far past W_n's reach: 25,513 characters of value.
+    (['mq', '--formula', '1 - t + 2*t^2', '--n', '30000'], 0,
+     '36c92d2f1a2e624502a7c958f9f52d144f75e90920f1b6f1c58cb987203203ad',
+     EMPTY),
     # M_Q shapes the other calls leave out: deg Q > deg W_n, so the
     # resultant swaps its arguments first (3), and a Q whose top
     # coefficient vanishes at z = n - 1 (1/16), also through eval.

@@ -11,7 +11,9 @@ from cyclosum.exactcore import (
     ZeroDivisorError,
     log_rows,
     poly_str,
+    primitive_row,
     rat_str,
+    reduce_rows,
     resultant,
 )
 from cyclosum.invariants import QPoly
@@ -119,6 +121,36 @@ class TestUniPoly:
         p = P([1, 2, 1])  # (t+1)^2
         assert p(P([-1, 1])) == P([0, 0, 1])
         assert p(Fraction(3)) == 16
+
+
+def _long_remainder(a, b):
+    """a mod b over Q by schoolbook long division, as a list of length
+    min(len(a), deg b)."""
+    r = [Fraction(c) for c in a]
+    while len(r) >= len(b):
+        f = r[-1] / b[-1]
+        for i, c in enumerate(b, len(r) - len(b)):
+            r[i] -= f * c
+        r.pop()
+    return r
+
+
+class TestReduceRows:
+    @given(st.lists(st.integers(-30, 30), max_size=9),
+           st.lists(st.integers(-30, 30), min_size=1, max_size=4),
+           st.integers(-30, 30).filter(bool))
+    def test_pseudo_remainder(self, a, b, lead):
+        b = b + [lead]
+        # each of the s steps multiplies by lead: lead^s (a mod b), in integers
+        s = max(0, len(a) - len(b) + 1)
+        row = reduce_rows(list(a), b)
+        assert row == [lead**s * c for c in _long_remainder(a, b)]
+        assert all(isinstance(c, int) for c in row)
+
+    def test_primitive_row(self):
+        assert primitive_row([Fraction(-2, 3), Fraction(4, 9), Fraction(-2, 1)]) == (
+            [3, -2, 9], Fraction(-2, 9))
+        assert primitive_row([Fraction(5)]) == ([1], Fraction(5))
 
 
 class TestResultant:

@@ -1,9 +1,13 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from cyclosum import invariants
 from cyclosum.exactcore import UniPoly
 from cyclosum.invariants import (
     QPoly,
@@ -14,7 +18,7 @@ from cyclosum.invariants import (
     sin_power_sum,
 )
 
-from reference import chebyshev_T, parity_binom, punctured_power_sum_stable
+from reference import chebyshev_T, mq_reference, parity_binom, punctured_power_sum_stable
 
 
 class TestParityBinom:
@@ -208,7 +212,113 @@ class TestQPoly:
         assert str(QPoly([1, 0, -1])) == "1 - t^2"
 
 
+def _times(cs, factor):
+    """The coefficients in t of Q times a factor with rational
+    coefficients, for Q's coefficients cs in Q[z]."""
+    out = [UniPoly()] * (len(cs) + len(factor) - 1)
+    for i, c in enumerate(cs):
+        for j, f in enumerate(factor):
+            out[i + j] = out[i + j] + c.scale(f)
+    return out
+
+
+# Factors that vanish at a cosine point, with the period of the levels n
+# that have the point: cos(2 pi/6) = 1/2, cos(2 pi/3) = -1/2, cos(pi) = -1.
+COSINE_ROOTS = [((1, -2), 6), ((1, 2), 3), ((1, 1), 2)]
+
+
+@st.composite
+def mq_cases(draw):
+    """(Q, n, shape) with n from 2 to 300 and Q of degree up to 4 in t,
+    with coefficients of degree up to 2 in z, in one of five shapes:
+    plain; "root", where the top coefficient is shifted so that
+    Q(n-1, 1) = 0; "double root", (1 - t) times a Q of shape root;
+    "drop", where the top coefficient vanishes at z = n - 1; and
+    "cosine", with a factor that vanishes at a cosine point, so that
+    M_Q(n) = 0."""
+    shape = draw(st.sampled_from(["plain", "root", "double root", "drop", "cosine"]))
+    n = draw(st.integers(2, 300))
+    factor = ()
+    if shape == "double root":
+        factor = (1, -1)
+    elif shape == "cosine":
+        factor, period = draw(st.sampled_from(COSINE_ROOTS))
+        n = period * draw(st.integers(1, 300 // period))
+    lowest = 0 if shape in ("plain", "cosine") else 1
+    degree = draw(st.integers(lowest, 4 - len(factor) // 2))
+    cs = [UniPoly.const(1)]
+    for _ in range(degree):
+        size = draw(st.integers(1, 3))
+        cs.append(UniPoly([Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+                           for _ in range(size)]))
+    if cs[-1].is_zero():
+        cs[-1] = UniPoly.const(1)
+    z = n - 1
+    if shape in ("root", "double root"):
+        cs[-1] = cs[-1] - sum(c(z) for c in cs)
+    elif shape == "drop":
+        cs[-1] = cs[-1] * UniPoly([-z, 1])
+    return QPoly(_times(cs, factor) if factor else cs), n, shape
+
+
 class TestMultiplicativeInvariant:
+    @given(mq_cases())
+    @example((QPoly([1, 1, UniPoly([-4, 1])]), 5, "drop"))
+    @example((QPoly([1, -2]), 6, "cosine"))
+    @example((QPoly([1, 1]), 300, "cosine"))
+    def test_matches_the_resultant_against_w_n(self, case):
+        Q, n, shape = case
+        value = multiplicative_invariant(Q, n)
+        assert value == mq_reference(Q, n)
+        q = Q.specialize_z(n - 1)
+        # the size bound behind MAX_MQ_BITS holds
+        L = math.lcm(*(c.denominator for c in q.coeffs))
+        C = sum(abs(c) * L for c in q.coeffs)
+        bound = (n - 1) * (int(C).bit_length() + L.bit_length() + 2 * (q.degree + 1))
+        assert value.numerator.bit_length() + value.denominator.bit_length() <= bound
+        if shape in ("root", "double root"):
+            assert q(1) == 0
+        if shape == "drop":
+            assert q.degree < len(Q.coeffs) - 1
+        if shape == "cosine":
+            assert value == 0
+
+    def test_never_builds_w_n(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("W_n was built")
+
+        monkeypatch.setattr(invariants, "punctured_min_poly", refuse)
+        Q = QPoly([1, -1, 2])
+        assert multiplicative_invariant(Q, 64) == mq_reference(Q, 64)
+
+    def test_closed_forms_at_large_n(self):
+        # W_n at these levels has 20,000 to 30,000 coefficients; the
+        # doubling route never builds it
+        linear = QPoly([1, -1])
+        even = QPoly([1, 0, -1])
+        for n in (20000, 20001, 29999, 30000):
+            assert multiplicative_invariant(linear, n) == Fraction(n**2, 2 ** (n - 1))
+            expected = Fraction(n**2, 4 ** (n - 1)) if n % 2 else Fraction(0)
+            assert multiplicative_invariant(even, n) == expected
+
+    def test_refusals_come_before_any_work(self):
+        Q = QPoly([1, 1])
+        with pytest.raises(ValueError, match="level n must be >= 2"):
+            multiplicative_invariant(Q, 1)
+        with pytest.raises(OverflowError, match="cannot fit 'int' into an index-sized"):
+            multiplicative_invariant(Q, sys.maxsize + 1)
+        with pytest.raises(MemoryError):
+            multiplicative_invariant(Q, 2**62)
+
+    def test_size_bound_is_the_limit(self, monkeypatch):
+        # 1 - t: L = 1, C = 2 and two coefficients, so 1 + 2 + 4 = 7 bits
+        # for each of the n - 1 points
+        monkeypatch.setattr(invariants, "MAX_MQ_BITS", 7 * 142)
+        Q = QPoly([1, -1])
+        assert multiplicative_invariant(Q, 143) == Fraction(143**2, 2**142)
+        with pytest.raises(MemoryError):
+            multiplicative_invariant(Q, 144)
+
     def test_one_minus_t_closed_form(self):
         Q = QPoly([1, -1])
         for n in range(2, 31):
