@@ -5,7 +5,8 @@ A(t) = 2 / (1 + sqrt(1 - t^2)) is handled purely through the closed form
 of its power coefficients a_l(n).  The global generating function of the
 h_r values at level n comes from the Chebyshev factorization of T_n - 1.
 Extraction reads log Q from exactcore.log_rows, which also gives the
-oracle's Newton route its power sums.
+oracle's Newton route its power sums, and emits the integer rows of its
+PowerSumExpr over the one denominator A^r r!, reduced once.
 The series A(t)^n, the stable closed form of h_r and the trunk
 congruence H_n(t) = (1 - t) A(t)^n are test reference code, in
 tests/reference.py.
@@ -17,9 +18,9 @@ import math
 from fractions import Fraction
 from typing import Tuple
 
-from .exactcore import UniPoly, convolve_add, log_rows, nonzero_entries
+from .exactcore import convolve_add, log_rows, nonzero_entries
 from .invariants import QPoly, vieta_lucas_coeffs
-from .symfunc import PowerSumExpr
+from .symfunc import PowerSumExpr, _trim
 
 
 def catalan_a(l: int, n: int) -> Fraction:
@@ -60,8 +61,11 @@ def h_global_series(n: int, order: int) -> Tuple[Fraction, ...]:
         beta[n] -= 2
     steps = [(j, b) for j, b in enumerate(beta) if j >= 2 and b]
     H = [1, -2][: order + 1]
+    live = 0  # steps[:live] are those with j <= r; their j are increasing
     for r in range(2, order + 1):
-        H.append(-sum(b * H[r - j] for j, b in steps if j <= r))
+        if live < len(steps) and steps[live][0] == r:
+            live += 1
+        H.append(-sum(b * H[r - j] for j, b in steps[:live]))
     return tuple(Fraction(x, 2**r) for r, x in enumerate(H))
 
 
@@ -81,8 +85,8 @@ def extract_coefficient_family(Q: QPoly, r: int) -> PowerSumExpr:
     A, N = log_rows([c.coeffs for c in Q.coeffs], r)
     # With L_l = N_l / (l A^l), L_l^m / m! is the row N_l^m over
     # A^(l m) l^m m!; weights[l][m] = (l^m m!, N_l^m).  The parts of a leaf
-    # sum to r, so the walk multiplies rows and denominators l^m m! and
-    # reduces each coefficient of a leaf once, over A^r.
+    # sum to r, so its denominators l^m m! multiply to a divisor of r!, and
+    # each leaf's row goes over the one denominator A^r r!.
     weights = [[(1, [(0, 1)])] for _ in range(r + 1)]
     for l in range(1, r + 1):
         if N[l]:
@@ -90,14 +94,15 @@ def extract_coefficient_family(Q: QPoly, r: int) -> PowerSumExpr:
                 den, w = weights[l][-1]
                 w = nonzero_entries(convolve_add([], w, N[l]))
                 weights[l].append((den * l * m, w))
-    Ar = A**r
-    terms = {}
+    rf = math.factorial(r)
+    rows = {}
     exps = [0] * r
 
     def walk(top: int, rest: int, den: int, row: list):
         # partitions of rest into parts <= top, largest part first
         if rest == 0:
-            terms[tuple(exps)] = UniPoly([Fraction(x, Ar * den) for x in row])
+            q = rf // den
+            rows[_trim(exps)] = [q * x for x in row]
             return
         row = nonzero_entries(row)
         for l in range(min(top, rest), 0, -1):
@@ -114,7 +119,7 @@ def extract_coefficient_family(Q: QPoly, r: int) -> PowerSumExpr:
     del walk  # it refers to itself: free its rows now, not at the next gc run
     # Decreasing lexicographic order of (m_1, m_2, ...): the term order of
     # a parsed h(r) or e(r), which tests/test_cli_golden.py pins.
-    return PowerSumExpr({exps: terms[exps] for exps in sorted(terms, reverse=True)})
+    return PowerSumExpr.from_rows(A**r * rf, {k: rows[k] for k in sorted(rows, reverse=True)})
 
 
 def h_family(r: int) -> PowerSumExpr:

@@ -1,9 +1,10 @@
 """Exact arithmetic substrate: rationals, dense univariate polynomials,
 the one remainder loop and the resultant by Euclid's remainders, the
-text forms of polynomials, and the integer rows of log q, the one
-recurrence behind both coefficient extraction and Newton's identities
-for W_n.  (The truncated power series of the trunk congruence are test
-reference code, in tests/reference.py.)
+text forms of polynomials, the integer multiply-accumulate of the
+integer rows that PowerSumExpr stores, and the integer rows of log q,
+the one recurrence behind both coefficient extraction and Newton's
+identities for W_n.  (The truncated power series of the trunk
+congruence are test reference code, in tests/reference.py.)
 
 Everything here is immutable after construction and all operations are
 pure, so values can be shared freely between threads.
@@ -76,10 +77,6 @@ class UniPoly:
     def const(cls, c) -> "UniPoly":
         return cls([rat(c)])
 
-    @classmethod
-    def gen(cls) -> "UniPoly":
-        return cls([0, 1])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -139,11 +136,6 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("polynomial exponent must be a nonnegative integer")
-        return power(self, k, UniPoly.const(1))
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -160,27 +152,11 @@ class UniPoly:
             result = result * x + c
         return result
 
-    def scale(self, c) -> "UniPoly":
-        c = rat(c)
-        return UniPoly([a * c for a in self.coeffs])
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)!r})"
-
-
-def power(base, k: int, one):
-    """base^k for an integer k >= 0 by binary powering; one is base^0."""
-    result = None
-    while k:
-        if k & 1:
-            result = base if result is None else result * base
-        k >>= 1
-        if k:
-            base = base * base
-    return one if result is None else result
 
 
 def nonzero_entries(row) -> list:

@@ -19,7 +19,6 @@ from typing import List, Sequence
 
 from .exactcore import (TVAR, ZVAR, UniPoly, join_terms, monomial_str, poly_str,
                         power_str, primitive_row, rat, reduce_rows, resultant)
-from .symfunc import coeff_poly
 
 
 class InternalConsistencyError(AssertionError):
@@ -157,7 +156,7 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence):
-        cs = [coeff_poly(c) for c in coeffs]
+        cs = [c if isinstance(c, UniPoly) else UniPoly.const(c) for c in coeffs]
         while len(cs) > 1 and cs[-1].is_zero():
             cs.pop()
         if not cs or cs[0] != UniPoly.const(1):

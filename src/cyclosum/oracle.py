@@ -206,13 +206,13 @@ def float_eval(
     z = Fraction(N)
     psi = F.psi_star
     H = psi.max_gen()
-    e_max = max((sum(exps) for exps in psi.terms), default=0)
+    e_max = max((sum(exps) for exps in psi.rows), default=0)
     if (2 * N * H * e_max) << 10 > 1 << W:
         raise ValueError(
             f"precision {W} is too low to bound the float error at n={n}; "
             "raise --precision"
         )
-    K = 2 * N * H * e_max + len(psi.terms)
+    K = 2 * N * H * e_max + len(psi.rows)
 
     # Power sums: P[h-1] = 2^W p_h, Pabs[h-1] = 2^W s_h.
     pos = [x for x in points if x >= 0]

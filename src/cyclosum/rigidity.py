@@ -15,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Tuple
 
 from .exactcore import NVAR, UniPoly, poly_str, rat_str
 from .invariants import (
@@ -74,7 +74,7 @@ class AdmissibleFormula:
         pieces = []
         psi_text = render_powersum(self.psi_star)
         if psi_text != "1" or not self.products:
-            if self.products and len(self.psi_star.terms) > 1:
+            if self.products and len(self.psi_star.rows) > 1:
                 psi_text = f"({psi_text})"
             pieces.append(psi_text)
         for Q, mult in self.products:
@@ -115,7 +115,7 @@ def evaluate(F: AdmissibleFormula, n: int) -> EvalReport:
     if n < 2:
         raise ValueError("level n must be >= 2")
     P = tuple(punctured_power_sum(n, h) for h in range(1, F.d + 1))
-    value = F.psi_star.substitute([p.numerator for p in P], n - 1)
+    (value,) = F.psi_star.substitute([([p.numerator for p in P], n - 1)])
     mvals = []
     for Q, mult in F.products:
         mq = multiplicative_invariant(Q, n)
@@ -166,17 +166,18 @@ def eventual_polynomial(F: AdmissibleFormula) -> UniPoly:
             "eventual polynomiality applies to the polynomial case only"
         )
     D = max(
-        (c.degree + sum(exps[1::2]) for exps, c in F.psi_star.terms.items()),
+        (len(row) - 1 + sum(exps[1::2]) for exps, row in F.psi_star.rows.items()),
         default=0,
     )
     hs = range(1, F.d + 1)
     P = [punctured_power_sum(F.n_star, h).numerator for h in hs]
     # P_h is at most linear in n > h, and n_star = d + 2 > h
     slopes = [punctured_power_sum(F.n_star + 1, h).numerator - p for h, p in zip(hs, P)]
-    values = []
+    levels = []
     for n in range(F.n_star, F.n_star + D + 2):
-        values.append(F.psi_star.substitute(P, n - 1))
+        levels.append((P, n - 1))
         P = [a + b for a, b in zip(P, slopes)]
+    values = F.psi_star.substitute(levels)
     R = _interpolate(F.n_star, values[:-1])
     check = F.n_star + D + 1
     if R(check) != values[-1]:
@@ -252,8 +253,9 @@ def verify_identity(
             "'cyclosum oracle' checks a product formula at one level"
         )
     eventual = eventual_polynomial(F)
-    levels: List[LevelCheck] = []
-    if check_below_threshold:
-        for n in range(2, F.n_star):
-            levels.append(LevelCheck(n, conjecture(Fraction(n)), evaluate(F, n).value))
-    return VerificationReport(F, eventual, eventual - conjecture, tuple(levels))
+    ns = range(2, F.n_star) if check_below_threshold else ()
+    values = F.psi_star.substitute(
+        [([punctured_power_sum(n, h).numerator for h in range(1, F.d + 1)], n - 1) for n in ns]
+    )
+    levels = tuple(LevelCheck(n, conjecture(Fraction(n)), v) for n, v in zip(ns, values))
+    return VerificationReport(F, eventual, eventual - conjecture, levels)

@@ -1,13 +1,14 @@
 """Symmetric polynomials in the power-sum basis over Q[z].
 
 PowerSumExpr is a polynomial in abstract generators v_1..v_d (the power
-sums p_1..p_d) with coefficients in Q[z].  Its exact kernels work on one
-integer form, each term's z-coefficients scaled to integers over a
-common denominator: substitute evaluates at integer power sums and an
-integer z, and the product multiplies the integer rows and reduces once
-per output coefficient.  By stable-range rigidity this presentation is
-all the pipelines need; the monomial-orbit basis and the reduction into
-power sums, which the tests compare against, live in tests/reference.py.
+sums p_1..p_d) with coefficients in Q[z], held in one integer form: a
+positive denominator den and, per monomial, the integer z-coefficients
+of den times its coefficient.  Sums, products and powers work on these
+rows and reduce once per result; substitute evaluates at integer power
+sums and integer z, for any number of levels in one pass.  By
+stable-range rigidity this presentation is all the pipelines need; the
+monomial-orbit basis and the reduction into power sums, which the tests
+compare against, live in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -15,17 +16,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .exactcore import (ZVAR, UniPoly, convolve_add, join_terms, monomial_str,
-                        nonzero_entries, poly_str, power, power_str, rat)
-
-
-def coeff_poly(c) -> UniPoly:
-    """Coerce a scalar or polynomial to a coefficient in Q[z]."""
-    if isinstance(c, UniPoly):
-        return c
-    return UniPoly.const(c)
+                        nonzero_entries, poly_str, power_str)
 
 
 def _trim(exps) -> Tuple[int, ...]:
@@ -35,62 +29,88 @@ def _trim(exps) -> Tuple[int, ...]:
     return tuple(exps)
 
 
+def _add_into(acc: list, row, m: int):
+    """acc += m * row, entry by entry, extending acc with zeros."""
+    acc.extend([0] * (len(row) - len(acc)))
+    for i, x in enumerate(row):
+        acc[i] += m * x
+
+
+def _store(psi: "PowerSumExpr", den: int, rows: dict) -> "PowerSumExpr":
+    """Set psi to sum_k rows[k] / den, for trimmed keys and integer lists
+    in z, in canonical form: zero rows and trailing zeros dropped, and den
+    and the entries divided by their gcd."""
+    for row in rows.values():
+        while row and not row[-1]:
+            row.pop()
+    g = math.gcd(den, *(x for row in rows.values() for x in row))
+    object.__setattr__(psi, "den", den // g)
+    object.__setattr__(psi, "rows", {k: tuple(row) if g == 1 else tuple(x // g for x in row)
+                                     for k, row in rows.items() if row})
+    return psi
+
+
 class PowerSumExpr:
     """Polynomial in generators v_1, v_2, ... over Q[z].
 
-    terms maps trimmed exponent tuples (e_1, e_2, ...) to nonzero
-    coefficients in Q[z]; the weighted degree of a monomial is
-    sum_r r*e_r.  Equality is structural (canonical form).  substitute
-    evaluates at integer power sums P_h and an integer z only; the
-    eventual polynomial in n is interpolated from such values.
+    rows maps trimmed exponent tuples (e_1, e_2, ...) to the nonzero,
+    trimmed integer z-coefficients of den * c, for the coefficient c of
+    that monomial; den > 0 and gcd(den, every entry) = 1, so equality is
+    structural.  The weighted degree of a monomial is sum_r r*e_r.
+    substitute evaluates at integer power sums P_h and an integer z only;
+    the eventual polynomial in n is interpolated from such values.
     """
 
-    __slots__ = ("terms", "_scaled")
+    __slots__ = ("den", "rows")
 
     def __init__(self, terms: Dict[Tuple[int, ...], UniPoly] = None):
-        clean: Dict[Tuple[int, ...], UniPoly] = {}
-        for exps, c in (terms or {}).items():
-            c = coeff_poly(c)
-            if c.is_zero():
-                continue
-            key = _trim(exps)
-            if key in clean:
-                c = clean[key] + c
-                if c.is_zero():
-                    del clean[key]
-                    continue
-            clean[key] = c
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_scaled", None)
+        """From a map of exponent tuples to coefficients in Q[z], each a
+        UniPoly or a rational scalar; keys equal after trimming add up."""
+        terms = {k: c.coeffs if isinstance(c, UniPoly) else (c,)
+                 for k, c in (terms or {}).items()}
+        den = math.lcm(*(a.denominator for cs in terms.values() for a in cs))
+        rows: Dict[Tuple[int, ...], list] = {}
+        for exps, cs in terms.items():
+            row = [a.numerator * (den // a.denominator) for a in cs]
+            _add_into(rows.setdefault(_trim(exps), []), row, 1)
+        _store(self, den, rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("PowerSumExpr is immutable")
 
     @classmethod
+    def from_rows(cls, den: int, rows: Dict[Tuple[int, ...], list]) -> "PowerSumExpr":
+        """sum_k rows[k] / den for trimmed keys k and lists of integers in
+        z, which may hold zeros and are consumed."""
+        return _store(object.__new__(cls), den, rows)
+
+    @classmethod
     def const(cls, c) -> "PowerSumExpr":
-        return cls({(): coeff_poly(c)})
+        return cls({(): c})
 
     @classmethod
     def gen(cls, r: int) -> "PowerSumExpr":
         if r < 1:
             raise ValueError("generator index must be >= 1")
-        return cls({(0,) * (r - 1) + (1,): UniPoly.const(1)})
+        return cls({(0,) * (r - 1) + (1,): 1})
 
     @classmethod
     def z(cls) -> "PowerSumExpr":
-        return cls({(): UniPoly.gen()})
+        return cls({(): UniPoly([0, 1])})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def terms(self) -> Dict[Tuple[int, ...], UniPoly]:
+        """The coefficients as UniPolys over Q, built anew on each read."""
+        return {k: UniPoly(Fraction(x, self.den) for x in row) for k, row in self.rows.items()}
 
     def is_constant(self) -> bool:
-        return all(k == () for k in self.terms)
+        return all(k == () for k in self.rows)
 
     @property
     def weighted_degree(self) -> int:
         """Max over monomials of sum_r r*e_r (0 for constants and zero)."""
         return max(
-            (sum((i + 1) * e for i, e in enumerate(k)) for k in self.terms),
+            (sum((i + 1) * e for i, e in enumerate(k)) for k in self.rows),
             default=0,
         )
 
@@ -105,21 +125,21 @@ class PowerSumExpr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for k, c in o.terms.items():
-            out[k] = out.get(k, UniPoly()) + c
-        return PowerSumExpr(out)
+        den = math.lcm(self.den, o.den)
+        ma = den // self.den
+        out = {k: [ma * x for x in row] for k, row in self.rows.items()}
+        mb = den // o.den
+        for k, row in o.rows.items():
+            _add_into(out.setdefault(k, []), row, mb)
+        return PowerSumExpr.from_rows(den, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PowerSumExpr({k: -c for k, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -128,91 +148,82 @@ class PowerSumExpr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # The integer rows of both factors (see _integer_terms) multiply
-        # into one row per key over La*Lb, so each output coefficient is
-        # reduced once.
-        La, rows_a = self._integer_terms()
-        Lb, rows_b = o._integer_terms()
-        b = [(kb, nonzero_entries(rb)) for kb, (_, _, rb) in zip(o.terms, rows_b)]
+        # one integer row per key over the product of the denominators,
+        # reduced once for the whole result
+        b = [(kb, nonzero_entries(rb)) for kb, rb in o.rows.items()]
         out: Dict[Tuple[int, ...], list] = {}
-        for ka, (_, _, ra) in zip(self.terms, rows_a):
+        for ka, ra in self.rows.items():
             ra = nonzero_entries(ra)
             for kb, rb in b:
                 # entries past the shorter key come from the longer one
                 key = tuple(map(add, ka, kb)) + (ka[len(kb):] or kb[len(ka):])
                 convolve_add(out.setdefault(key, []), ra, rb)
-        L = La * Lb
-        return PowerSumExpr(
-            {k: UniPoly([Fraction(x, L) for x in row]) for k, row in out.items()}
-        )
+        return PowerSumExpr.from_rows(self.den * o.den, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        """self^k by binary powering."""
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        return power(self, k, PowerSumExpr.const(1))
+        result, base = PowerSumExpr.const(1), self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
 
     def scale(self, c) -> "PowerSumExpr":
-        c = rat(c)
-        return PowerSumExpr({k: v.scale(c) for k, v in self.terms.items()})
+        """c * self for an integer or Fraction c."""
+        rows = {k: [c.numerator * x for x in row] for k, row in self.rows.items()}
+        return PowerSumExpr.from_rows(self.den * c.denominator, rows)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.terms == o.terms
+        return self.den == o.den and self.rows == o.rows
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.rows.items())))
 
-    def _integer_terms(self):
-        """(L, rows): L is the lcm of the coefficient denominators and each
-        row is (nonzero (index, exponent) pairs, weight, integer
-        coefficients of L*c in z), in the order of terms.  substitute and
-        the product read it; it is built on first use and kept, because
-        one formula is evaluated at many levels and a factor of a power
-        is multiplied more than once."""
-        if self._scaled is not None:
-            return self._scaled
-        L = math.lcm(*(a.denominator for c in self.terms.values() for a in c.coeffs))
-        rows = []
-        for exps, c in self.terms.items():
-            pairs = [(i, e) for i, e in enumerate(exps) if e]
-            weight = sum((i + 1) * e for i, e in pairs)
-            coeffs = [a.numerator * (L // a.denominator) for a in c.coeffs]
-            rows.append((pairs, weight, coeffs))
-        object.__setattr__(self, "_scaled", (L, rows))
-        return L, rows
+    def substitute(self, levels) -> List[Fraction]:
+        """Exact values with v_h := P[h-1] / 2^h and z := z, one for each
+        level (P, z) of integers P[h-1] = P_h and z, where d = len(P) is at
+        least the weighted degree.
 
-    def substitute(self, P, z: int) -> Fraction:
-        """Exact value with v_h := P[h-1] / 2^h and z := z, for integers
-        P[h-1] = P_h and z, where d = len(P) is at least the weighted
-        degree.
-
-        The sum is kept as one integer over the denominator L 2^d (see
-        _integer_terms): each monomial prod P_h^e comes from a table of
-        powers shared by all terms and is shifted left by d - weight.
+        Each value is one integer over den 2^d: a term adds
+        (row(z) prod P_h^e) << (d - weight), with each monomial read from a
+        table of powers that the level's terms share.  The nonzero
+        exponents and weight of each term are found once for all levels.
         """
-        d = len(P)
-        L, rows = self._integer_terms()
-        powers = [[1] for _ in P]  # powers[h-1][e] = P_h^e, filled on demand
-        total = 0
-        for pairs, weight, coeffs in rows:
-            mono = 1
-            for i, e in pairs:
-                row = powers[i]
-                while len(row) <= e:
-                    row.append(row[-1] * P[i])
-                mono *= row[e]
-            cz = coeffs[-1]
-            for a in reversed(coeffs[:-1]):
-                cz = cz * z + a
-            total += (cz * mono) << (d - weight)
-        return Fraction(total, L << d)
+        terms = []
+        for exps, row in self.rows.items():
+            pairs = [(i, e) for i, e in enumerate(exps) if e]
+            terms.append((pairs, sum((i + 1) * e for i, e in pairs), row[::-1]))
+        values = []
+        for P, z in levels:
+            d = len(P)
+            powers = [[1] for _ in P]  # powers[h-1][e] = P_h^e, filled on demand
+            total = 0
+            for pairs, weight, rev in terms:
+                mono = 1
+                for i, e in pairs:
+                    row = powers[i]
+                    while len(row) <= e:
+                        row.append(row[-1] * P[i])
+                    mono *= row[e]
+                cz = 0
+                for a in rev:
+                    cz = cz * z + a
+                total += (cz * mono) << (d - weight)
+            values.append(Fraction(total, self.den << d))
+        return values
 
     def max_gen(self) -> int:
-        return max((len(k) for k in self.terms), default=0)
+        return max((len(k) for k in self.rows), default=0)
 
     def __str__(self):
         return render_powersum(self)
@@ -238,10 +249,11 @@ def _coeff_parts(c: UniPoly):
 
 def render_powersum(psi: PowerSumExpr) -> str:
     """Text form over tokens p1..pd and z, e.g. "z*p2 - p1^2"."""
+    coeffs = psi.terms
     terms = []
-    for exps in sorted(psi.terms, key=_term_sort_key):
+    for exps in sorted(coeffs, key=_term_sort_key):
         gens = [power_str(f"p{i + 1}", e) for i, e in enumerate(exps) if e]
-        sign, ctext = _coeff_parts(psi.terms[exps])
+        sign, ctext = _coeff_parts(coeffs[exps])
         factors = gens if gens and ctext == "1" else [ctext] + gens
         terms.append((sign, "*".join(factors)))
     return join_terms(terms)

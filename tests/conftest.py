@@ -1,3 +1,4 @@
+import math
 import os
 import pathlib
 import random
@@ -55,7 +56,7 @@ def random_powersum_expr(rng, d, max_terms=3, z_degree=1):
         if not coeff.is_zero():
             terms[key] = coeff
     psi = PowerSumExpr(terms)
-    if psi.is_zero():
+    if not psi.rows:
         return PowerSumExpr.gen(1)
     return psi
 
@@ -76,6 +77,23 @@ def powersum_exprs(draw, max_d=18):
     )
 
 
+def assert_canonical(psi):
+    """psi is in PowerSumExpr's one integer form: den > 0, trimmed keys,
+    nonzero trimmed integer rows, gcd(den, every entry) = 1; and the
+    Fraction coefficients of terms build it back, with the same hash."""
+    assert isinstance(psi.den, int) and psi.den > 0
+    entries = []
+    for key, row in psi.rows.items():
+        assert isinstance(key, tuple) and not (key and key[-1] == 0)
+        assert isinstance(row, tuple) and row and row[-1] != 0
+        assert all(isinstance(x, int) for x in row)
+        entries += row
+    assert math.gcd(psi.den, *entries) == 1
+    rebuilt = PowerSumExpr(psi.terms)
+    assert rebuilt == psi
+    assert hash(rebuilt) == hash(psi)
+
+
 def reference_substitute(psi, gen_values, z_value):
     """v_r := gen_values[r] and z := z_value by plain ring arithmetic in
     any commutative target (rationals or UniPoly): the reference for the
@@ -84,8 +102,8 @@ def reference_substitute(psi, gen_values, z_value):
     for exps, c in psi.terms.items():
         val = c(z_value)
         for i, e in enumerate(exps):
-            if e:
-                val = val * gen_values[i + 1] ** e
+            for _ in range(e):
+                val = val * gen_values[i + 1]
         total = val if total is None else total + val
     if total is None:
         return z_value * 0

@@ -29,7 +29,7 @@ from fractions import Fraction
 from cyclosum.catalan import catalan_a, h_global_series
 from cyclosum.exactcore import UniPoly, resultant
 from cyclosum.invariants import punctured_min_poly, vieta_lucas_coeffs
-from cyclosum.symfunc import PowerSumExpr, coeff_poly
+from cyclosum.symfunc import PowerSumExpr
 
 ONE = UniPoly.const(1)
 ZERO = UniPoly()
@@ -84,7 +84,7 @@ class SymMonomialPoly:
         self.m = m
         self.terms = {}
         for lam, c in (terms or {}).items():
-            c = coeff_poly(c)
+            c = c if isinstance(c, UniPoly) else UniPoly.const(c)
             if c.is_zero():
                 continue
             lam = tuple(lam)
@@ -156,7 +156,7 @@ def reduce_to_powersum(G, d):
             exps[part - 1] += 1
         exps = tuple(exps)
         p_lam = expand(PowerSumExpr({exps: ONE}), G.m).terms
-        coeff = rem[lam].scale(1 / p_lam[lam].constant())
+        coeff = rem[lam] * (1 / p_lam[lam].constant())
         result[exps] = result.get(exps, ZERO) + coeff
         rem = _raw_add(rem, {mu: -c * coeff for mu, c in p_lam.items()})
     return PowerSumExpr(result)
@@ -302,7 +302,7 @@ def h_stable(r):
     poly = UniPoly([0, 1])
     for j in range(m + 1, 2 * m):
         poly = poly * UniPoly([j, 1])
-    poly = poly.scale(Fraction(1, 4**m * math.factorial(m)))
+    poly = poly * Fraction(1, 4**m * math.factorial(m))
     return -poly if r % 2 else poly
 
 
@@ -349,8 +349,8 @@ def fraction_mul(a, b):
 
 
 def fraction_power(base, k):
-    """base^k by the binary powering of exactcore.power, multiplying with
-    fraction_mul."""
+    """base^k by the binary powering of PowerSumExpr.__pow__, multiplying
+    with fraction_mul."""
     result = PowerSumExpr.const(1)
     while k:
         if k & 1:
@@ -370,11 +370,11 @@ def log_coeff_list(Q, order):
     a = [Q.coeffs[k] if k < len(Q.coeffs) else ZERO for k in range(order + 1)]
     out = [ZERO] * (order + 1)
     for k in range(order):
-        s = a[k + 1].scale(k + 1)
+        s = a[k + 1] * (k + 1)
         for j in range(1, k + 1):
             if not a[j].is_zero():
-                s = s - a[j] * out[k - j + 1].scale(k - j + 1)
-        out[k + 1] = s.scale(Fraction(1, k + 1))
+                s = s - a[j] * out[k - j + 1] * (k - j + 1)
+        out[k + 1] = s * Fraction(1, k + 1)
     return out
 
 
@@ -387,7 +387,7 @@ def fraction_extract(Q, r):
     weights = [[ONE] for _ in range(r + 1)]  # weights[l][m] = L_l^m / m!
     for l in range(1, r + 1):
         for m in range(1, r // l + 1):
-            weights[l].append((weights[l][-1] * L[l]).scale(Fraction(1, m)))
+            weights[l].append(weights[l][-1] * L[l] * Fraction(1, m))
     terms = {}
     exps = [0] * r
 

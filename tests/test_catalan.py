@@ -14,9 +14,9 @@ from cyclosum.catalan import (
 from cyclosum.exactcore import UniPoly
 from cyclosum.invariants import QPoly
 from cyclosum.rigidity import AdmissibleFormula, evaluate
-from cyclosum.symfunc import PowerSumExpr, coeff_poly
+from cyclosum.symfunc import PowerSumExpr
 
-from conftest import newton_e, newton_h, random_rational, random_unipoly
+from conftest import assert_canonical, newton_e, newton_h, random_rational, random_unipoly
 from reference import (
     H1_VALUE,
     Series,
@@ -260,6 +260,7 @@ class TestExtraction:
         # UniPoly weights in tests/reference.py
         got = extract_coefficient_family(QPoly(coeffs), r)
         ref = fraction_extract(QPoly(coeffs), r)
+        assert_canonical(got)
         assert got == ref
         assert list(got.terms) == list(ref.terms)
 
@@ -277,7 +278,7 @@ def _direct_s_coefficient(coeffs, r):
             continue
         c = UniPoly.const(1)
         for k in pick:
-            c = c * coeff_poly(coeffs[k])
+            c = c * coeffs[k]
         key = tuple(pick)
         raw[key] = raw.get(key, UniPoly()) + c
     return SymMonomialPoly.from_monomials(

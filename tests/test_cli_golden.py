@@ -142,6 +142,14 @@ GOLDEN = [
     (['verify', '--formula', 'z^3*p2 - z*p1^2', '--conjecture', '1/2*n^4 - 5/2*n^3 + 9/2*n^2 - 9/2*n + 2', '--below-threshold'], 1,
      'ea77cb8b0eb857ed31457a6740f0232e2b559d4bbc6374614fd8c02684a061d8',
      EMPTY),
+    # Formulas with d = 0 have no level below n_star = 2, so
+    # --below-threshold substitutes at an empty list of levels.
+    (['verify', '--formula', '3', '--conjecture', '3', '--below-threshold'], 0,
+     '0c0cd7f4e30ae21547727093501972f6058ac513ee66ed883c159d95612ccc9a',
+     EMPTY),
+    (['verify', '--formula', 'z^2', '--conjecture', '(n-1)^2', '--below-threshold'], 0,
+     '0c0cd7f4e30ae21547727093501972f6058ac513ee66ed883c159d95612ccc9a',
+     EMPTY),
     (['verify', '--formula', '(p1 + p2 + z)^6', '--conjecture', SUM6 + ' + 1/3'], 1,
      '1bb788209ed83e19f27cf506e0ddbc98c549842d16062b8779fcaec29819f5b3',
      EMPTY),

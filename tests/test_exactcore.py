@@ -106,13 +106,6 @@ class TestUniPoly:
             if not a.is_zero() and not b.is_zero():
                 assert (a * b).degree == a.degree + b.degree
 
-    def test_power_matches_repeated_product(self):
-        p = P([1, Fraction(-2, 3), 0, 5])
-        acc = P([1])
-        for k in range(10):
-            assert p**k == acc
-            acc = acc * p
-
     def test_text_form(self):
         assert poly_str(P([Fraction(1, 4), 1, 1]), "t") == "1*t^2 + 1*t + 1/4"
         assert poly_str(P([]), "t") == "0"

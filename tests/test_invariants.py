@@ -186,7 +186,7 @@ class TestMinPoly:
         for n in range(2, 65):
             W = punctured_min_poly(n)
             lhs = chebyshev_T(n) - 1
-            rhs = (UniPoly([-1, 1]) * W).scale(2 ** (n - 1))
+            rhs = UniPoly([-1, 1]) * W * 2 ** (n - 1)
             assert lhs == rhs
 
     def test_monic_with_expected_degree(self):
@@ -218,7 +218,7 @@ def _times(cs, factor):
     out = [UniPoly()] * (len(cs) + len(factor) - 1)
     for i, c in enumerate(cs):
         for j, f in enumerate(factor):
-            out[i + j] = out[i + j] + c.scale(f)
+            out[i + j] = out[i + j] + c * f
     return out
 
 

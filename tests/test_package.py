@@ -134,6 +134,21 @@ def test_every_method_has_a_caller_in_the_cli():
     assert unreached == []
 
 
+def test_method_names_shared_between_classes_are_pinned():
+    """The walk above matches a method by its attribute name alone, so a
+    method whose only caller reads a same-named method of another class
+    looks reached.  A new name defined on two or more classes must be
+    added here after checking that each of them has a caller."""
+    classes_defining = {}
+    for defs, _imports in _module_graph().values():
+        for name in defs:
+            cls, _, method = name.partition(".")
+            if method:
+                classes_defining.setdefault(method, set()).add(cls)
+    shared = {m for m, classes in classes_defining.items() if len(classes) > 1}
+    assert shared == {"const", "is_constant", "_coerce", "to_dict", "passed"}
+
+
 def test_every_top_level_import_is_read():
     """Each name a module imports at top level is read in that module.
     __init__.py imports to re-export, and __future__ imports are

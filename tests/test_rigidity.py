@@ -126,7 +126,7 @@ class TestEventualPolynomial:
         F = AdmissibleFormula(h_family(7))
         got = eventual_polynomial(F)
         expected = UniPoly([0, 1]) * UniPoly([4, 1]) * UniPoly([5, 1])
-        expected = expected.scale(Fraction(-1, 384))
+        expected = expected * Fraction(-1, 384)
         assert got == expected
         assert got(Fraction(9)) == Fraction(-273, 64)
 
@@ -155,7 +155,8 @@ class TestEventualPolynomial:
     def test_extra_level_disagreement_raises(self, monkeypatch):
         # a kernel quadratic in n defeats the degree-1 bound of p2: the two
         # interpolation levels cannot predict the third
-        monkeypatch.setattr(PowerSumExpr, "substitute", lambda self, P, z: Fraction(z * z))
+        monkeypatch.setattr(PowerSumExpr, "substitute",
+                            lambda self, levels: [Fraction(z * z) for _, z in levels])
         with pytest.raises(InternalConsistencyError, match="misses the kernel"):
             eventual_polynomial(AdmissibleFormula(v2))
 
@@ -187,7 +188,7 @@ class TestKernelAgainstReference:
     def test_eventual_matches_stable_substitution(self, psi):
         F = AdmissibleFormula(psi)
         gen_values = {
-            h: punctured_power_sum_stable(h).scale(Fraction(1, 2**h))
+            h: punctured_power_sum_stable(h) * Fraction(1, 2**h)
             for h in range(1, F.d + 1)
         }
         expected = reference_substitute(psi, gen_values, UniPoly([-1, 1]))

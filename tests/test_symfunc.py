@@ -10,7 +10,7 @@ from cyclosum.exactcore import UniPoly
 from cyclosum.invariants import QPoly
 from cyclosum.symfunc import PowerSumExpr, render_powersum
 
-from conftest import powersum_exprs, random_powersum_expr, reference_substitute
+from conftest import assert_canonical, powersum_exprs, random_powersum_expr, reference_substitute
 from reference import (
     BelowStableCountError,
     NotSymmetricError,
@@ -66,7 +66,7 @@ class TestNewtonConversions:
             for i in range(r + 1):
                 term = e_family(i) * h_family(r - i)
                 acc = acc + (term if i % 2 == 0 else -term)
-            assert acc.is_zero()
+            assert not acc.rows
 
     def test_determinant_agreement(self):
         # e_r = (1/r!) det of the Girard-Newton matrix in raw p-variables
@@ -100,7 +100,7 @@ def _det(rows):
     acc = PowerSumExpr()
     for j in range(n):
         entry = rows[0][j]
-        if entry.is_zero():
+        if not entry.rows:
             continue
         minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
         term = entry * _det(minor)
@@ -195,16 +195,21 @@ class TestRendering:
 
 class TestIntegerKernel:
     @settings(max_examples=300)
-    @given(psi=powersum_exprs(), extra=st.integers(0, 3), data=st.data())
-    def test_matches_reference_substitution(self, psi, extra, data):
-        # any integers P_h and z, and d = len(P) above the weighted degree
-        size = psi.weighted_degree + extra
-        P = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=size, max_size=size))
-        zval = data.draw(st.integers(-50, 50))
-        gen_values = {h: Fraction(P[h - 1], 2**h) for h in range(1, size + 1)}
-        got = psi.substitute(P, zval)
-        assert isinstance(got, Fraction)
-        assert got == reference_substitute(psi, gen_values, Fraction(zval))
+    @given(psi=powersum_exprs(), count=st.integers(1, 3), data=st.data())
+    def test_matches_reference_substitution(self, psi, count, data):
+        # 1 to 3 levels in one call, each with any integers P_h and z and
+        # its own d = len(P) at or above the weighted degree
+        levels = []
+        for _ in range(count):
+            size = psi.weighted_degree + data.draw(st.integers(0, 3))
+            P = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=size, max_size=size))
+            levels.append((P, data.draw(st.integers(-50, 50))))
+        got = psi.substitute(levels)
+        assert len(got) == count
+        for value, (P, zval) in zip(got, levels):
+            gen_values = {h: Fraction(P[h - 1], 2**h) for h in range(1, len(P) + 1)}
+            assert isinstance(value, Fraction)
+            assert value == reference_substitute(psi, gen_values, Fraction(zval))
 
 
 # Sparse z-coefficients, whose zero entries the product skips, and a sum
@@ -230,7 +235,7 @@ class TestArithmeticAgainstSubstitution:
     def test_sum_difference_and_product(self, a, b, data):
         size = a.weighted_degree + b.weighted_degree
         P, zval = self._point(data, size) if data else (list(range(3, 3 + size)), 7)
-        at = lambda psi: psi.substitute(P, zval)
+        at = lambda psi: psi.substitute([(P, zval)])[0]
         assert at(a + b) == at(a) + at(b)
         assert at(a - b) == at(a) - at(b)
         assert at(a * b) == at(a) * at(b)
@@ -242,7 +247,7 @@ class TestArithmeticAgainstSubstitution:
     def test_power(self, a, k, data):
         size = max(k, 1) * a.weighted_degree
         P, zval = self._point(data, size) if data else (list(range(-2, size - 2)), -3)
-        assert (a**k).substitute(P, zval) == a.substitute(P, zval) ** k
+        assert (a**k).substitute([(P, zval)]) == [a.substitute([(P, zval)])[0] ** k]
 
     def test_sparse_product_is_exact(self):
         assert (z**5 * v1) * (z**5 * v1) == PowerSumExpr(
@@ -258,6 +263,21 @@ class TestArithmeticAgainstSubstitution:
         expected = [k for k in a.terms if k in total]
         expected += [k for k in b.terms if k not in a.terms and k in total]
         assert list(total) == expected
+
+
+class TestCanonicalForm:
+    """Every result of the arithmetic is stored in the one integer form,
+    and so compares and hashes structurally."""
+
+    @settings(max_examples=200)
+    @given(a=powersum_exprs(max_d=6), b=powersum_exprs(max_d=6), k=st.integers(0, 4),
+           c=st.fractions(-100, 100, max_denominator=30))
+    @example(a=SPARSE_A, b=-SPARSE_A, k=0, c=Fraction(0))
+    @example(a=z * v1 + v2.scale(half), b=z * v1 - v2.scale(half), k=3, c=Fraction(4, 6))
+    @example(a=v1.scale(half), b=v1.scale(half), k=2, c=Fraction(2))
+    def test_results_are_canonical(self, a, b, k, c):
+        for psi in (a, b, a + b, a - b, -a, a * b, a**k, a.scale(c), c * a, a + c):
+            assert_canonical(psi)
 
 
 def _same_terms_in_same_order(got, ref):
