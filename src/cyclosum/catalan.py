@@ -55,8 +55,7 @@ def h_global_series(n: int, order: int) -> Tuple[Fraction, ...]:
         raise ValueError("order must be nonnegative")
     top = min(order, n)
     beta = [0] * (top + 1)
-    for k, L in enumerate(vieta_lucas_coeffs(n, top // 2)):
-        beta[2 * k] = -L if k % 2 else L
+    beta[::2] = vieta_lucas_coeffs(n, top // 2)  # top <= n: top // 2 + 1 of them
     if n <= order:
         beta[n] -= 2
     steps = [(j, b) for j, b in enumerate(beta) if j >= 2 and b]

@@ -1,10 +1,11 @@
 """Exact arithmetic substrate: rationals, dense univariate polynomials,
 the one remainder loop and the resultant by Euclid's remainders, the
-text forms of polynomials, the integer multiply-accumulate of the
-integer rows that PowerSumExpr stores, and the integer rows of log q,
-the one recurrence behind both coefficient extraction and Newton's
-identities for W_n.  (The truncated power series of the trunk
-congruence are test reference code, in tests/reference.py.)
+text forms of polynomials and the one renderer of a term with a Q[z]
+coefficient, the integer multiply-accumulate of integer rows, and the
+integer rows of log q, the one recurrence behind both coefficient
+extraction and Newton's identities for W_n.  (The truncated power
+series of the trunk congruence are test reference code, in
+tests/reference.py.)
 
 Everything here is immutable after construction and all operations are
 pure, so values can be shared freely between threads.
@@ -165,12 +166,12 @@ def nonzero_entries(row) -> list:
 
 
 def convolve_add(row: list, a, b) -> list:
-    """row[i + j] += x * y over the nonzero entries (i, x) of a and (j, y)
-    of b, given by nonzero_entries of two nonzero integer rows, after
+    """row[i + j] += x * y over the entries (i, x) of a and (j, y) of b,
+    nonempty lists of (index, value) pairs in increasing index, after
     extending row with zeros to the product's length; returns row.  The
-    exact products multiply integer rows over a common denominator with
-    it, so they reduce once per output coefficient, not once per partial
-    product."""
+    exact products pass nonzero_entries of integer rows over a common
+    denominator, so they reduce once per output coefficient, not once per
+    partial product; M_Q's doubling passes every entry of its residues."""
     row.extend([0] * (a[-1][0] + b[-1][0] + 1 - len(row)))
     for i, x in a:
         for j, y in b:
@@ -228,16 +229,6 @@ def power_str(var: str, k: int) -> str:
     return var if k == 1 else f"{var}^{k}"
 
 
-def monomial_str(c: Fraction, k: int, var: str) -> tuple:
-    """(sign, body) of the nonzero term c*var^k, with body "|c|*var^k" and
-    a factor 1 left out."""
-    if k == 0:
-        return c, rat_str(abs(c))
-    if abs(c) == 1:
-        return c, power_str(var, k)
-    return c, f"{rat_str(abs(c))}*{power_str(var, k)}"
-
-
 def poly_str(p: UniPoly, var: str) -> str:
     """Text form "c_k*var^k + ..." in the named variable, with every
     rational coefficient written out."""
@@ -251,6 +242,22 @@ def poly_str(p: UniPoly, var: str) -> str:
             body += "*" + power_str(var, k)
         terms.append((c, body))
     return join_terms(terms)
+
+
+def coeff_term(c: UniPoly, factors: list) -> tuple:
+    """(sign, body) of the nonzero term c*f_1*f_2... for a Q[z]
+    coefficient c and the texts f_i of the other factors.  A monomial
+    c = v z^k takes the sign of v and the body "|v|*z^k*f_1...", with a
+    factor 1 left out unless it is all there is; any other c is written
+    "(c)*f_1..." with sign +1."""
+    nonzero = nonzero_entries(c.coeffs)
+    if len(nonzero) != 1:
+        return 1, "*".join([f"({poly_str(c, ZVAR)})", *factors])
+    (k, v), = nonzero
+    body = [rat_str(abs(v))] if abs(v) != 1 or not (k or factors) else []
+    if k:
+        body.append(power_str(ZVAR, k))
+    return v, "*".join(body + factors)
 
 
 def primitive_row(cs) -> tuple:

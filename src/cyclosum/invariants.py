@@ -17,8 +17,8 @@ from itertools import accumulate
 from fractions import Fraction
 from typing import List, Sequence
 
-from .exactcore import (TVAR, ZVAR, UniPoly, join_terms, monomial_str, poly_str,
-                        power_str, primitive_row, rat, reduce_rows, resultant)
+from .exactcore import (TVAR, UniPoly, coeff_term, convolve_add, join_terms, power_str,
+                        primitive_row, rat, reduce_rows, resultant)
 
 
 class InternalConsistencyError(AssertionError):
@@ -106,22 +106,23 @@ def sin_power_sum(n: int, h: int) -> Fraction:
     return Fraction(n, 2**h) * re
 
 
-def punctured_power_sum(n: int, h: int) -> Fraction:
+def punctured_power_sum(n: int, h: int) -> int:
     """P_h(n) = 2^h (C(n,h) - 1) = n sum_r b_r - 2^h, an integer; exact in
     every regime of n and h."""
     if n < 2:
         raise ValueError("level n must be >= 2")
-    return Fraction(n * sum(b for _, b in _stride_binomials(n, h)) - 2**h)
+    return n * sum(b for _, b in _stride_binomials(n, h)) - 2**h
 
 
 def vieta_lucas_coeffs(n: int, top: int) -> List[int]:
-    """L_k = C(n-k, k) + C(n-k-1, k-1) for 0 <= k <= min(top, n/2), the
-    integers of 2 T_n(x/2) = sum_k (-1)^k L_k x^(n-2k), so that
+    """(-1)^k L_k with L_k = C(n-k, k) + C(n-k-1, k-1) for
+    0 <= k <= min(top, n/2): the signed coefficients of the Vieta-Lucas
+    polynomial 2 T_n(x/2) = sum_k (-1)^k L_k x^(n-2k), so that
     T_n(t) = sum_k (-1)^k L_k 2^(n-2k-1) t^(n-2k) for n >= 1
     (Mason & Handscomb, Chebyshev Polynomials, 2003, 2.3)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return [1] + [math.comb(n - k, k) + math.comb(n - k - 1, k - 1)
+    return [1] + [(-1) ** k * (math.comb(n - k, k) + math.comb(n - k - 1, k - 1))
                   for k in range(1, min(top, n // 2) + 1)]
 
 
@@ -135,10 +136,9 @@ def punctured_min_poly(n: int) -> UniPoly:
     """
     check_level(n)
     c = [0] * (n + 1)
-    for k, L in enumerate(vieta_lucas_coeffs(n, n)):
+    for k, v in enumerate(vieta_lucas_coeffs(n, n)):
         j = n - 2 * k
-        v = L << j >> 1  # L_k 2^(j-1), an integer: at j = 0, L_k = 2
-        c[j] = -v if k % 2 else v
+        c[j] = v << j >> 1  # v 2^(j-1), an integer: at j = 0, v = +-2
     quotient = list(accumulate(c[:0:-1]))[::-1]  # c_j + ... + c_n for j >= 1
     if quotient[0] + c[0] != 1:
         raise InternalConsistencyError(f"T_{n} - 1 not divisible by t - 1")
@@ -180,15 +180,8 @@ class QPoly:
         return hash(self.coeffs)
 
     def __str__(self):
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            if c.is_constant():
-                terms.append(monomial_str(c.constant(), k, TVAR))
-            else:  # k >= 1, since the constant coefficient is 1
-                terms.append((1, f"({poly_str(c, ZVAR)})*{power_str(TVAR, k)}"))
-        return join_terms(terms)
+        return join_terms(coeff_term(c, [power_str(TVAR, k)] if k else [])
+                          for k, c in enumerate(self.coeffs) if not c.is_zero())
 
     def __repr__(self):
         return f"QPoly({self!s})"
@@ -200,7 +193,8 @@ def _lucas_mod(a: list, n: int):
     D >= 1.  From C_0 = 2 and C_1 = x the doubling rules
     C_2m = C_m^2 - 2 and C_2m+1 = C_m C_m+1 - x run on integer rows: b is
     the primitive row of a, with leading coefficient l > 0, a residue is
-    (e, row) for row / l^e, and reduce_rows pseudo-divides by b.
+    (e, row) for row / l^e with 1 to D entries in row, and reduce_rows
+    pseudo-divides by b.
     """
     b, _ = primitive_row(a)
     lead, D = b[-1], len(b) - 1
@@ -210,11 +204,7 @@ def _lucas_mod(a: list, n: int):
 
     def product_minus(u, v, w):  # u v - w
         (eu, ru), (ev, rv), (ew, rw) = u, v, w
-        row = [0] * max(len(ru) + len(rv) - 1, len(rw))
-        for i, x in enumerate(ru):
-            if x:
-                for j, y in enumerate(rv, i):
-                    row[j] += x * y
+        row = convolve_add([0] * len(rw), [*enumerate(ru)], [*enumerate(rv)])
         p = lead ** (eu + ev - ew)
         for i, x in enumerate(rw):
             row[i] -= x * p

@@ -286,7 +286,7 @@ def float_eval(
 
     log_bound = log_S + G - W
     top = math.floor(log_bound)
-    bound = Fraction(math.exp2(log_bound - top)) * Fraction(2) ** top
+    bound = Fraction(2.0 ** (log_bound - top)) * Fraction(2) ** top
     return man * Fraction(2) ** exp, bound
 
 

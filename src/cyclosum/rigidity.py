@@ -94,7 +94,7 @@ class EvalReport:
 
     n: int
     value: Fraction
-    power_sums: Tuple[Fraction, ...]  # P_1(n)..P_d(n)
+    power_sums: Tuple[int, ...]  # P_1(n)..P_d(n)
     product_values: Tuple[Fraction, ...]  # M_{Q_i}(n) per factor
     mode: str  # "stable" (n >= n_star) or "general"
 
@@ -103,6 +103,13 @@ class EvalReport:
         for i, v in enumerate(self.product_values, start=1):
             out[f"M_{i}"] = rat_str(v)
         return out
+
+
+def _levels(F: AdmissibleFormula, ns) -> list:
+    """The levels (P_1(n)..P_d(n), n - 1) at which psi_star.substitute
+    evaluates F, one for each n in ns."""
+    hs = range(1, F.d + 1)
+    return [([punctured_power_sum(n, h) for h in hs], n - 1) for n in ns]
 
 
 def evaluate(F: AdmissibleFormula, n: int) -> EvalReport:
@@ -114,15 +121,15 @@ def evaluate(F: AdmissibleFormula, n: int) -> EvalReport:
     """
     if n < 2:
         raise ValueError("level n must be >= 2")
-    P = tuple(punctured_power_sum(n, h) for h in range(1, F.d + 1))
-    (value,) = F.psi_star.substitute([([p.numerator for p in P], n - 1)])
+    levels = _levels(F, [n])
+    (value,) = F.psi_star.substitute(levels)
     mvals = []
     for Q, mult in F.products:
         mq = multiplicative_invariant(Q, n)
         mvals.append(mq)
         value *= mq**mult
     mode = "stable" if n >= F.n_star else "general"
-    return EvalReport(n, value, P, tuple(mvals), mode)
+    return EvalReport(n, value, tuple(levels[0][0]), tuple(mvals), mode)
 
 
 def _interpolate(x0: int, values) -> UniPoly:
@@ -169,15 +176,13 @@ def eventual_polynomial(F: AdmissibleFormula) -> UniPoly:
         (len(row) - 1 + sum(exps[1::2]) for exps, row in F.psi_star.rows.items()),
         default=0,
     )
-    hs = range(1, F.d + 1)
-    P = [punctured_power_sum(F.n_star, h).numerator for h in hs]
-    # P_h is at most linear in n > h, and n_star = d + 2 > h
-    slopes = [punctured_power_sum(F.n_star + 1, h).numerator - p for h, p in zip(hs, P)]
-    levels = []
-    for n in range(F.n_star, F.n_star + D + 2):
-        levels.append((P, n - 1))
-        P = [a + b for a, b in zip(P, slopes)]
-    values = F.psi_star.substitute(levels)
+    (P, z), (P1, _) = _levels(F, [F.n_star, F.n_star + 1])
+    # P_h is at most linear in n > h, and n_star = d + 2 > h, so the first
+    # two levels give the rest
+    slopes = [b - a for a, b in zip(P, P1)]
+    values = F.psi_star.substitute(
+        [([p + i * s for p, s in zip(P, slopes)], z + i) for i in range(D + 2)]
+    )
     R = _interpolate(F.n_star, values[:-1])
     check = F.n_star + D + 1
     if R(check) != values[-1]:
@@ -254,8 +259,6 @@ def verify_identity(
         )
     eventual = eventual_polynomial(F)
     ns = range(2, F.n_star) if check_below_threshold else ()
-    values = F.psi_star.substitute(
-        [([punctured_power_sum(n, h).numerator for h in range(1, F.d + 1)], n - 1) for n in ns]
-    )
+    values = F.psi_star.substitute(_levels(F, ns))
     levels = tuple(LevelCheck(n, conjecture(Fraction(n)), v) for n, v in zip(ns, values))
     return VerificationReport(F, eventual, eventual - conjecture, levels)

@@ -18,8 +18,8 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, List, Tuple
 
-from .exactcore import (ZVAR, UniPoly, convolve_add, join_terms, monomial_str,
-                        nonzero_entries, poly_str, power_str)
+from .exactcore import (UniPoly, coeff_term, convolve_add, join_terms,
+                        nonzero_entries, power_str)
 
 
 def _trim(exps) -> Tuple[int, ...]:
@@ -237,23 +237,10 @@ def _term_sort_key(exps: Tuple[int, ...]):
     return (-wdeg, tuple(-e for e in exps))
 
 
-def _coeff_parts(c: UniPoly):
-    """Split a Q[z] coefficient into (sign, text) when it is a single
-    monomial; multi-term coefficients render parenthesized with sign +1."""
-    nonzero = [(k, v) for k, v in enumerate(c.coeffs) if v]
-    if len(nonzero) == 1:
-        k, v = nonzero[0]
-        return monomial_str(v, k, ZVAR)
-    return 1, f"({poly_str(c, ZVAR)})"
-
-
 def render_powersum(psi: PowerSumExpr) -> str:
     """Text form over tokens p1..pd and z, e.g. "z*p2 - p1^2"."""
     coeffs = psi.terms
-    terms = []
-    for exps in sorted(coeffs, key=_term_sort_key):
-        gens = [power_str(f"p{i + 1}", e) for i, e in enumerate(exps) if e]
-        sign, ctext = _coeff_parts(coeffs[exps])
-        factors = gens if gens and ctext == "1" else [ctext] + gens
-        terms.append((sign, "*".join(factors)))
-    return join_terms(terms)
+    return join_terms(
+        coeff_term(coeffs[exps], [power_str(f"p{i + 1}", e) for i, e in enumerate(exps) if e])
+        for exps in sorted(coeffs, key=_term_sort_key)
+    )

@@ -207,10 +207,9 @@ def chebyshev_T(n):
     if n == 0:
         return UniPoly([1])
     coeffs = [0] * (n + 1)
-    for k, L in enumerate(vieta_lucas_coeffs(n, n)):
+    for k, v in enumerate(vieta_lucas_coeffs(n, n)):
         j = n - 2 * k
-        c = L << j >> 1  # L_k 2^(j-1), an integer: at j = 0, L_k = 2
-        coeffs[j] = -c if k % 2 else c
+        coeffs[j] = v << j >> 1  # v 2^(j-1), an integer: at j = 0, v = +-2
     return UniPoly(coeffs)
 
 

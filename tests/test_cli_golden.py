@@ -363,7 +363,7 @@ GOLDEN = [
      'e58e4eb0249c64a2c5cf0e267aa42d1e57e5fa912e0ee32bee5557bfd5909f6d',
      EMPTY),
     (['extract', '--formula', '1 + z*t - t^2/3', '--r', '4', '--format', 'json'], 0,
-     '3e54727e08c6e8b8ee1b3fd12f0ad5a8fd1be0ab2c62c99052a3e5ba5994e46d',
+     '30aa3d755d68bf8dc273d9a7cfeb378d9fd35fc1f8e8935a8309dac2746b1ec4',
      EMPTY),
     (['oracle', '--formula', 'h(6)', '--n', '9', '--format', 'json'], 0,
      '40dfa472ea499ce517b740e32b89d7fbb42214853d6b4ab5c4e516ddfcebc225',
@@ -399,7 +399,7 @@ GOLDEN = [
      '08ad1df5b5ccd8692fc7138e5cc11c93e1b491d16d32ed1dd4274524cdc4fe31',
      EMPTY),
     (['extract', '--formula', '1 + z*t - t^2/3', '--r', '4', '--format', 'tsv'], 0,
-     '62871b49ebd97c029b0b44462001324caf9dc0d96edabfdc838aa55c73346031',
+     '24b4a993992fd134445341fefbf988570ecdf0198bd83d1743e0ce991fce5b76',
      EMPTY),
     (['oracle', '--formula', 'h(6)', '--n', '9', '--format', 'tsv'], 0,
      '7387773271de0199942bebd8446d47b1efe8c43cea583ddec6a07dcf58fc71c1',
@@ -529,6 +529,11 @@ GOLDEN = [
     (['eval', '--formula', 'p1*prod(1 + t + (z - 4)*t^2)', '--n', '5', '--format', 'json'], 0,
      'a187e640b68adb05acf690de6d1b5d92f8dd6286f88353d5edb3a610ae22ab2a',
      EMPTY),
+    # Single-monomial z coefficients of Q print as in a power-sum formula:
+    # "- z*t", not "+ (-1*z)*t".
+    (['mq', '--formula', '1 - z*t + 2*z^2*t^2', '--n', '7', '--format', 'json'], 0,
+     'bd15be791a2ee7a3bd9622db9a0417a12aef67f481dde0afa25a9fff2ff45983',
+     EMPTY),
     # Out-of-range n or h, refused by the library's own checks.
     (['power-sum', '--n', '10', '--h', '-1'], 2,
      EMPTY,
@@ -654,8 +659,8 @@ REPLAY = [("identities", 270), ("crosscheck", 40), ("levels", 20)]
 REPLAY_SEED = 601000
 REPLAY_SHA = {
     "identities": "96fad3e12105a2f584b87c5b9e4847ccca4275b8e72718e7db96baa746d2a78d",
-    "crosscheck": "0dc82d745f8751fa6534d3201466001b314c5844f10856c78b87231d7a05d100",
-    "levels": "953b3f8ebeeefdcf9320df562669bdb08ec6b19173605cd0e9d14f192e53f9d0",
+    "crosscheck": "0de8d5e84d1fc0a7496d793fab7eb1a5c5fe3914a162864885a550e95fdb2324",
+    "levels": "86d7033f111a45fd18be38007b8f25cc0739daf819d11934b27c8f7d2a70bdc5",
 }
 
 

@@ -392,9 +392,9 @@ def corpus_outcomes(mode):
 
 
 CORPUS_SHA = {
-    "formula": "f2e94dc3805ecc8f844c252f06c4e098e8b97768654c0551f10eac5035438d14",
+    "formula": "3d985f196a9ba7c557609e536bfb4540fdb7941a52f7b0f2c5219461ab85a0d8",
     "conjecture": "6dc95e50926009ada86ba64738a051b12bada12e5a0854517af3ed5db7318792",
-    "qpoly": "e8641d6c2a6cda69f8860867b784b020203e662839c59e84c5271b5a487c470a",
+    "qpoly": "9da3fbe64ea84fe7ccae70247431daf08a9872b870e73bce422c7790da5b77f2",
 }
 
 

@@ -16,6 +16,7 @@ from cyclosum.invariants import (
     punctured_min_poly,
     punctured_power_sum,
     sin_power_sum,
+    vieta_lucas_coeffs,
 )
 
 from reference import chebyshev_T, mq_reference, parity_binom, punctured_power_sum_stable
@@ -109,7 +110,8 @@ class TestStrideBinomials:
                 re = sum(b if r * n % 4 < 2 else -b for r, b in terms if r * n % 2 == 0)
                 assert cos_power_sum(n, h) == Fraction(n, 2**h) * total, (n, h)
                 assert sin_power_sum(n, h) == Fraction(n, 2**h) * re, (n, h)
-                assert punctured_power_sum(n, h) == n * total - 2**h, (n, h)
+                P = punctured_power_sum(n, h)
+                assert type(P) is int and P == n * total - 2**h, (n, h)
 
 
 def _cross_term(n):
@@ -163,6 +165,21 @@ class TestChebyshev:
             T = chebyshev_T(n)
             assert T(Fraction(1)) == 1
             assert T(Fraction(-1)) == (-1) ** n
+
+    def test_vieta_lucas_coeffs_are_the_signed_row_of_2T_n(self):
+        # against 2 T_n(x/2) with T_n from T_(n+1) = 2t T_n - T_(n-1),
+        # not from the closed form that chebyshev_T reads
+        half_x = UniPoly([0, Fraction(1, 2)])
+        prev, T = UniPoly([1]), UniPoly([0, 1])
+        for n in range(1, 61):
+            row = vieta_lucas_coeffs(n, n)
+            coeffs = [0] * (n + 1)
+            for k, v in enumerate(row):
+                coeffs[n - 2 * k] = v
+            assert 2 * T(half_x) == UniPoly(coeffs), n
+            for top in range(n // 2 + 2):
+                assert vieta_lucas_coeffs(n, top) == row[: top + 1]
+            prev, T = T, UniPoly([0, 2]) * T - prev
 
     def test_three_term_recurrence(self):
         # the closed form against T_(n+1) = 2t T_n - T_(n-1)

@@ -1,13 +1,21 @@
 import ast
+import contextlib
+import io
+import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import types
 
+import pytest
+
 import cyclosum
+from cyclosum import cli
 
 SRC = pathlib.Path(cyclosum.__file__).resolve().parent
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # Exported for the second exact route of the oracle, which does not call
 # it yet; the exception goes once cross_check does.
@@ -180,3 +188,66 @@ def test_cli_imports_no_third_party_module():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+# One call of each subcommand, for the oldest Python that pyproject.toml
+# admits.
+SMOKE = [
+    ["power-sum", "--n", "10", "--h", "4"],
+    ["cos-sum", "--n", "7", "--h", "6"],
+    ["sin-sum", "--n", "8", "--h", "4"],
+    ["minpoly", "--n", "7"],
+    ["mq", "--formula", "1 - z*t + 2*z^2*t^2", "--n", "7"],
+    ["eval", "--formula", "energy*prod(1 - t + 2*t^2)", "--n", "12", "--format", "json"],
+    ["eventual", "--formula", "h(6)"],
+    ["verify", "--formula", "energy", "--conjecture", "(n^2-3*n)/2", "--below-threshold"],
+    ["hseries", "--n", "9", "--order", "7", "--format", "tsv"],
+    ["catalan-a", "--n", "9", "--r", "2"],
+    ["extract", "--formula", "1 + z*t - t^2/3", "--r", "4"],
+    ["oracle", "--formula", "h(6) + z*p3", "--n", "9"],
+]
+
+# Runs the calls of argv[1] (JSON) through cli.main and prints
+# [exit code, stdout] for each as JSON.
+SMOKE_CHILD = """
+import contextlib, io, json, sys
+from cyclosum import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(argv)
+    results.append([rc, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _oldest_python() -> str:
+    """python3.<minor> for the lowest version in requires-python; read by
+    a regex, since tomllib is new in 3.11."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = re.search(r'requires-python\s*=\s*">=\s*(\d+)\.(\d+)', text).groups()
+    return f"python{major}.{minor}"
+
+
+def test_oldest_supported_python_prints_the_same():
+    assert {argv[0] for argv in SMOKE} == set(cli.COMMANDS)
+    exe = _oldest_python()
+    try:
+        starts = subprocess.run([exe, "-c", "pass"], capture_output=True,
+                                timeout=60).returncode == 0
+    except OSError:
+        starts = False
+    if not starts:
+        pytest.skip(f"{exe} does not start")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    res = subprocess.run([exe, "-c", SMOKE_CHILD, json.dumps(SMOKE)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    expected = []
+    for argv in SMOKE:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(argv)
+        expected.append([rc, out.getvalue()])
+    assert json.loads(res.stdout) == expected

@@ -79,7 +79,8 @@ class TestStableEval:
         rep = evaluate(energy(), 6)
         assert rep.n == 6
         assert rep.mode == "stable"
-        assert rep.power_sums == (Fraction(-2), Fraction(8))
+        assert rep.power_sums == (-2, 8)
+        assert all(type(p) is int for p in rep.power_sums)
         assert rep.breakdown() == {"P_1": "-2", "P_2": "8"}
 
     def test_below_threshold_reports_general_mode(self):
@@ -174,7 +175,7 @@ class TestKernelAgainstReference:
     def test_evaluate_on_both_sides_of_threshold(self, psi, offset):
         F = AdmissibleFormula(psi)
         n = max(2, F.n_star + offset)
-        gen_values = {h: punctured_power_sum(n, h) / 2**h for h in range(1, F.d + 1)}
+        gen_values = {h: Fraction(punctured_power_sum(n, h), 2**h) for h in range(1, F.d + 1)}
         report = evaluate(F, n)
         assert report.mode == ("stable" if n >= F.n_star else "general")
         assert report.value == reference_substitute(psi, gen_values, Fraction(n - 1))
