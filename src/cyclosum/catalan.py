@@ -3,13 +3,15 @@ at cosine points.
 
 A(t) = 2 / (1 + sqrt(1 - t^2)) is handled purely through the closed form
 of its power coefficients a_l(n).  The global generating function of the
-h_r values at level n comes from the Chebyshev factorization of T_n - 1.
-Extraction reads log Q from exactcore.log_rows, which also gives the
-oracle's Newton route its power sums, and emits the integer rows of its
-PowerSumExpr over the one denominator A^r r!, reduced once.
-The series A(t)^n, the stable closed form of h_r and the trunk
-congruence H_n(t) = (1 - t) A(t)^n are test reference code, in
-tests/reference.py.
+h_r values at level n is (1 - 2s) A(2s)^n + 2 s^n up to s^n, read off
+term by term from the ratio of consecutive coefficients; past s^n it
+continues by the integer recurrence that the Chebyshev factorization of
+T_n - 1 gives.  Extraction reads log Q from exactcore.log_rows, which
+also gives the oracle's Newton route its power sums, and emits the
+integer rows of its PowerSumExpr over the one denominator A^r r!,
+reduced once.  The Cauchy product (1 - t) A(t)^n, the stable closed form
+of h_r and the full recurrence for the h_r series are test reference
+code, in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -43,28 +45,47 @@ def h_global_series(n: int, order: int) -> Tuple[Fraction, ...]:
     """Coefficients h_0..h_order of the exact series
     sum_r h_r(alpha_{1,n}..alpha_{n-1,n}) s^r.
 
-    The points 2 alpha_{k,n} are the roots other than 2 of 2 T_n(x/2) - 2
-    = sum_j beta_j x^(n-j), monic over the integers: beta_(2k) = (-1)^k L_k,
-    beta_n lowered by 2.  So H_r = 2^r h_r are integers, and reversing gives
-    H_r = [r=0] - 2[r=1] - sum_{j=2}^{min(r,n)} beta_j H_(r-j), which reads
-    beta_j only for j <= min(order, n).
+    With x_k = 2 alpha_{k,n} = 2 cos(2 pi k/n), the H_r = 2^r h_r are the
+    coefficients of (1 - 2s)/B(s), where
+    B(s) = s^n (C_n(1/s) - 2) = (1 - 2s) prod_{k=1}^{n-1} (1 - x_k s)
+    and C_n(x) = 2 T_n(x/2) = sum_j beta_j x^(n-j) is the monic integer
+    Vieta-Lucas polynomial, beta_(2k) = (-1)^k L_k (Mason & Handscomb,
+    Chebyshev Polynomials, 2003, 2.3).
+
+    Up to s^n, in closed form: u = (1 + sqrt(1 - 4 s^2))/2 solves
+    u^2 - u + s^2 = 0, so 1/u = A(2s) and v = u/s has v + 1/v = 1/s.
+    Then C_n(1/s) = v^n + v^(-n), and with y = (s/u)^n,
+    B = u^n (1 - y)^2, hence
+    (1 - 2s)/B = (1 - 2s) sum_{m>=0} (m+1) s^(mn) A(2s)^(n(m+1)),
+    which is (1 - 2s) A(2s)^n + 2 s^n modulo s^(n+1).  The coefficient of
+    s^(2l) in A(2s)^n is g_l = 4^l a_l(n) = n/(n+2l) C(n+2l, l), and
+    g_(l+1) = g_l (n+2l)(n+2l+1) / ((l+1)(n+l+1)) is an exact integer
+    division, so each H_r with r <= min(order, n) costs one multiply and
+    one divide by small integers.
+
+    Past s^n, reversing B gives
+    H_r = -sum_{j=2}^{n} beta_j H_(r-j) with beta_n lowered by 2; the
+    beta_j are built only when order > n.
     """
     if n < 2:
         raise ValueError("level n must be >= 2")
     if order < 0:
         raise ValueError("order must be nonnegative")
     top = min(order, n)
-    beta = [0] * (top + 1)
-    beta[::2] = vieta_lucas_coeffs(n, top // 2)  # top <= n: top // 2 + 1 of them
+    H, g = [], 1  # (1 - 2s) A(2s)^n: g_l at s^(2l), -2 g_l at s^(2l+1)
+    for l in range(top // 2 + 1):
+        H += (g, -2 * g)
+        g = g * (n + 2 * l) * (n + 2 * l + 1) // ((l + 1) * (n + l + 1))
+    del H[top + 1:]
     if n <= order:
+        H[n] += 2
+    if n < order:
+        beta = [0] * (n + 1)
+        beta[::2] = vieta_lucas_coeffs(n, n // 2)
         beta[n] -= 2
-    steps = [(j, b) for j, b in enumerate(beta) if j >= 2 and b]
-    H = [1, -2][: order + 1]
-    live = 0  # steps[:live] are those with j <= r; their j are increasing
-    for r in range(2, order + 1):
-        if live < len(steps) and steps[live][0] == r:
-            live += 1
-        H.append(-sum(b * H[r - j] for j, b in steps[:live]))
+        steps = [(j, b) for j, b in enumerate(beta) if j >= 2 and b]
+        for r in range(n + 1, order + 1):
+            H.append(-sum(b * H[r - j] for j, b in steps))
     return tuple(Fraction(x, 2**r) for r, x in enumerate(H))
 
 

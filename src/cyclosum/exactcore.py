@@ -146,12 +146,21 @@ class UniPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __call__(self, x):
-        """Evaluate by Horner's rule; x may be a rational or another UniPoly."""
-        result = x * 0
-        for c in reversed(self.coeffs):
-            result = result * x + c
-        return result
+    def __call__(self, x) -> Fraction:
+        """Value at a rational x = p/q by Horner's rule in integers: with L
+        the lcm of the coefficient denominators and m the degree, it is
+        sum_k (L c_k) p^k q^(m-k) over L q^m, one Fraction per call."""
+        x = rat(x)
+        cs = self.coeffs
+        if len(cs) <= 1:
+            return self.constant()
+        L = math.lcm(*(c.denominator for c in cs))
+        p, q = x.numerator, x.denominator
+        acc, qk = 0, 1
+        for c in reversed(cs):
+            acc = acc * p + L // c.denominator * c.numerator * qk
+            qk *= q
+        return Fraction(acc, L * qk // q)
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1

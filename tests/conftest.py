@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cyclosum.exactcore import UniPoly
 from cyclosum.symfunc import PowerSumExpr
+from reference import compose
 
 # Tier-1 runs are reproducible: every hypothesis test draws the same
 # examples on every run, with no deadline and no example database.
@@ -100,7 +101,7 @@ def reference_substitute(psi, gen_values, z_value):
     integer kernel PowerSumExpr.substitute."""
     total = None
     for exps, c in psi.terms.items():
-        val = c(z_value)
+        val = compose(c, z_value) if isinstance(z_value, UniPoly) else c(z_value)
         for i, e in enumerate(exps):
             for _ in range(e):
                 val = val * gen_values[i + 1]

@@ -9,6 +9,8 @@ The tests check it against the independent routes kept here:
   elimination in graded-lex order);
 - the parity binomial binom(h, u) of the trigonometric power sums, and
   the stable closed form of P_h as a polynomial in n;
+- the composition p(q) of two polynomials, which UniPoly's call (a
+  value at a rational point) does not offer;
 - the Chebyshev polynomial T_n(t), the reference for W_n through
   T_n - 1 = 2^(n-1) (t - 1) W_n;
 - the resultant as the determinant of the Sylvester matrix, the
@@ -16,7 +18,9 @@ The tests check it against the independent routes kept here:
   M_Q(n) as the resultant of W_n against Q, the reference for the
   doubling route of multiplicative_invariant;
 - truncated power series, the Catalan series A(t)^n, the stable closed
-  form of h_r and the trunk congruence H_n(t) = (1 - t) A(t)^n;
+  form of h_r, the trunk congruence H_n(t) = (1 - t) A(t)^n and the h_r
+  series by the integer recurrence over the Vieta-Lucas coefficients,
+  the reference for the closed form of h_global_series;
 - the products with one Fraction operation per partial product: the
   PowerSumExpr product and powers, and the coefficient extraction with
   UniPoly weights, references for the library's integer routes.
@@ -195,6 +199,14 @@ def punctured_power_sum_stable(h):
     return UniPoly([-(2**h)])
 
 
+def compose(p, q):
+    """p(q) for UniPolys p and q, by Horner's rule over UniPoly."""
+    result = ZERO
+    for c in reversed(p.coeffs):
+        result = result * q + c
+    return result
+
+
 # ---------------------------------------------------------------------------
 # Chebyshev polynomials
 # ---------------------------------------------------------------------------
@@ -306,6 +318,24 @@ def h_stable(r):
 
 
 H1_VALUE = Fraction(-1)  # sum of the punctured cosine points, any n >= 2
+
+
+def h_series_recurrence(n, order):
+    """H_r = 2^r h_r for r <= order by the integer recurrence alone, the
+    reference for h_global_series: the points 2 alpha_{k,n} are the roots
+    other than 2 of 2 T_n(x/2) - 2 = sum_j beta_j x^(n-j), monic over the
+    integers, beta_(2k) = (-1)^k L_k and beta_n lowered by 2, so reversing
+    gives H_r = [r=0] - 2[r=1] - sum_{j=2}^{min(r,n)} beta_j H_(r-j)."""
+    top = min(order, n)
+    beta = [0] * (top + 1)
+    beta[::2] = vieta_lucas_coeffs(n, top // 2)
+    if n <= order:
+        beta[n] -= 2
+    steps = [(j, b) for j, b in enumerate(beta) if j >= 2 and b]
+    H = [1, -2][: order + 1]
+    for r in range(2, order + 1):
+        H.append(-sum(b * H[r - j] for j, b in steps if j <= r))
+    return tuple(Fraction(x, 2**r) for r, x in enumerate(H))
 
 
 class TrunkRangeError(ValueError):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cyclosum.catalan as catalan
 from cyclosum.catalan import (
     catalan_a,
     extract_coefficient_family,
@@ -25,6 +26,7 @@ from reference import (
     a_power_series,
     expand,
     fraction_extract,
+    h_series_recurrence,
     h_stable,
     series_mul,
     verify_trunk,
@@ -135,6 +137,14 @@ class TestHStable:
                 assert H[r] == h_stable(r)(Fraction(n))
 
 
+@st.composite
+def level_and_order(draw):
+    """(n, order) with n in [2, 400] and order in [0, 3n], often at n - 1,
+    n, n + 1 or 2n, where the closed form hands over to the recurrence."""
+    n = draw(st.integers(2, 400))
+    return n, draw(st.one_of(st.sampled_from((n - 1, n, n + 1, 2 * n)), st.integers(0, 3 * n)))
+
+
 class TestHGlobalSeries:
     def test_level_four_exact(self):
         # the three punctured points at n = 4 are 0, -1, 0
@@ -166,7 +176,29 @@ class TestHGlobalSeries:
             for m in (0, 1, n // 2 - 1, n // 2 + 1, n - 1, n, n + 1, 2 * n):
                 assert h_global_series(n, m) == full[: m + 1]
 
+    @given(case=level_and_order())
+    @example(case=(768, 256))
+    @example(case=(300, 900))
+    @example(case=(2, 4000))
+    def test_matches_the_recurrence(self, case):
+        # the closed form up to s^n and the recurrence past it, against the
+        # recurrence alone
+        n, order = case
+        assert h_global_series(n, order) == h_series_recurrence(n, order)
+
+    def test_order_up_to_n_reads_no_vieta_lucas_coefficient(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("vieta_lucas_coeffs called")
+
+        monkeypatch.setattr(catalan, "vieta_lucas_coeffs", refuse)
+        for n, order in ((768, 256), (64, 64), (2, 2)):
+            assert h_global_series(n, order) == h_series_recurrence(n, order)
+
     def test_trunk_congruence(self):
+        # the library's closed form against the Cauchy product of its own
+        # formula; the independent checks are test_matches_the_recurrence
+        # and test_matches_exact_evaluation_at_every_r, which goes through
+        # the parity binomials
         for R in range(1, 9):
             for n in range(R + 1, 17):
                 assert verify_trunk(n, R)

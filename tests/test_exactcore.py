@@ -22,6 +22,7 @@ from conftest import random_rational, random_unipoly
 from reference import (
     Series,
     a_power_series,
+    compose,
     log_coeff_list,
     series_mul,
     sylvester_resultant,
@@ -112,8 +113,11 @@ class TestUniPoly:
 
     def test_compose(self):
         p = P([1, 2, 1])  # (t+1)^2
-        assert p(P([-1, 1])) == P([0, 0, 1])
+        assert compose(p, P([-1, 1])) == P([0, 0, 1])
         assert p(Fraction(3)) == 16
+        assert P([Fraction(1, 6), Fraction(-1, 4), 1])(Fraction(-2, 3)) == Fraction(7, 9)
+        with pytest.raises(TypeError, match="cannot coerce UniPoly"):
+            p(P([-1, 1]))
 
 
 def _long_remainder(a, b):

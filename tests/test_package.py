@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 import types
@@ -230,16 +231,39 @@ def _oldest_python() -> str:
     return f"python{major}.{minor}"
 
 
+def _starts(exe: str) -> bool:
+    try:
+        return subprocess.run([exe, "-c", "pass"], capture_output=True,
+                              timeout=60).returncode == 0
+    except (OSError, subprocess.TimeoutExpired):
+        return False
+
+
+def _pyenv_pythons(name: str) -> list:
+    """The interpreters called name that pyenv has installed, newest
+    first: pyenv's shim for name fails to start while another version
+    is selected, though the interpreter itself is there."""
+    if not shutil.which("pyenv"):
+        return []
+    try:
+        root = subprocess.run(["pyenv", "root"], capture_output=True, text=True,
+                              timeout=60).stdout.strip()
+        versions = subprocess.run(["pyenv", "versions", "--bare"], capture_output=True,
+                                  text=True, timeout=60).stdout.split()
+    except (OSError, subprocess.TimeoutExpired):
+        return []
+    prefix = re.escape(name[len("python"):])
+    found = [v for v in versions if re.fullmatch(prefix + r"(\.\d+)*", v)]
+    found.sort(key=lambda v: [int(x) for x in v.split(".")], reverse=True)
+    return [os.path.join(root, "versions", v, "bin", name) for v in found]
+
+
 def test_oldest_supported_python_prints_the_same():
     assert {argv[0] for argv in SMOKE} == set(cli.COMMANDS)
-    exe = _oldest_python()
-    try:
-        starts = subprocess.run([exe, "-c", "pass"], capture_output=True,
-                                timeout=60).returncode == 0
-    except OSError:
-        starts = False
-    if not starts:
-        pytest.skip(f"{exe} does not start")
+    name = _oldest_python()
+    exe = name if _starts(name) else next(filter(_starts, _pyenv_pythons(name)), None)
+    if exe is None:
+        pytest.skip(f"{name} does not start")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     res = subprocess.run([exe, "-c", SMOKE_CHILD, json.dumps(SMOKE)], env=env,
                          capture_output=True, text=True, timeout=300)
