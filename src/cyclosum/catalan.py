@@ -35,9 +35,7 @@ def catalan_a(l: int, n: int) -> Fraction:
         raise ValueError("l must be nonnegative")
     if l == 0:
         return Fraction(1)
-    prod = 1
-    for j in range(l + 1, 2 * l):
-        prod *= n + j
+    prod = math.prod(range(n + l + 1, n + 2 * l))
     return Fraction(n * prod, 4**l * math.factorial(l))
 
 
@@ -81,7 +79,7 @@ def h_global_series(n: int, order: int) -> Tuple[Fraction, ...]:
         H[n] += 2
     if n < order:
         beta = [0] * (n + 1)
-        beta[::2] = vieta_lucas_coeffs(n, n // 2)
+        beta[::2] = vieta_lucas_coeffs(n)
         beta[n] -= 2
         steps = [(j, b) for j, b in enumerate(beta) if j >= 2 and b]
         for r in range(n + 1, order + 1):

@@ -22,7 +22,6 @@ from .invariants import (cos_power_sum, multiplicative_invariant, punctured_min_
                          punctured_power_sum, sin_power_sum)
 from .oracle import DEFAULT_PRECISION, cross_check
 from .rigidity import evaluate, eventual_polynomial, verify_identity
-from .symfunc import render_powersum
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -132,7 +131,7 @@ def _verify(args):
 def _extract(args):
     Q = parse_qpoly(args.formula)
     psi = extract_coefficient_family(Q, args.r)
-    return {"Q": str(Q), "r": str(args.r), "family": render_powersum(psi)}
+    return {"Q": str(Q), "r": str(args.r), "family": str(psi)}
 
 
 def _oracle(args):

@@ -19,12 +19,10 @@ from typing import Iterable
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, strings like "a/b", and Fractions to an exact rational."""
+    """Coerce ints and Fractions to an exact rational."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to a rational")
 
@@ -74,10 +72,6 @@ class UniPoly:
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
 
-    @classmethod
-    def const(cls, c) -> "UniPoly":
-        return cls([rat(c)])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -98,7 +92,7 @@ class UniPoly:
         if isinstance(other, UniPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return UniPoly.const(other)
+            return UniPoly([other])
         return None
 
     def __add__(self, other):

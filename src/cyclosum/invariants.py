@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import List, Sequence
 
 from .exactcore import (TVAR, UniPoly, coeff_term, convolve_add, join_terms, power_str,
-                        primitive_row, rat, reduce_rows, resultant)
+                        primitive_row, reduce_rows, resultant)
 
 
 class InternalConsistencyError(AssertionError):
@@ -114,16 +114,16 @@ def punctured_power_sum(n: int, h: int) -> int:
     return n * sum(b for _, b in _stride_binomials(n, h)) - 2**h
 
 
-def vieta_lucas_coeffs(n: int, top: int) -> List[int]:
+def vieta_lucas_coeffs(n: int) -> List[int]:
     """(-1)^k L_k with L_k = C(n-k, k) + C(n-k-1, k-1) for
-    0 <= k <= min(top, n/2): the signed coefficients of the Vieta-Lucas
+    0 <= k <= n/2: the signed coefficients of the Vieta-Lucas
     polynomial 2 T_n(x/2) = sum_k (-1)^k L_k x^(n-2k), so that
     T_n(t) = sum_k (-1)^k L_k 2^(n-2k-1) t^(n-2k) for n >= 1
     (Mason & Handscomb, Chebyshev Polynomials, 2003, 2.3)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return [1] + [(-1) ** k * (math.comb(n - k, k) + math.comb(n - k - 1, k - 1))
-                  for k in range(1, min(top, n // 2) + 1)]
+                  for k in range(1, n // 2 + 1)]
 
 
 def punctured_min_poly(n: int) -> UniPoly:
@@ -136,7 +136,7 @@ def punctured_min_poly(n: int) -> UniPoly:
     """
     check_level(n)
     c = [0] * (n + 1)
-    for k, v in enumerate(vieta_lucas_coeffs(n, n)):
+    for k, v in enumerate(vieta_lucas_coeffs(n)):
         j = n - 2 * k
         c[j] = v << j >> 1  # v 2^(j-1), an integer: at j = 0, v = +-2
     quotient = list(accumulate(c[:0:-1]))[::-1]  # c_j + ... + c_n for j >= 1
@@ -156,10 +156,10 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence):
-        cs = [c if isinstance(c, UniPoly) else UniPoly.const(c) for c in coeffs]
+        cs = [c if isinstance(c, UniPoly) else UniPoly([c]) for c in coeffs]
         while len(cs) > 1 and cs[-1].is_zero():
             cs.pop()
-        if not cs or cs[0] != UniPoly.const(1):
+        if not cs or cs[0] != UniPoly([1]):
             raise ValueError("product factor not unit-normalized: Q(z,0) != 1")
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -168,7 +168,6 @@ class QPoly:
 
     def specialize_z(self, value) -> UniPoly:
         """Evaluate the z-dependence, leaving a plain polynomial in t."""
-        value = rat(value)
         return UniPoly([c(value) for c in self.coeffs])
 
     def __eq__(self, other):

@@ -232,15 +232,8 @@ def float_eval(
     psi_val, logs = 0, [0.0]
     for exps, c in psi.terms.items():
         cz = c(z)
-        e = sum(exps)
-        if e:
-            term = cz.numerator
-            for i, ei in enumerate(exps):
-                if ei:
-                    term *= P[i] ** ei
-            psi_val += (term >> (W * (e - 1))) // cz.denominator
-        else:
-            psi_val += (cz.numerator << W) // cz.denominator
+        term = cz.numerator * math.prod(P[i] ** ei for i, ei in enumerate(exps) if ei)
+        psi_val += (term << W >> (W * sum(exps))) // cz.denominator
         if cz:
             logs.append(
                 math.log2(abs(cz.numerator)) - math.log2(cz.denominator)

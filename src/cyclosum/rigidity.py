@@ -24,7 +24,7 @@ from .invariants import (
     multiplicative_invariant,
     punctured_power_sum,
 )
-from .symfunc import PowerSumExpr, render_powersum
+from .symfunc import PowerSumExpr
 
 
 class ProductCaseError(ValueError):
@@ -72,7 +72,7 @@ class AdmissibleFormula:
 
     def render(self) -> str:
         pieces = []
-        psi_text = render_powersum(self.psi_star)
+        psi_text = str(self.psi_star)
         if psi_text != "1" or not self.products:
             if self.products and len(self.psi_star.rows) > 1:
                 psi_text = f"({psi_text})"
@@ -84,8 +84,7 @@ class AdmissibleFormula:
             pieces.append(piece)
         return " * ".join(pieces)
 
-    def __str__(self):
-        return self.render()
+    __str__ = render
 
 
 @dataclass(frozen=True)

@@ -226,7 +226,12 @@ class PowerSumExpr:
         return max((len(k) for k in self.rows), default=0)
 
     def __str__(self):
-        return render_powersum(self)
+        """Text form over tokens p1..pd and z, e.g. "z*p2 - p1^2"."""
+        coeffs = self.terms
+        return join_terms(
+            coeff_term(coeffs[exps], [power_str(f"p{i + 1}", e) for i, e in enumerate(exps) if e])
+            for exps in sorted(coeffs, key=_term_sort_key)
+        )
 
     def __repr__(self):
         return f"PowerSumExpr({self.terms!r})"
@@ -235,12 +240,3 @@ class PowerSumExpr:
 def _term_sort_key(exps: Tuple[int, ...]):
     wdeg = sum((i + 1) * e for i, e in enumerate(exps))
     return (-wdeg, tuple(-e for e in exps))
-
-
-def render_powersum(psi: PowerSumExpr) -> str:
-    """Text form over tokens p1..pd and z, e.g. "z*p2 - p1^2"."""
-    coeffs = psi.terms
-    return join_terms(
-        coeff_term(coeffs[exps], [power_str(f"p{i + 1}", e) for i, e in enumerate(exps) if e])
-        for exps in sorted(coeffs, key=_term_sort_key)
-    )

@@ -35,7 +35,7 @@ from cyclosum.exactcore import UniPoly, resultant
 from cyclosum.invariants import punctured_min_poly, vieta_lucas_coeffs
 from cyclosum.symfunc import PowerSumExpr
 
-ONE = UniPoly.const(1)
+ONE = UniPoly([1])
 ZERO = UniPoly()
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ class SymMonomialPoly:
         self.m = m
         self.terms = {}
         for lam, c in (terms or {}).items():
-            c = c if isinstance(c, UniPoly) else UniPoly.const(c)
+            c = c if isinstance(c, UniPoly) else UniPoly([c])
             if c.is_zero():
                 continue
             lam = tuple(lam)
@@ -219,7 +219,7 @@ def chebyshev_T(n):
     if n == 0:
         return UniPoly([1])
     coeffs = [0] * (n + 1)
-    for k, v in enumerate(vieta_lucas_coeffs(n, n)):
+    for k, v in enumerate(vieta_lucas_coeffs(n)):
         j = n - 2 * k
         coeffs[j] = v << j >> 1  # v 2^(j-1), an integer: at j = 0, v = +-2
     return UniPoly(coeffs)
@@ -328,7 +328,7 @@ def h_series_recurrence(n, order):
     gives H_r = [r=0] - 2[r=1] - sum_{j=2}^{min(r,n)} beta_j H_(r-j)."""
     top = min(order, n)
     beta = [0] * (top + 1)
-    beta[::2] = vieta_lucas_coeffs(n, top // 2)
+    beta[::2] = vieta_lucas_coeffs(n)[: top // 2 + 1]
     if n <= order:
         beta[n] -= 2
     steps = [(j, b) for j, b in enumerate(beta) if j >= 2 and b]

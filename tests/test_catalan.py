@@ -308,7 +308,7 @@ def _direct_s_coefficient(coeffs, r):
     for pick in itertools.product(choices, repeat=m):
         if sum(pick) != r:
             continue
-        c = UniPoly.const(1)
+        c = UniPoly([1])
         for k in pick:
             c = c * coeffs[k]
         key = tuple(pick)

@@ -119,6 +119,12 @@ class TestUniPoly:
         with pytest.raises(TypeError, match="cannot coerce UniPoly"):
             p(P([-1, 1]))
 
+    def test_strings_are_not_rationals(self):
+        # text reaches the package only through the CLI's validated readers
+        for make in (lambda: P(["1/2"]), lambda: QPoly([1, "1/2"]), lambda: P([1, 1])("2")):
+            with pytest.raises(TypeError, match="cannot coerce str"):
+                make()
+
 
 def _long_remainder(a, b):
     """a mod b over Q by schoolbook long division, as a list of length

@@ -172,13 +172,12 @@ class TestChebyshev:
         half_x = UniPoly([0, Fraction(1, 2)])
         prev, T = UniPoly([1]), UniPoly([0, 1])
         for n in range(1, 61):
-            row = vieta_lucas_coeffs(n, n)
+            row = vieta_lucas_coeffs(n)
             coeffs = [0] * (n + 1)
             for k, v in enumerate(row):
                 coeffs[n - 2 * k] = v
             assert 2 * compose(T, half_x) == UniPoly(coeffs), n
-            for top in range(n // 2 + 2):
-                assert vieta_lucas_coeffs(n, top) == row[: top + 1]
+            assert len(row) == n // 2 + 1
             prev, T = T, UniPoly([0, 2]) * T - prev
 
     def test_three_term_recurrence(self):
@@ -263,13 +262,13 @@ def mq_cases(draw):
         n = period * draw(st.integers(1, 300 // period))
     lowest = 0 if shape in ("plain", "cosine") else 1
     degree = draw(st.integers(lowest, 4 - len(factor) // 2))
-    cs = [UniPoly.const(1)]
+    cs = [UniPoly([1])]
     for _ in range(degree):
         size = draw(st.integers(1, 3))
         cs.append(UniPoly([Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
                            for _ in range(size)]))
     if cs[-1].is_zero():
-        cs[-1] = UniPoly.const(1)
+        cs[-1] = UniPoly([1])
     z = n - 1
     if shape in ("root", "double root"):
         cs[-1] = cs[-1] - sum(c(z) for c in cs)

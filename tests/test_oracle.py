@@ -357,6 +357,11 @@ class TestCrossCheck:
             cross_check(F, 7, tolerance=-1)
         assert cross_check(F, 7, tolerance=0).tolerance == "0.0"
 
+    def test_string_tolerance_rejected(self):
+        # a string would reach Fraction() past the CLI's exponent guard
+        with pytest.raises(TypeError, match="cannot coerce str"):
+            cross_check(parse_formula("p1"), 5, tolerance="1/1000")
+
     def test_report_dict(self):
         F = AdmissibleFormula(v1)
         d = cross_check(F, 5).to_dict()

@@ -1,6 +1,4 @@
 import ast
-import contextlib
-import io
 import json
 import os
 import pathlib
@@ -13,7 +11,7 @@ import types
 import pytest
 
 import cyclosum
-from cyclosum import cli
+from test_cli_golden import GOLDEN
 
 SRC = pathlib.Path(cyclosum.__file__).resolve().parent
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -155,7 +153,7 @@ def test_method_names_shared_between_classes_are_pinned():
             if method:
                 classes_defining.setdefault(method, set()).add(cls)
     shared = {m for m, classes in classes_defining.items() if len(classes) > 1}
-    assert shared == {"const", "is_constant", "_coerce", "to_dict", "passed"}
+    assert shared == {"is_constant", "_coerce", "to_dict", "passed"}
 
 
 def test_every_top_level_import_is_read():
@@ -191,34 +189,19 @@ def test_cli_imports_no_third_party_module():
     assert res.stdout.strip() == "False"
 
 
-# One call of each subcommand, for the oldest Python that pyproject.toml
-# admits.
-SMOKE = [
-    ["power-sum", "--n", "10", "--h", "4"],
-    ["cos-sum", "--n", "7", "--h", "6"],
-    ["sin-sum", "--n", "8", "--h", "4"],
-    ["minpoly", "--n", "7"],
-    ["mq", "--formula", "1 - z*t + 2*z^2*t^2", "--n", "7"],
-    ["eval", "--formula", "energy*prod(1 - t + 2*t^2)", "--n", "12", "--format", "json"],
-    ["eventual", "--formula", "h(6)"],
-    ["verify", "--formula", "energy", "--conjecture", "(n^2-3*n)/2", "--below-threshold"],
-    ["hseries", "--n", "9", "--order", "7", "--format", "tsv"],
-    ["catalan-a", "--n", "9", "--r", "2"],
-    ["extract", "--formula", "1 + z*t - t^2/3", "--r", "4"],
-    ["oracle", "--formula", "h(6) + z*p3", "--n", "9"],
-]
-
-# Runs the calls of argv[1] (JSON) through cli.main and prints
-# [exit code, stdout] for each as JSON.
-SMOKE_CHILD = """
-import contextlib, io, json, sys
+# Runs the calls read from stdin (a JSON list of argv) through cli.main
+# and prints [exit code, sha256 of stdout, sha256 of stderr] for each as
+# JSON.
+GOLDEN_CHILD = """
+import contextlib, hashlib, io, json, sys
 from cyclosum import cli
 results = []
-for argv in json.loads(sys.argv[1]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(argv)
-    results.append([rc, out.getvalue()])
+    results.append([rc] + [hashlib.sha256(t.getvalue().encode("utf-8")).hexdigest()
+                           for t in (out, err)])
 print(json.dumps(results))
 """
 
@@ -259,19 +242,17 @@ def _pyenv_pythons(name: str) -> list:
 
 
 def test_oldest_supported_python_prints_the_same():
-    assert {argv[0] for argv in SMOKE} == set(cli.COMMANDS)
+    """Every pinned CLI golden, replayed under the oldest Python that
+    pyproject.toml admits, prints the pinned bytes."""
     name = _oldest_python()
     exe = name if _starts(name) else next(filter(_starts, _pyenv_pythons(name)), None)
     if exe is None:
         pytest.skip(f"{name} does not start")
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    res = subprocess.run([exe, "-c", SMOKE_CHILD, json.dumps(SMOKE)], env=env,
-                         capture_output=True, text=True, timeout=300)
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent), COLUMNS="80")
+    res = subprocess.run([exe, "-c", GOLDEN_CHILD], env=env, capture_output=True, text=True,
+                         input=json.dumps([argv for argv, *_ in GOLDEN]), timeout=300)
     assert res.returncode == 0, res.stderr
-    expected = []
-    for argv in SMOKE:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            rc = cli.main(argv)
-        expected.append([rc, out.getvalue()])
-    assert json.loads(res.stdout) == expected
+    results = json.loads(res.stdout)
+    assert len(results) == len(GOLDEN)
+    for (argv, *pinned), result in zip(GOLDEN, results):
+        assert result == pinned, argv

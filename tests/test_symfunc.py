@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cyclosum.catalan import extract_coefficient_family, h_family
 from cyclosum.exactcore import UniPoly
 from cyclosum.invariants import QPoly
-from cyclosum.symfunc import PowerSumExpr, render_powersum
+from cyclosum.symfunc import PowerSumExpr
 
 from conftest import assert_canonical, powersum_exprs, random_powersum_expr, reference_substitute
 from reference import (
@@ -154,7 +154,7 @@ class TestReduce:
             reduce_to_powersum(G, 3)
 
     def test_non_symmetric_rejected(self):
-        raw = {(2, 0): UniPoly.const(1)}
+        raw = {(2, 0): UniPoly([1])}
         with pytest.raises(NotSymmetricError):
             SymMonomialPoly.from_monomials(2, raw)
 
@@ -183,14 +183,14 @@ class TestTruncation:
 
 class TestRendering:
     def test_energy(self):
-        assert render_powersum(z * v2 - v1**2) == "-p1^2 + z*p2"
+        assert str(z * v2 - v1**2) == "-p1^2 + z*p2"
 
     def test_zero(self):
-        assert render_powersum(PowerSumExpr()) == "0"
+        assert str(PowerSumExpr()) == "0"
 
     def test_rational_and_power(self):
         psi = v2.scale(Fraction(1, 2)) + v1**2 * z
-        assert render_powersum(psi) == "z*p1^2 + 1/2*p2"
+        assert str(psi) == "z*p1^2 + 1/2*p2"
 
 
 class TestIntegerKernel:
