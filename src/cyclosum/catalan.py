@@ -100,7 +100,7 @@ def extract_coefficient_family(Q: QPoly, r: int) -> PowerSumExpr:
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    A, N = log_rows([c.coeffs for c in Q.coeffs], r)
+    A, N = log_rows(Q.coeffs, r)
     # With L_l = N_l / (l A^l), L_l^m / m! is the row N_l^m over
     # A^(l m) l^m m!; weights[l][m] = (l^m m!, N_l^m).  The parts of a leaf
     # sum to r, so its denominators l^m m! multiply to a divisor of r!, and

@@ -107,8 +107,9 @@ def _eval(args):
 
 def _eventual(args):
     F = _load_formula(args)
-    return {"formula": F.render,
-            "eventual_polynomial": poly_str(eventual_polynomial(F), NVAR)}
+    payload = {} if args.fmt == "text" else {"formula": F.render()}
+    payload["eventual_polynomial"] = poly_str(eventual_polynomial(F), NVAR)
+    return payload
 
 
 def _verify(args):
@@ -164,8 +165,7 @@ _ARGS = {
 
 # Subcommand -> (help, argument keys, handler, the one payload key that
 # text output prints, or None for every key as "key: value").  A handler
-# returns its payload, or (payload, passed) when it can report a mismatch;
-# a value that text output may skip can be a callable that makes it.
+# returns its payload, or (payload, passed) when it can report a mismatch.
 COMMANDS = {
     "power-sum": ("punctured power sum P_h(n)", ("n", "h", "format"),
                   _scalar(punctured_power_sum), "value"),
@@ -219,13 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: dict, fmt: str, text_key):
-    """Render a flat payload as text, json, or tsv.  A value may be a
-    zero-argument callable, called only when its key is printed.  Lists
-    and dicts print as json, and so do booleans and None in tsv."""
+    """Render a flat payload as text, json, or tsv.  Lists and dicts
+    print as json, and so do booleans and None in tsv."""
     text_only = fmt == "text" and text_key
     if text_only:
         payload = {text_key: payload[text_key]}
-    payload = {k: v() if callable(v) else v for k, v in payload.items()}
     if fmt == "json":
         print(json.dumps(payload, indent=2))
         return

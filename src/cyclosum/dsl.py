@@ -28,6 +28,7 @@ FormulaSemanticError, which names no position.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from typing import List, Tuple
 
 from .exactcore import NVAR, TVAR, ZVAR, UniPoly
@@ -177,12 +178,13 @@ class _Parser:
                                           value.products + rhs.products)
                 continue
             divisor = _pure(rhs, "division")
-            c = divisor.terms.get((), UniPoly())
-            if not divisor.is_constant() or not c.is_constant():
+            row = divisor.rows.get((), ())
+            if divisor.rows.keys() - {()} or len(row) > 1:
                 raise FormulaSemanticError("division is only allowed by rational constants")
-            if c.is_zero():
+            if not row:
                 raise FormulaSemanticError("division by zero")
-            value = AdmissibleFormula(value.psi_star.scale(1 / c.constant()), value.products)
+            value = AdmissibleFormula(value.psi_star.scale(Fraction(divisor.den, row[0])),
+                                      value.products)
         return value
 
     # factor := atom [ ^ INT ]

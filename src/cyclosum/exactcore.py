@@ -1,11 +1,11 @@
-"""Exact arithmetic substrate: rationals, dense univariate polynomials,
-the one remainder loop and the resultant by Euclid's remainders, the
-text forms of polynomials and the one renderer of a term with a Q[z]
-coefficient, the integer multiply-accumulate of integer rows, and the
-integer rows of log q, the one recurrence behind both coefficient
-extraction and Newton's identities for W_n.  (The truncated power
-series of the trunk congruence are test reference code, in
-tests/reference.py.)
+"""Exact arithmetic substrate: rationals, dense univariate polynomials
+held as one denominator and an integer row, the one remainder loop and
+the resultant by Euclid's remainders, the text forms of polynomials and
+the one renderer of a term with a Q[z] coefficient, the integer
+accumulate and multiply-accumulate of integer rows, and the integer
+rows of log q, the one recurrence behind both coefficient extraction
+and Newton's identities for W_n.  (The truncated power series of the
+trunk congruence are test reference code, in tests/reference.py.)
 
 Everything here is immutable after construction and all operations are
 pure, so values can be shared freely between threads.
@@ -54,39 +54,41 @@ class ZeroDivisorError(ZeroDivisionError):
 
 
 class UniPoly:
-    """Dense univariate polynomial over Q.
+    """Dense univariate polynomial over Q: row[k] / den is the coefficient
+    of x**k, for den > 0 and integers row with no trailing zero (the zero
+    polynomial has degree -1) and gcd(den, *row) = 1, so equality and
+    hashing are structural.  The value holds no variable name: poly_str
+    names the variable when the polynomial is printed."""
 
-    coeffs[k] is the coefficient of x**k; trailing zeros are stripped,
-    and the zero polynomial has degree -1.  The value holds no variable
-    name: poly_str names the variable when the polynomial is printed.
-    """
-
-    __slots__ = ("coeffs",)
+    __slots__ = ("den", "row")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        _canonical(self, den, [c.numerator * (den // c.denominator) for c in cs])
+
+    @classmethod
+    def from_row(cls, den: int, row: list) -> "UniPoly":
+        """row / den for den > 0 and a list of integers, which it consumes."""
+        return _canonical(object.__new__(cls), den, row)
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, built anew on each read."""
+        return tuple(Fraction(x, self.den) for x in self.row)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.row) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def constant(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return not self.row
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.row[k], self.den) if 0 <= k < len(self.row) else Fraction(0)
 
     def _coerce(self, other):
         if isinstance(other, UniPoly):
@@ -99,13 +101,15 @@ class UniPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return UniPoly([self.coeff(k) + o.coeff(k) for k in range(n)])
+        den = math.lcm(self.den, o.den)
+        acc = [den // self.den * x for x in self.row]
+        add_into(acc, o.row, den // o.den)
+        return UniPoly.from_row(den, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
+        return UniPoly.from_row(self.den, [-x for x in self.row])
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -120,14 +124,10 @@ class UniPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.coeffs or not o.coeffs:
+        if not self.row or not o.row:
             return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    out[i + j] += a * b
-        return UniPoly(out)
+        row = convolve_add([], nonzero_entries(self.row), nonzero_entries(o.row))
+        return UniPoly.from_row(self.den * o.den, row)
 
     __rmul__ = __mul__
 
@@ -135,32 +135,42 @@ class UniPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.den == o.den and self.row == o.row
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.den, self.row))
 
     def __call__(self, x) -> Fraction:
-        """Value at a rational x = p/q by Horner's rule in integers: with L
-        the lcm of the coefficient denominators and m the degree, it is
-        sum_k (L c_k) p^k q^(m-k) over L q^m, one Fraction per call."""
+        """Value at a rational x = p/q by Horner's rule in integers: with m
+        the degree, it is sum_k row_k p^k q^(m-k) over den q^m, one
+        Fraction per call."""
         x = rat(x)
-        cs = self.coeffs
-        if len(cs) <= 1:
-            return self.constant()
-        L = math.lcm(*(c.denominator for c in cs))
         p, q = x.numerator, x.denominator
         acc, qk = 0, 1
-        for c in reversed(cs):
-            acc = acc * p + L // c.denominator * c.numerator * qk
+        for c in reversed(self.row):
+            acc = acc * p + c * qk
             qk *= q
-        return Fraction(acc, L * qk // q)
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return Fraction(acc * q, self.den * qk)  # qk = q^(m+1)
 
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)!r})"
+
+
+def _canonical(p: UniPoly, den: int, row: list) -> UniPoly:
+    """Set p to row / den, dropping trailing zeros and gcd(den, *row)."""
+    while row and not row[-1]:
+        row.pop()
+    g = math.gcd(den, *row)
+    object.__setattr__(p, "den", den // g)
+    object.__setattr__(p, "row", tuple(row) if g == 1 else tuple(x // g for x in row))
+    return p
+
+
+def add_into(acc: list, row, m: int):
+    """acc += m * row, entry by entry, extending acc with zeros."""
+    acc.extend([0] * (len(row) - len(acc)))
+    for i, x in enumerate(row):
+        acc[i] += m * x
 
 
 def nonzero_entries(row) -> list:
@@ -184,18 +194,18 @@ def convolve_add(row: list, a, b) -> list:
 
 def log_rows(q, order: int):
     """(A, N) for the coefficients L_0..L_order of log q, where
-    q = sum_j q_j t^j has Q[z] coefficients and q_0 = 1, and q[j] holds the
-    rational z-coefficients of q_j (q_j = 0 past the end of q): A is the
-    lcm of the denominators of q_0..q_order, and N[k] the nonzero entries
-    of the integer row in z of A^k k L_k.
+    q = sum_j q_j t^j has the UniPoly coefficients q[j] in z and q_0 = 1
+    (q_j = 0 past the end of q): A is the lcm of the denominators of
+    q_0..q_order, and N[k] the nonzero entries of the integer row in z of
+    A^k k L_k.
 
     From q * t (log q)' = t q', with d_j the integer row of -A^j q_j:
     N_k = -k d_k + sum_{j=1}^{k-1} d_j N_{k-j}.  For q = prod_i (1 - x_i t)
     these are Newton's identities, k L_k = -p_k(x) (Macdonald, Symmetric
     Functions, I.2)."""
-    q = [q[j] if j < len(q) else () for j in range(order + 1)]
-    A = math.lcm(*(a.denominator for c in q for a in c))
-    rows = [[-a.numerator * (A**j // a.denominator) for a in c] for j, c in enumerate(q)]
+    q = [q[j] if j < len(q) else UniPoly() for j in range(order + 1)]
+    A = math.lcm(*(c.den for c in q))
+    rows = [[-x * (A**j // c.den) for x in c.row] for j, c in enumerate(q)]
     d = [nonzero_entries(row) for row in rows]
     N = [[]]
     for k in range(1, order + 1):
@@ -253,24 +263,23 @@ def coeff_term(c: UniPoly, factors: list) -> tuple:
     c = v z^k takes the sign of v and the body "|v|*z^k*f_1...", with a
     factor 1 left out unless it is all there is; any other c is written
     "(c)*f_1..." with sign +1."""
-    nonzero = nonzero_entries(c.coeffs)
+    nonzero = nonzero_entries(c.row)
     if len(nonzero) != 1:
         return 1, "*".join([f"({poly_str(c, ZVAR)})", *factors])
-    (k, v), = nonzero
+    (k, _), = nonzero
+    v = c.coeff(k)
     body = [rat_str(abs(v))] if abs(v) != 1 or not (k or factors) else []
     if k:
         body.append(power_str(ZVAR, k))
     return v, "*".join(body + factors)
 
 
-def primitive_row(cs) -> tuple:
-    """(row, c) for nonzero rational coefficients cs: the integer row with
-    coprime entries and a positive last entry, and the rational c with
-    cs = c * row."""
-    L = math.lcm(*(x.denominator for x in cs))
-    row = [x.numerator * (L // x.denominator) for x in cs]
+def primitive_row(row) -> tuple:
+    """(p, g) for a nonzero integer row ending in a nonzero entry: the
+    row p with coprime entries and a positive last entry, and the integer
+    g with row = g * p."""
     g = math.gcd(*row) if row[-1] > 0 else -math.gcd(*row)
-    return [x // g for x in row], Fraction(g, L)
+    return [x // g for x in row], g
 
 
 def reduce_rows(a: list, b: list) -> list:
@@ -306,8 +315,9 @@ def resultant(a: UniPoly, b: UniPoly) -> Fraction:
     """
     if a.is_zero() or b.is_zero():
         raise ZeroDivisorError("resultant of a zero polynomial")
-    (a, ca), (b, cb) = primitive_row(a.coeffs), primitive_row(b.coeffs)
-    acc = ca ** (len(b) - 1) * cb ** (len(a) - 1)
+    (ra, ga), (rb, gb) = primitive_row(a.row), primitive_row(b.row)
+    acc = Fraction(ga, a.den) ** b.degree * Fraction(gb, b.den) ** a.degree
+    a, b = ra, rb
     if len(a) < len(b):
         if (len(a) - 1) * (len(b) - 1) % 2:
             acc = -acc

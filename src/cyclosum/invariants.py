@@ -143,10 +143,9 @@ def punctured_min_poly(n: int) -> UniPoly:
     if quotient[0] + c[0] != 1:
         raise InternalConsistencyError(f"T_{n} - 1 not divisible by t - 1")
     lead = 2 ** (n - 1)
-    W = UniPoly([Fraction(q, lead) for q in quotient])
-    if not W.is_monic() or W.degree != n - 1:
+    if quotient[-1] != lead or len(quotient) != n:
         raise InternalConsistencyError(f"W_{n} is not monic of degree {n - 1}")
-    return W
+    return UniPoly.from_row(lead, quotient)
 
 
 class QPoly:
@@ -188,7 +187,7 @@ class QPoly:
 
 def _lucas_mod(a: list, n: int):
     """(row, den) with C_n mod a = row / den, where C_n(x) = 2 T_n(x/2)
-    and a holds the rational coefficients of a polynomial of degree
+    and a holds the integer coefficients of a polynomial of degree
     D >= 1.  From C_0 = 2 and C_1 = x the doubling rules
     C_2m = C_m^2 - 2 and C_2m+1 = C_m C_m+1 - x run on integer rows: b is
     the primitive row of a, with leading coefficient l > 0, a residue is
@@ -241,9 +240,9 @@ def multiplicative_invariant(Q: QPoly, n: int) -> Fraction:
     Algebra, ch. 6).
     """
     check_level(n)
-    q = list(Q.specialize_z(n - 1).coeffs)
-    L = math.lcm(*(c.denominator for c in q))
-    C = sum(abs(c.numerator) * (L // c.denominator) for c in q)
+    spec = Q.specialize_z(n - 1)
+    L, q = spec.den, list(spec.row)
+    C = sum(map(abs, q))
     if (n - 1) * (C.bit_length() + L.bit_length() + 2 * len(q)) > MAX_MQ_BITS:
         raise MemoryError(f"M_Q at level {n} may need more than {MAX_MQ_BITS} bits")
     value = Fraction(1)
@@ -251,14 +250,14 @@ def multiplicative_invariant(Q: QPoly, n: int) -> Fraction:
         q = list(accumulate(q[:0:-1]))[::-1]
         value *= Fraction(n * n if n % 2 else -n * n, 1 << (n - 1))
     if len(q) == 1:
-        return value * q[0] ** (n - 1)
+        return value * Fraction(q[0], L) ** (n - 1)
     D = len(q) - 1
-    a = [c * (1 << (D - k)) for k, c in enumerate(q)]  # 2^D Q'(x/2)
+    a = [c << (D - k) for k, c in enumerate(q)]  # L 2^D Q'(x/2)
     row, den = _lucas_mod(a, n)
     row[0] -= 2 * den
-    S = UniPoly([Fraction(c, den) for c in row])
+    S = UniPoly.from_row(den, row)
     if S.is_zero():
         return Fraction(0)
     sign = -1 if n * D % 2 else 1  # (-1)^((n-1) D) / (-1)^D
-    return (value * sign * q[-1] ** (n - S.degree) * resultant(UniPoly(a), S)
-            / (sum(q) * (1 << (n * D))))
+    return (value * sign * Fraction(q[-1], L) ** (n - S.degree)
+            * resultant(UniPoly.from_row(L, a), S) * L / (sum(q) << (n * D)))

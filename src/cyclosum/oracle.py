@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .catalan import h_global_series
-from .exactcore import log_rows, rat, rat_str
+from .exactcore import UniPoly, log_rows, rat, rat_str
 from .invariants import check_level
 from .rigidity import AdmissibleFormula, evaluate
 
@@ -246,9 +246,9 @@ def float_eval(
     log_kappas = [0.0]
     shift = W - 60
     for Q, mult in F.products:
-        q = Q.specialize_z(N).coeffs
-        qs = [(c.numerator << W) // c.denominator for c in reversed(q)]
-        A = (len(q) - 1) * (math.ceil(sum(abs(c) for c in q)) + 2) + 1
+        q = Q.specialize_z(N)
+        qs = [(c << W) // q.den for c in reversed(q.row)]
+        A = q.degree * (-(-sum(map(abs, q.row)) // q.den) + 2) + 1
         vals = []
         for x in points:
             v = qs[0]
@@ -293,7 +293,7 @@ def exact_newton_powersums(n: int, d: int) -> List[Fraction]:
     if d < 0:
         raise ValueError("d must be nonnegative")
     # log sum_r h_r s^r = sum_k p_k s^k / k, so k L_k = p_k
-    A, N = log_rows([(h,) for h in h_global_series(n, d)], d)
+    A, N = log_rows([UniPoly([h]) for h in h_global_series(n, d)], d)
     return [Fraction(row[0][1], A**k) if row else Fraction(0)
             for k, row in enumerate(N[1:], start=1)]
 

@@ -154,7 +154,7 @@ def _interpolate(x0: int, values) -> UniPoly:
         coeffs = [newton[k]] + coeffs
         for i in range(len(coeffs) - 1):
             coeffs[i] -= root * coeffs[i + 1]
-    return UniPoly([Fraction(a, M * scale) for a in coeffs])
+    return UniPoly.from_row(M * scale, coeffs)
 
 
 def eventual_polynomial(F: AdmissibleFormula) -> UniPoly:

@@ -1,14 +1,14 @@
 """Symmetric polynomials in the power-sum basis over Q[z].
 
 PowerSumExpr is a polynomial in abstract generators v_1..v_d (the power
-sums p_1..p_d) with coefficients in Q[z], held in one integer form: a
-positive denominator den and, per monomial, the integer z-coefficients
-of den times its coefficient.  Sums, products and powers work on these
-rows and reduce once per result; substitute evaluates at integer power
-sums and integer z, for any number of levels in one pass.  By
-stable-range rigidity this presentation is all the pipelines need; the
-monomial-orbit basis and the reduction into power sums, which the tests
-compare against, live in tests/reference.py.
+sums p_1..p_d) with coefficients in Q[z], held in one integer form, as a
+UniPoly is: a positive denominator den and, per monomial, the integer
+z-coefficients of den times its coefficient.  Sums, products and powers
+work on these rows and reduce once per result; substitute evaluates at
+integer power sums and integer z, for any number of levels in one pass.
+By stable-range rigidity this presentation is all the pipelines need;
+the monomial-orbit basis and the reduction into power sums, which the
+tests compare against, live in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, List, Tuple
 
-from .exactcore import (UniPoly, coeff_term, convolve_add, join_terms,
+from .exactcore import (UniPoly, add_into, coeff_term, convolve_add, join_terms,
                         nonzero_entries, power_str)
 
 
@@ -27,13 +27,6 @@ def _trim(exps) -> Tuple[int, ...]:
     while exps and exps[-1] == 0:
         exps.pop()
     return tuple(exps)
-
-
-def _add_into(acc: list, row, m: int):
-    """acc += m * row, entry by entry, extending acc with zeros."""
-    acc.extend([0] * (len(row) - len(acc)))
-    for i, x in enumerate(row):
-        acc[i] += m * x
 
 
 def _store(psi: "PowerSumExpr", den: int, rows: dict) -> "PowerSumExpr":
@@ -66,13 +59,12 @@ class PowerSumExpr:
     def __init__(self, terms: Dict[Tuple[int, ...], UniPoly] = None):
         """From a map of exponent tuples to coefficients in Q[z], each a
         UniPoly or a rational scalar; keys equal after trimming add up."""
-        terms = {k: c.coeffs if isinstance(c, UniPoly) else (c,)
+        terms = {k: c if isinstance(c, UniPoly) else UniPoly([c])
                  for k, c in (terms or {}).items()}
-        den = math.lcm(*(a.denominator for cs in terms.values() for a in cs))
+        den = math.lcm(*(c.den for c in terms.values()))
         rows: Dict[Tuple[int, ...], list] = {}
-        for exps, cs in terms.items():
-            row = [a.numerator * (den // a.denominator) for a in cs]
-            _add_into(rows.setdefault(_trim(exps), []), row, 1)
+        for exps, c in terms.items():
+            add_into(rows.setdefault(_trim(exps), []), c.row, den // c.den)
         _store(self, den, rows)
 
     def __setattr__(self, name, value):
@@ -101,10 +93,7 @@ class PowerSumExpr:
     @property
     def terms(self) -> Dict[Tuple[int, ...], UniPoly]:
         """The coefficients as UniPolys over Q, built anew on each read."""
-        return {k: UniPoly(Fraction(x, self.den) for x in row) for k, row in self.rows.items()}
-
-    def is_constant(self) -> bool:
-        return all(k == () for k in self.rows)
+        return {k: UniPoly.from_row(self.den, list(row)) for k, row in self.rows.items()}
 
     @property
     def weighted_degree(self) -> int:
@@ -130,7 +119,7 @@ class PowerSumExpr:
         out = {k: [ma * x for x in row] for k, row in self.rows.items()}
         mb = den // o.den
         for k, row in o.rows.items():
-            _add_into(out.setdefault(k, []), row, mb)
+            add_into(out.setdefault(k, []), row, mb)
         return PowerSumExpr.from_rows(den, out)
 
     __radd__ = __add__

@@ -95,6 +95,19 @@ def assert_canonical(psi):
     assert hash(rebuilt) == hash(psi)
 
 
+def assert_canonical_unipoly(p):
+    """p is in UniPoly's one integer form: den > 0, an integer row with no
+    trailing zero, gcd(den, *row) = 1; and the Fraction coefficients of
+    coeffs build it back, with the same hash."""
+    assert isinstance(p.den, int) and p.den > 0
+    assert isinstance(p.row, tuple) and all(isinstance(x, int) for x in p.row)
+    assert not (p.row and p.row[-1] == 0)
+    assert math.gcd(p.den, *p.row) == 1
+    rebuilt = UniPoly(p.coeffs)
+    assert rebuilt == p
+    assert hash(rebuilt) == hash(p)
+
+
 def reference_substitute(psi, gen_values, z_value):
     """v_r := gen_values[r] and z := z_value by plain ring arithmetic in
     any commutative target (rationals or UniPoly): the reference for the

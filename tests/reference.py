@@ -21,9 +21,10 @@ The tests check it against the independent routes kept here:
   form of h_r, the trunk congruence H_n(t) = (1 - t) A(t)^n and the h_r
   series by the integer recurrence over the Vieta-Lucas coefficients,
   the reference for the closed form of h_global_series;
-- the products with one Fraction operation per partial product: the
-  PowerSumExpr product and powers, and the coefficient extraction with
-  UniPoly weights, references for the library's integer routes.
+- the sums and products with one Fraction operation per coefficient or
+  partial product: the PowerSumExpr sum, product and powers, and the
+  coefficient extraction with UniPoly weights, references for the
+  library's integer routes and for the DSL's algebra.
 """
 
 import itertools
@@ -160,7 +161,7 @@ def reduce_to_powersum(G, d):
             exps[part - 1] += 1
         exps = tuple(exps)
         p_lam = expand(PowerSumExpr({exps: ONE}), G.m).terms
-        coeff = rem[lam] * (1 / p_lam[lam].constant())
+        coeff = rem[lam] * (1 / p_lam[lam].coeff(0))
         result[exps] = result.get(exps, ZERO) + coeff
         rem = _raw_add(rem, {mu: -c * coeff for mu, c in p_lam.items()})
     return PowerSumExpr(result)
@@ -374,6 +375,18 @@ def fraction_mul(a, b):
                     for j, y in enumerate(cb.coeffs):
                         if y:
                             row[i + j] += x * y
+    return PowerSumExpr({k: UniPoly(row) for k, row in out.items()})
+
+
+def fraction_add(a, b):
+    """a + b for PowerSumExpr with one Fraction addition per z-coefficient
+    of a shared monomial: the reference for PowerSumExpr.__add__."""
+    out = {k: list(c.coeffs) for k, c in a.terms.items()}
+    for k, c in b.terms.items():
+        row = out.setdefault(k, [])
+        row.extend([Fraction(0)] * (len(c.coeffs) - len(row)))
+        for i, x in enumerate(c.coeffs):
+            row[i] += x
     return PowerSumExpr({k: UniPoly(row) for k, row in out.items()})
 
 

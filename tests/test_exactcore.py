@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -18,7 +19,7 @@ from cyclosum.exactcore import (
 )
 from cyclosum.invariants import QPoly
 
-from conftest import random_rational, random_unipoly
+from conftest import assert_canonical_unipoly, random_rational, random_unipoly
 from reference import (
     Series,
     a_power_series,
@@ -94,6 +95,76 @@ class TestRational:
             assert a + (-a) == 0
 
 
+scalars = st.one_of(st.integers(-30, 30),
+                    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)))
+
+
+@st.composite
+def fraction_polys(draw):
+    """(p, cs): a UniPoly p and the list cs of its Fraction coefficients,
+    which may end in zeros.  p is built from cs by the constructor, or by
+    from_row over a multiple of their common denominator."""
+    cs = [Fraction(c) for c in draw(st.lists(scalars, max_size=6))]
+    if draw(st.booleans()):
+        return P(cs), cs
+    den = math.lcm(*(c.denominator for c in cs)) * draw(st.integers(1, 6))
+    return UniPoly.from_row(den, [int(c * den) for c in cs]), cs
+
+
+def _trimmed(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _fraction_mul(a, b):
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def assert_coefficients(p, cs):
+    """p has the Fraction coefficients cs, as coeffs and through coeff."""
+    cs = _trimmed(cs)
+    assert p.coeffs == tuple(cs)
+    assert [p.coeff(k) for k in range(-1, len(cs) + 2)] == [0, *cs, 0, 0]
+    assert all(isinstance(p.coeff(k), Fraction) for k in range(-1, len(cs) + 2))
+
+
+class TestCanonicalForm:
+    @given(fraction_polys(), st.one_of(fraction_polys(), scalars),
+           st.sampled_from("+-*"), st.booleans())
+    def test_every_result_is_canonical(self, a, b, op, reflected):
+        (a, fa), (b, fb) = a, b if isinstance(b, tuple) else (b, [Fraction(b)])
+        if reflected:  # b + a, b - a and b * a, through __radd__ etc. for a scalar b
+            (a, fa), (b, fb) = (b, fb), (a, fa)
+        n = max(len(fa), len(fb))
+        fa, fb = fa + [Fraction(0)] * (n - len(fa)), fb + [Fraction(0)] * (n - len(fb))
+        if op == "+":
+            got, expected = a + b, [x + y for x, y in zip(fa, fb)]
+        elif op == "-":
+            got, expected = a - b, [x - y for x, y in zip(fa, fb)]
+        else:
+            got, expected = a * b, _fraction_mul(fa, fb)
+        for p, cs in ((got, expected), (-got, [-c for c in expected])):
+            assert_canonical_unipoly(p)
+            assert_coefficients(p, cs)
+
+    @given(fraction_polys(), st.integers(1, 50))
+    def test_equal_values_have_one_form(self, pc, k):
+        p, cs = pc
+        assert_canonical_unipoly(p)
+        assert_coefficients(p, cs)
+        scaled = UniPoly.from_row(k * p.den, [k * x for x in p.row] + [0] * k)
+        assert (scaled.den, scaled.row) == (p.den, p.row)
+        assert scaled == p and hash(scaled) == hash(p)
+        other = P([*cs, 0]) if k % 2 else UniPoly.from_row(1, [0]) + p
+        assert other == p and hash(other) == hash(p)
+
+
 class TestUniPoly:
     def test_trailing_zeros_stripped(self):
         assert P([1, 2, 0, 0]).coeffs == (Fraction(1), Fraction(2))
@@ -151,9 +222,8 @@ class TestReduceRows:
         assert all(isinstance(c, int) for c in row)
 
     def test_primitive_row(self):
-        assert primitive_row([Fraction(-2, 3), Fraction(4, 9), Fraction(-2, 1)]) == (
-            [3, -2, 9], Fraction(-2, 9))
-        assert primitive_row([Fraction(5)]) == ([1], Fraction(5))
+        assert primitive_row([-6, 4, -18]) == ([3, -2, 9], -2)
+        assert primitive_row([5]) == ([1], 5)
 
 
 class TestResultant:
@@ -210,7 +280,7 @@ def geometric(order):
 def log_series(a: Series) -> Series:
     """Formal log of a rational series through the integer log routine of
     extraction and of the Newton route: L_k = N_k / (k A^k)."""
-    A, N = log_rows([c.coeffs for c in QPoly(a.coeffs).coeffs], a.order)
+    A, N = log_rows(QPoly(a.coeffs).coeffs, a.order)
     assert all(i == 0 for row in N for i, _ in row)
     coeffs = [Fraction(row[0][1], k * A**k) if row else 0 for k, row in enumerate(N)]
     return Series(coeffs, a.order)
@@ -249,9 +319,9 @@ class TestSeries:
         # an order past the end of the rows
         rng = random.Random(11)
         coeffs = [Fraction(1)] + [random_rational(rng) for _ in range(6)]
-        A, N = log_rows([(c,) for c in coeffs], 9)
+        A, N = log_rows([UniPoly([c]) for c in coeffs], 9)
         got = [Fraction(row[0][1], k * A**k) if row else 0 for k, row in enumerate(N)]
-        assert got == [L.constant() for L in log_coeff_list(QPoly(coeffs), 9)]
+        assert got == [L.coeff(0) for L in log_coeff_list(QPoly(coeffs), 9)]
 
     def test_log_of_catalan_series(self):
         # log A(t) = sum_j (1/2j) binom(2j,j) (t^2/4)^j

@@ -208,7 +208,7 @@ class TestMinPoly:
     def test_monic_with_expected_degree(self):
         for n in range(2, 20):
             W = punctured_min_poly(n)
-            assert W.is_monic()
+            assert W.coeffs[-1] == 1
             assert W.degree == n - 1
 
 
@@ -334,6 +334,18 @@ class TestMultiplicativeInvariant:
         assert multiplicative_invariant(Q, 143) == Fraction(143**2, 2**142)
         with pytest.raises(MemoryError):
             multiplicative_invariant(Q, 144)
+        # 1 + (z - 1)/2*t is 1 + 9*t at n = 20: L = 1 once the coefficient
+        # reduces, C = 10, so 1 + 4 + 4 = 9 bits for each of 19 points (an
+        # unreduced L = 2 would need 11 bits each); at n = 21 it is
+        # 1 + 19/2*t, with 2 + 5 + 4 = 11 bits for each of 20 points
+        Q = QPoly([1, UniPoly([Fraction(-1, 2), Fraction(1, 2)])])
+        monkeypatch.setattr(invariants, "MAX_MQ_BITS", 171)
+        assert multiplicative_invariant(Q, 20) == Fraction(-30583575767376025, 8192)
+        with pytest.raises(MemoryError):
+            multiplicative_invariant(Q, 21)
+        monkeypatch.setattr(invariants, "MAX_MQ_BITS", 170)
+        with pytest.raises(MemoryError):
+            multiplicative_invariant(Q, 20)
 
     def test_one_minus_t_closed_form(self):
         Q = QPoly([1, -1])

@@ -153,7 +153,7 @@ def test_method_names_shared_between_classes_are_pinned():
             if method:
                 classes_defining.setdefault(method, set()).add(cls)
     shared = {m for m, classes in classes_defining.items() if len(classes) > 1}
-    assert shared == {"is_constant", "_coerce", "to_dict", "passed"}
+    assert shared == {"_coerce", "to_dict", "passed"}
 
 
 def test_every_top_level_import_is_read():
