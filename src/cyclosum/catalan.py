@@ -3,10 +3,11 @@ at cosine points.
 
 A(t) = 2 / (1 + sqrt(1 - t^2)) is handled purely through the closed form
 of its power coefficients a_l(n).  The global generating function of the
-h_r values at level n is (1 - 2s) A(2s)^n + 2 s^n up to s^n, read off
-term by term from the ratio of consecutive coefficients; past s^n it
-continues by the integer recurrence that the Chebyshev factorization of
-T_n - 1 gives.  Extraction reads log Q from exactcore.log_rows, which
+h_r values at level n is returned as the integers H_r = 2^r h_r, the
+coefficients of (1 - 2s) A(2s)^n + 2 s^n up to s^n, read off term by
+term from the ratio of consecutive coefficients; past s^n they continue
+by the integer recurrence that the Chebyshev factorization of T_n - 1
+gives.  Extraction reads log Q from exactcore.log_rows, which
 also gives the oracle's Newton route its power sums, and emits the
 integer rows of its PowerSumExpr over the one denominator A^r r!,
 reduced once.  The Cauchy product (1 - t) A(t)^n, the stable closed form
@@ -39,11 +40,13 @@ def catalan_a(l: int, n: int) -> Fraction:
     return Fraction(n * prod, 4**l * math.factorial(l))
 
 
-def h_global_series(n: int, order: int) -> Tuple[Fraction, ...]:
-    """Coefficients h_0..h_order of the exact series
-    sum_r h_r(alpha_{1,n}..alpha_{n-1,n}) s^r.
+def h_global_series(n: int, order: int) -> Tuple[int, ...]:
+    """The integers H_r = 2^r h_r for r = 0..order, where h_r is the
+    coefficient of s^r in the exact series
+    sum_r h_r(alpha_{1,n}..alpha_{n-1,n}) s^r; exactcore.dyadic_str
+    prints H_r / 2^r.
 
-    With x_k = 2 alpha_{k,n} = 2 cos(2 pi k/n), the H_r = 2^r h_r are the
+    With x_k = 2 alpha_{k,n} = 2 cos(2 pi k/n), the H_r are the
     coefficients of (1 - 2s)/B(s), where
     B(s) = s^n (C_n(1/s) - 2) = (1 - 2s) prod_{k=1}^{n-1} (1 - x_k s)
     and C_n(x) = 2 T_n(x/2) = sum_j beta_j x^(n-j) is the monic integer
@@ -84,7 +87,7 @@ def h_global_series(n: int, order: int) -> Tuple[Fraction, ...]:
         steps = [(j, b) for j, b in enumerate(beta) if j >= 2 and b]
         for r in range(n + 1, order + 1):
             H.append(-sum(b * H[r - j] for j, b in steps))
-    return tuple(Fraction(x, 2**r) for r, x in enumerate(H))
+    return tuple(H)
 
 
 def extract_coefficient_family(Q: QPoly, r: int) -> PowerSumExpr:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .catalan import catalan_a, extract_coefficient_family, h_global_series
 from .dsl import (FormulaSemanticError, parse_conjecture, parse_formula,
                   parse_qpoly, strip_comments)
-from .exactcore import NVAR, TVAR, poly_str, rat_str
+from .exactcore import NVAR, TVAR, dyadic_str, poly_str, rat_str
 from .invariants import (cos_power_sum, multiplicative_invariant, punctured_min_poly,
                          punctured_power_sum, sin_power_sum)
 from .oracle import DEFAULT_PRECISION, cross_check
@@ -185,7 +185,8 @@ COMMANDS = {
                _verify, "report"),
     "hseries": ("global h_r generating series", ("n", "order", "format"),
                 lambda a: {"n": str(a.n), "order": str(a.order), "coefficients":
-                           [rat_str(c) for c in h_global_series(a.n, a.order)]}, None),
+                           [dyadic_str(H, r) for r, H in
+                            enumerate(h_global_series(a.n, a.order))]}, None),
     "catalan-a": ("Catalan power coefficient a_l(n)", ("catalan-n", "catalan-l", "format"),
                   lambda a: {"l": str(a.r), "n": str(a.n),
                              "value": rat_str(catalan_a(a.r, a.n))}, "value"),

@@ -1,7 +1,7 @@
 """Exact arithmetic substrate: rationals, dense univariate polynomials
 held as one denominator and an integer row, the one remainder loop and
-the resultant by Euclid's remainders, the text forms of polynomials and
-the one renderer of a term with a Q[z] coefficient, the integer
+the resultant by Euclid's remainders, the text forms of rationals (a/2^r
+without a gcd) and of polynomials and the one renderer of a term with a Q[z] coefficient, the integer
 accumulate and multiply-accumulate of integer rows, and the integer
 rows of log q, the one recurrence behind both coefficient extraction
 and Newton's identities for W_n.  (The truncated power series of the
@@ -27,12 +27,26 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot coerce {type(x).__name__} to a rational")
 
 
-def rat_str(q: Fraction) -> str:
-    """Canonical text form "a/b", or "a" when the denominator is 1."""
+def rat_str(q: int | Fraction) -> str:
+    """Canonical text form "a/b", or "a" when the denominator is 1; an
+    int prints with no Fraction made of it."""
+    if type(q) is int:
+        return _int_str(q)
     q = rat(q)
     if q.denominator == 1:
         return _int_str(q.numerator)
     return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
+
+
+def dyadic_str(a: int, r: int) -> str:
+    """rat_str(Fraction(a, 2**r)) for r >= 0, with no gcd: the power of
+    two cancels by the trailing zero bits of a."""
+    if not a:
+        return "0"
+    z = (a & -a).bit_length() - 1
+    if z >= r:
+        return _int_str(a >> r)
+    return f"{_int_str(a >> z)}/{_int_str(1 << (r - z))}"
 
 
 def _int_str(a: int) -> str:

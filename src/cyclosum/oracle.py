@@ -292,9 +292,10 @@ def exact_newton_powersums(n: int, d: int) -> List[Fraction]:
         raise ValueError("level n must be >= 2")
     if d < 0:
         raise ValueError("d must be nonnegative")
-    # log sum_r h_r s^r = sum_k p_k s^k / k, so k L_k = p_k
-    A, N = log_rows([UniPoly([h]) for h in h_global_series(n, d)], d)
-    return [Fraction(row[0][1], A**k) if row else Fraction(0)
+    # H_r = 2^r h_r and log sum_r H_r s^r = sum_k 2^k p_k s^k / k, so
+    # k L_k = 2^k p_k over the denominator A = 1
+    _, N = log_rows([UniPoly([H]) for H in h_global_series(n, d)], d)
+    return [Fraction(row[0][1], 2**k) if row else Fraction(0)
             for k, row in enumerate(N[1:], start=1)]
 
 

@@ -336,7 +336,7 @@ def h_series_recurrence(n, order):
     H = [1, -2][: order + 1]
     for r in range(2, order + 1):
         H.append(-sum(b * H[r - j] for j, b in steps if j <= r))
-    return tuple(Fraction(x, 2**r) for r, x in enumerate(H))
+    return tuple(H)
 
 
 class TrunkRangeError(ValueError):
@@ -348,7 +348,8 @@ def verify_trunk(n, R):
     if n <= R:
         raise TrunkRangeError(f"outside the congruence range: need n > R, got n={n}, R={R}")
     rhs = series_mul(Series([1, -1], R), a_power_series(n, R))
-    return h_global_series(n, R) == rhs.coeffs
+    H = h_global_series(n, R)
+    return tuple(Fraction(x, 2**r) for r, x in enumerate(H)) == rhs.coeffs
 
 
 # ---------------------------------------------------------------------------

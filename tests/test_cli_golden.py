@@ -103,6 +103,10 @@ GOLDEN = [
     (['hseries', '--n', '1000000', '--order', '5'], 0,
      'e1d215f5bcdec731634221bf959003c1471cc3c67bcfc21a2bb4addc20ee666a',
      EMPTY),
+    # 295 of its 601 numerators pass str()'s limit of 4,300 digits
+    (['hseries', '--n', '1000000000000000000000000000000', '--order', '600'], 0,
+     '9b366b47cf04c59d58dc52dd2ee72070f1fd6ffe5cae84f1b9be731e6d9db9f8',
+     EMPTY),
     (['eval', '--formula', 'energy*prod(1 - t + 2*t^2)', '--n', '64'], 0,
      '2e73ae87ace503dfd90c4dd2d5db22726961d97150ca872767d36dcd003e1413',
      EMPTY),

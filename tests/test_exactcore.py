@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cyclosum.exactcore import (
     UniPoly,
     ZeroDivisorError,
+    dyadic_str,
     log_rows,
     poly_str,
     primitive_row,
@@ -54,6 +55,23 @@ def resultant_pairs(draw):
     return a, b
 
 
+@st.composite
+def dyadic_pairs(draw):
+    """(x, r) for 0 <= r <= 600: x is 0, or an odd integer of either sign,
+    in half the draws past 4,300 digits, times 2^k for k = 0, some k < r,
+    k = r or some k > r."""
+    r = draw(st.integers(0, 600))
+    kind = draw(st.sampled_from(("zero", "odd", "below", "at", "past")))
+    if kind == "zero":
+        return 0, r
+    odd = 2 * draw(st.integers(-(2**80), 2**80)) + 1
+    if draw(st.booleans()):
+        odd += 10**4301 if odd > 0 else -(10**4301)
+    k = {"odd": 0, "below": draw(st.integers(0, r)), "at": r,
+         "past": r + draw(st.integers(1, 80))}[kind]
+    return odd << k, r
+
+
 class TestRational:
     def test_exact_addition(self):
         assert Fraction(1, 3) + Fraction(1, 6) == Fraction(1, 2)
@@ -62,6 +80,7 @@ class TestRational:
         assert rat_str(Fraction(3, 4)) == "3/4"
         assert rat_str(Fraction(8, 2)) == "4"
         assert rat_str(Fraction(-5, 10)) == "-1/2"
+        assert rat_str(-7) == "-7"
 
     def test_text_form_of_any_length(self):
         # str() is the reference only with the digit limit lifted; rat_str
@@ -72,6 +91,8 @@ class TestRational:
         for bits in (1989, 1990, 1991, 2100, 14300, 60000):
             sign = rng.choice((1, -1))
             values.append(Fraction(sign * rng.getrandbits(bits), rng.getrandbits(bits) | 1))
+        # rat_str prints an int without making a Fraction of it
+        values += [q.numerator for q in values if q.denominator == 1]
         old = sys.get_int_max_str_digits()
         try:
             sys.set_int_max_str_digits(640)
@@ -82,6 +103,13 @@ class TestRational:
             sys.set_int_max_str_digits(old)
         assert [rat_str(q) for q in values] == expected
         assert low == expected
+
+    @given(dyadic_pairs())
+    @example((0, 0))
+    @example((0, 600))
+    def test_dyadic_text_form(self, case):
+        x, r = case
+        assert dyadic_str(x, r) == rat_str(Fraction(x, 2**r))
 
     def test_field_axioms_on_random_triples(self):
         rng = random.Random(1)
