@@ -1,7 +1,9 @@
 """Command-line front end.
 
-One subcommand per pipeline operation; exact values always serialize as
-rational strings "a/b", decimals are opt-in renderings.  Exit codes:
+One subcommand per pipeline operation.  The library returns exact
+values, and this module alone turns them into payloads and text: exact
+values always serialize as rational strings "a/b", decimals are opt-in
+renderings.  Exit codes:
 0 success, 1 verification mismatch, 2 usage or parse error.
 """
 
@@ -17,7 +19,7 @@ from fractions import Fraction
 from .catalan import catalan_a, extract_coefficient_family, h_global_series
 from .dsl import (FormulaSemanticError, parse_conjecture, parse_formula,
                   parse_qpoly, strip_comments)
-from .exactcore import NVAR, TVAR, dyadic_str, poly_str, rat_str
+from .exactcore import NVAR, TVAR, decimal_str, dyadic_str, poly_str, rat_str
 from .invariants import (cos_power_sum, multiplicative_invariant, punctured_min_poly,
                          punctured_power_sum, sin_power_sum)
 from .oracle import DEFAULT_PRECISION, cross_check
@@ -101,13 +103,16 @@ def _eval(args):
             "'cyclosum oracle' prints the exact value at any n >= 2"
         )
     report = evaluate(F, args.n)
-    return {"formula": F.render(), "n": str(args.n), "mode": report.mode,
-            "value": rat_str(report.value), "breakdown": report.breakdown()}
+    breakdown = {f"P_{h}": rat_str(v) for h, v in enumerate(report.power_sums, start=1)}
+    for i, v in enumerate(report.product_values, start=1):
+        breakdown[f"M_{i}"] = rat_str(v)
+    return {"formula": str(F), "n": str(args.n), "mode": report.mode,
+            "value": rat_str(report.value), "breakdown": breakdown}
 
 
 def _eventual(args):
     F = _load_formula(args)
-    payload = {} if args.fmt == "text" else {"formula": F.render()}
+    payload = {} if args.fmt == "text" else {"formula": str(F)}
     payload["eventual_polynomial"] = poly_str(eventual_polynomial(F), NVAR)
     return payload
 
@@ -116,16 +121,21 @@ def _verify(args):
     F = _load_formula(args)
     report = verify_identity(F, parse_conjecture(args.conjecture),
                              check_below_threshold=args.below_threshold)
+    difference = None if report.symbolic_match else poly_str(report.difference, NVAR)
+    rows = [(n, rat_str(e), rat_str(g), e == g) for n, e, g in report.per_level]
     if args.fmt != "text":
-        return report.to_dict(), report.passed
-    lines = [f"symbolic (all n >= {report.F.n_star}): "
+        return {"formula": str(F), "d": F.d, "n_star": F.n_star,
+                "eventual_polynomial": poly_str(report.eventual, NVAR),
+                "symbolic_match": report.symbolic_match, "difference": difference,
+                "per_level": [{"n": n, "expected": e, "got": g, "pass": ok}
+                              for n, e, g, ok in rows],
+                "pass": report.passed}, report.passed
+    lines = [f"symbolic (all n >= {F.n_star}): "
              + ("PASS" if report.symbolic_match else "FAIL")]
-    if not report.symbolic_match:
-        lines.append(f"difference: {poly_str(report.difference, NVAR)}")
-    for c in report.per_level:
-        status = "pass" if c.passed else "MISMATCH"
-        lines.append(f"n={c.n}: expected {rat_str(c.expected)}, "
-                     f"got {rat_str(c.got)} -> {status}")
+    if difference is not None:
+        lines.append(f"difference: {difference}")
+    lines += [f"n={n}: expected {e}, got {g} -> {'pass' if ok else 'MISMATCH'}"
+              for n, e, g, ok in rows]
     return {"report": "\n".join(lines)}, report.passed
 
 
@@ -136,9 +146,14 @@ def _extract(args):
 
 
 def _oracle(args):
-    report = cross_check(_load_formula(args), args.n, precision=args.precision,
+    F = _load_formula(args)
+    report = cross_check(F, args.n, precision=args.precision,
                          tolerance=_tolerance(args.tolerance))
-    return report.to_dict(), report.passed
+    return {"quantity": str(F), "exact": rat_str(report.exact),
+            "float": decimal_str(report.value, 30),
+            "residual": decimal_str(report.residual, 10),
+            "tolerance": decimal_str(report.tolerance, 10),
+            "pass": report.passed}, report.passed
 
 
 # Argument key -> (flag, add_argument keywords).

@@ -1,10 +1,15 @@
 """Exact arithmetic substrate: rationals, dense univariate polynomials
 held as one denominator and an integer row, the one remainder loop and
-the resultant by Euclid's remainders, the text forms of rationals (a/2^r
-without a gcd) and of polynomials and the one renderer of a term with a Q[z] coefficient, the integer
-accumulate and multiply-accumulate of integer rows, and the integer
-rows of log q, the one recurrence behind both coefficient extraction
-and Newton's identities for W_n.  (The truncated power series of the
+the resultant by Euclid's remainders, the integer accumulate and
+multiply-accumulate of integer rows, and the integer rows of log q, the
+one recurrence behind both coefficient extraction and Newton's
+identities for W_n.
+
+It also owns every text form of an exact value, which only the CLI
+prints: a rational as "a/b" (rat_str), a/2^r without a gcd (dyadic_str),
+a rational correctly rounded to decimal digits (decimal_str), a
+polynomial in a named variable (poly_str) and the one renderer of a
+term with a Q[z] coefficient.  (The truncated power series of the
 trunk congruence are test reference code, in tests/reference.py.)
 
 Everything here is immutable after construction and all operations are
@@ -47,6 +52,47 @@ def dyadic_str(a: int, r: int) -> str:
     if z >= r:
         return _int_str(a >> r)
     return f"{_int_str(a >> z)}/{_int_str(1 << (r - z))}"
+
+
+def decimal_str(x: Fraction, dps: int) -> str:
+    """x in decimal, correctly rounded to dps significant digits, half
+    away from zero: fixed point for a leading digit at 10^e with
+    min(-(dps//3), -5) < e < dps and an exponent otherwise, and trailing
+    zeros stripped."""
+    if not x:
+        return "0.0"
+    num, den = abs(x.numerator), x.denominator
+    # q = floor(|x| 10^(dps-1-e)) has dps digits exactly when
+    # 10^e <= |x| < 10^(e+1); the estimate of e can be off by more than 1
+    e = math.floor((num.bit_length() - den.bit_length()) * math.log10(2))
+    while True:
+        s = dps - 1 - e
+        scaled_num, scaled_den = (num * 10**s, den) if s >= 0 else (num, den * 10**-s)
+        q, r = divmod(scaled_num, scaled_den)
+        if q < 10 ** (dps - 1):
+            e -= 1
+        elif q >= 10**dps:
+            e += 1
+        else:
+            break
+    if 2 * r >= scaled_den:
+        q += 1
+        if q == 10**dps:  # a carry through nines
+            q, e = q // 10, e + 1
+    digits, split = str(q), 1
+    if min(-(dps // 3), -5) < e < dps:
+        if e < 0:
+            digits = "0" * -e + digits
+        else:
+            split = e + 1
+        e = 0
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if digits[-1] == ".":
+        digits += "0"
+    sign = "-" if x < 0 else ""
+    if e == 0:
+        return sign + digits
+    return f"{sign}{digits}e{'+' if e > 0 else ''}{e}"
 
 
 def _int_str(a: int) -> str:

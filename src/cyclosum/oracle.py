@@ -9,8 +9,8 @@ Two routes that share no code with the parity-binomial formulas:
   The same pass bounds its own error (Higham, Accuracy and Stability of
   Numerical Algorithms, ch. 3 and 5), and cross_check takes that bound as
   its default tolerance, so the verdict means the same at every
-  magnitude.  Its value and bound are exact Fractions, which _nstr
-  prints in decimal, correctly rounded.
+  magnitude.  Its value and bound are exact Fractions, and so is every
+  field of cross_check's report; the CLI prints them in decimal.
 - exact_newton_powersums recovers the power sums from the complete
   homogeneous series h_r of the points by Newton's identities.
 
@@ -144,9 +144,10 @@ def _product(values, even: bool, W: int) -> Tuple[int, int]:
 
 
 def _log2_sum(logs) -> float:
-    """log2 of sum(2^l for l in logs), with no overflow."""
+    """log2 of sum(2^l for l in logs), with no overflow; fsum rounds the
+    sum once, so the result does not depend on the order of logs."""
     top = max(logs)
-    return top + math.log2(sum(2.0 ** (l - top) for l in logs))
+    return top + math.log2(math.fsum(2.0 ** (l - top) for l in logs))
 
 
 def _log2_dyadic(man: int, exp: int) -> float:
@@ -299,65 +300,15 @@ def exact_newton_powersums(n: int, d: int) -> List[Fraction]:
             for k, row in enumerate(N[1:], start=1)]
 
 
-def _nstr(x: Fraction, dps: int) -> str:
-    """x in decimal, correctly rounded to dps significant digits, half
-    away from zero: fixed point for a leading digit at 10^e with
-    min(-(dps//3), -5) < e < dps and an exponent otherwise, and trailing
-    zeros stripped."""
-    if not x:
-        return "0.0"
-    num, den = abs(x.numerator), x.denominator
-    # q = floor(|x| 10^(dps-1-e)) has dps digits exactly when
-    # 10^e <= |x| < 10^(e+1); the estimate of e can be off by more than 1
-    e = math.floor((num.bit_length() - den.bit_length()) * math.log10(2))
-    while True:
-        s = dps - 1 - e
-        scaled_num, scaled_den = (num * 10**s, den) if s >= 0 else (num, den * 10**-s)
-        q, r = divmod(scaled_num, scaled_den)
-        if q < 10 ** (dps - 1):
-            e -= 1
-        elif q >= 10**dps:
-            e += 1
-        else:
-            break
-    if 2 * r >= scaled_den:
-        q += 1
-        if q == 10**dps:  # a carry through nines
-            q, e = q // 10, e + 1
-    digits, split = str(q), 1
-    if min(-(dps // 3), -5) < e < dps:
-        if e < 0:
-            digits = "0" * -e + digits
-        else:
-            split = e + 1
-        e = 0
-    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
-    if digits[-1] == ".":
-        digits += "0"
-    sign = "-" if x < 0 else ""
-    if e == 0:
-        return sign + digits
-    return f"{sign}{digits}e{'+' if e > 0 else ''}{e}"
-
-
 @dataclass(frozen=True)
 class CheckReport:
-    quantity: str
-    exact: Fraction
-    float_value: str
-    residual: str
-    tolerance: str
-    passed: bool
+    """float_eval's value at one level against the exact value, all exact."""
 
-    def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "exact": rat_str(self.exact),
-            "float": self.float_value,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
+    exact: Fraction
+    value: Fraction
+    residual: Fraction  # |value - exact|
+    tolerance: Fraction
+    passed: bool  # residual <= tolerance
 
 
 def cross_check(
@@ -379,11 +330,4 @@ def cross_check(
     residual = abs(value - exact)
     if tolerance is None:
         tolerance = bound
-    return CheckReport(
-        quantity=F.render(),
-        exact=exact,
-        float_value=_nstr(value, 30),
-        residual=_nstr(residual, 10),
-        tolerance=_nstr(tolerance, 10),
-        passed=residual <= tolerance,
-    )
+    return CheckReport(exact, value, residual, tolerance, residual <= tolerance)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .exactcore import NVAR, UniPoly, poly_str, rat_str
+from .exactcore import UniPoly
 from .invariants import (
     InternalConsistencyError,
     QPoly,
@@ -70,7 +70,7 @@ class AdmissibleFormula:
     def is_polynomial_case(self) -> bool:
         return not self.products
 
-    def render(self) -> str:
+    def __str__(self) -> str:
         pieces = []
         psi_text = str(self.psi_star)
         if psi_text != "1" or not self.products:
@@ -84,8 +84,6 @@ class AdmissibleFormula:
             pieces.append(piece)
         return " * ".join(pieces)
 
-    __str__ = render
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -96,12 +94,6 @@ class EvalReport:
     power_sums: Tuple[int, ...]  # P_1(n)..P_d(n)
     product_values: Tuple[Fraction, ...]  # M_{Q_i}(n) per factor
     mode: str  # "stable" (n >= n_star) or "general"
-
-    def breakdown(self) -> dict:
-        out = {f"P_{h}": rat_str(v) for h, v in enumerate(self.power_sums, start=1)}
-        for i, v in enumerate(self.product_values, start=1):
-            out[f"M_{i}"] = rat_str(v)
-        return out
 
 
 def _levels(F: AdmissibleFormula, ns) -> list:
@@ -192,22 +184,10 @@ def eventual_polynomial(F: AdmissibleFormula) -> UniPoly:
 
 
 @dataclass(frozen=True)
-class LevelCheck:
-    n: int
-    expected: Fraction
-    got: Fraction
-
-    @property
-    def passed(self) -> bool:
-        return self.expected == self.got
-
-
-@dataclass(frozen=True)
 class VerificationReport:
-    F: AdmissibleFormula
     eventual: UniPoly
     difference: UniPoly  # eventual - conjecture
-    per_level: Tuple[LevelCheck, ...]
+    per_level: Tuple[Tuple[int, Fraction, Fraction], ...]  # (n, expected, got)
 
     @property
     def symbolic_match(self) -> bool:
@@ -215,28 +195,7 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return self.symbolic_match and all(c.passed for c in self.per_level)
-
-    def to_dict(self) -> dict:
-        return {
-            "formula": self.F.render(),
-            "d": self.F.d,
-            "n_star": self.F.n_star,
-            "eventual_polynomial": poly_str(self.eventual, NVAR),
-            "symbolic_match": self.symbolic_match,
-            "difference": (None if self.symbolic_match
-                           else poly_str(self.difference, NVAR)),
-            "per_level": [
-                {
-                    "n": c.n,
-                    "expected": rat_str(c.expected),
-                    "got": rat_str(c.got),
-                    "pass": c.passed,
-                }
-                for c in self.per_level
-            ],
-            "pass": self.passed,
-        }
+        return self.symbolic_match and all(e == g for _, e, g in self.per_level)
 
 
 def verify_identity(
@@ -259,5 +218,5 @@ def verify_identity(
     eventual = eventual_polynomial(F)
     ns = range(2, F.n_star) if check_below_threshold else ()
     values = F.psi_star.substitute(_levels(F, ns))
-    levels = tuple(LevelCheck(n, conjecture(Fraction(n)), v) for n, v in zip(ns, values))
-    return VerificationReport(F, eventual, eventual - conjecture, levels)
+    levels = tuple((n, conjecture(Fraction(n)), v) for n, v in zip(ns, values))
+    return VerificationReport(eventual, eventual - conjecture, levels)

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 import os
 import pathlib
@@ -5,10 +8,12 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+import mpmath
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from cyclosum import cli
 from cyclosum.exactcore import UniPoly
 from cyclosum.symfunc import PowerSumExpr
 from reference import compose
@@ -20,6 +25,20 @@ settings.load_profile("ci")
 
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+
+
+def dyadic(man, exp):
+    """man * 2^exp as an mpf, exactly."""
+    with mpmath.workprec(abs(man).bit_length() + 1):
+        return mpmath.ldexp(mpmath.mpf(man), exp)
+
+
+def cli_json(*argv):
+    """(exit code, parsed stdout) of cli.main(argv) with --format json."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main([*argv, "--format", "json"])
+    return rc, json.loads(out.getvalue())
 
 
 def src_env():

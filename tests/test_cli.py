@@ -161,7 +161,7 @@ class TestFormulaIsRenderedOnlyWhenPrinted:
     def test_text_renders_no_formula(self, argv, monkeypatch):
         def refuse(self):
             raise RuntimeError("formula rendered for text output")
-        monkeypatch.setattr(AdmissibleFormula, "render", refuse)
+        monkeypatch.setattr(AdmissibleFormula, "__str__", refuse)
         rc, out = self.run(argv)
         assert rc == 0
         assert out.strip()
@@ -170,7 +170,7 @@ class TestFormulaIsRenderedOnlyWhenPrinted:
                                           ("tsv", "formula\tRENDERED")])
     @pytest.mark.parametrize("argv", CALLS)
     def test_json_and_tsv_print_the_formula(self, argv, fmt, line, monkeypatch):
-        monkeypatch.setattr(AdmissibleFormula, "render", lambda self: "RENDERED")
+        monkeypatch.setattr(AdmissibleFormula, "__str__", lambda self: "RENDERED")
         rc, out = self.run([*argv, "--format", fmt])
         assert rc == 0
         assert line in out.splitlines()

@@ -157,8 +157,8 @@ GOLDEN = [
     (['verify', '--formula', '(p1 + p2 + z)^6', '--conjecture', SUM6 + ' + 1/3'], 1,
      '1bb788209ed83e19f27cf506e0ddbc98c549842d16062b8779fcaec29819f5b3',
      EMPTY),
-    # The symbolic FAIL as json and tsv: VerificationReport.to_dict's
-    # "difference" string.
+    # The symbolic FAIL as json and tsv: the "difference" string that
+    # cli._verify writes from the report's exact difference.
     (['verify', '--formula', '(p1 + p2 + z)^6', '--conjecture', SUM6 + ' + 1/3', '--format', 'json'], 1,
      '0c86aa925b72c2fe47cf7f879b79f10948d177d68ea72adf6c8de5548e31df71',
      EMPTY),

@@ -93,7 +93,7 @@ class TestFormulaParsing:
             "mixed(2, 1)",
         ):
             F = parse_formula(text)
-            again = parse_formula(F.render())
+            again = parse_formula(str(F))
             assert again.psi_star == F.psi_star
             assert again.products == F.products
 
@@ -373,7 +373,7 @@ def _random_inputs(mode):
 
 
 _SHOW = {
-    "formula": lambda text: parse_formula(text).render(),
+    "formula": lambda text: str(parse_formula(text)),
     "conjecture": lambda text: poly_str(parse_conjecture(text), NVAR),
     "qpoly": lambda text: str(parse_qpoly(text)),
 }

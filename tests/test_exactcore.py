@@ -1,8 +1,10 @@
+import decimal
 import math
 import random
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from cyclosum.exactcore import (
     UniPoly,
     ZeroDivisorError,
+    decimal_str,
     dyadic_str,
     log_rows,
     poly_str,
@@ -20,7 +23,7 @@ from cyclosum.exactcore import (
 )
 from cyclosum.invariants import QPoly
 
-from conftest import assert_canonical_unipoly, random_rational, random_unipoly
+from conftest import assert_canonical_unipoly, dyadic, random_rational, random_unipoly
 from reference import (
     Series,
     a_power_series,
@@ -121,6 +124,84 @@ class TestRational:
             if a != 0:
                 assert a * (1 / a) == 1
             assert a + (-a) == 0
+
+
+def near(q, bits, offset):
+    """The dyadic `offset` units of 2^-bits (relative) away from q > 0."""
+    shift = bits - (q.numerator.bit_length() - q.denominator.bit_length())
+    return (round(q * Fraction(2) ** shift) + offset) / Fraction(2) ** shift
+
+
+mantissas = st.integers(-(1 << 300), 1 << 300)
+offsets = st.integers(-3, 3)
+digit_counts = st.sampled_from([10, 30])
+
+
+class TestDecimalFormatter:
+    """decimal_str prints x correctly rounded, half away from zero, as
+    decimal does, and in the layout of mpmath.nstr."""
+
+    def check(self, man, exp, dps):
+        self.check_fraction(man * Fraction(2) ** exp, dps)
+
+    def check_fraction(self, q, dps):
+        context = decimal.Context(prec=dps, rounding=decimal.ROUND_HALF_UP,
+                                  Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+        reference = context.divide(decimal.Decimal(q.numerator), decimal.Decimal(q.denominator))
+        printed = decimal_str(q, dps)
+        assert decimal.Decimal(printed) == reference, (q, dps)
+        exp = 1 - q.denominator.bit_length()
+        expected = mpmath.nstr(dyadic(q.numerator, exp), dps)
+        if decimal.Decimal(expected) == reference:
+            assert printed == expected, (q, dps)
+
+    @settings(max_examples=400)
+    @given(man=mantissas, exp=st.integers(-1200, 1200), dps=digit_counts)
+    def test_random_dyadics(self, man, exp, dps):
+        self.check(man, exp, dps)
+
+    @pytest.mark.parametrize("dps", [10, 30])
+    def test_zero_and_small_integers(self, dps):
+        for man in range(-1100, 1101):
+            self.check(man, 0, dps)
+
+    @settings(max_examples=150)
+    @given(man=mantissas, exp=st.integers(3400, 40000), negative=st.booleans(),
+           dps=digit_counts)
+    def test_exponents_beyond_3500_bits(self, man, exp, negative, dps):
+        self.check(man, -exp if negative else exp, dps)
+
+    @settings(max_examples=60)
+    @given(bits=st.integers(3400, 5000), exp=st.integers(-200, 200), dps=digit_counts,
+           data=st.data())
+    def test_long_mantissas(self, bits, exp, dps, data):
+        # bit length past 3500 with a small exponent
+        man = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+        self.check(man, exp, dps)
+
+    @settings(max_examples=300)
+    @given(e=st.integers(-14, 34), bits=st.sampled_from([60, 120, 320]), offset=offsets,
+           dps=digit_counts)
+    def test_fixed_exponent_switch(self, e, bits, offset, dps):
+        # around 10^e, where the leading digit moves across the switch
+        # between fixed point and an exponent
+        self.check_fraction(near(Fraction(10) ** e, bits, offset), dps)
+
+    @settings(max_examples=300)
+    @given(e=st.integers(-1200, 1200), bits=st.sampled_from([60, 120, 320]),
+           offset=offsets, dps=digit_counts)
+    def test_carries_through_nines(self, e, bits, offset, dps):
+        # 99...99.5 * 10^e: digits ending in ...9995 round up through every nine
+        q = (10 ** (dps + 1) - 5) * Fraction(10) ** e
+        self.check_fraction(near(q, bits, offset), dps)
+
+    def test_just_above_a_tie(self):
+        # 2^-54 relative above 9.9999999995, the tie at 10 digits; mpmath
+        # floors it below the tie in binary and prints 9.999999999
+        q = Fraction(180143985085812641, 2**54)
+        assert q > Fraction("9.9999999995")
+        assert decimal_str(q, 10) == "10.0"
+        assert decimal_str(-q, 10) == "-10.0"
 
 
 scalars = st.one_of(st.integers(-30, 30),

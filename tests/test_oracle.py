@@ -1,5 +1,5 @@
 import dataclasses
-import decimal
+import random
 from fractions import Fraction
 
 import mpmath
@@ -22,7 +22,7 @@ from cyclosum.catalan import h_family
 from cyclosum.rigidity import AdmissibleFormula, evaluate
 from cyclosum.symfunc import PowerSumExpr
 
-from conftest import powersum_exprs
+from conftest import cli_json, dyadic, powersum_exprs
 
 v1, v2 = PowerSumExpr.gen(1), PowerSumExpr.gen(2)
 z = PowerSumExpr.z()
@@ -31,12 +31,6 @@ z = PowerSumExpr.z()
 def close(a, b, bits=200):
     with mpmath.workprec(bits + 56):
         return abs(a - b) < mpmath.mpf(2) ** -bits
-
-
-def dyadic(man, exp):
-    """man * 2^exp as an mpf, exactly."""
-    with mpmath.workprec(abs(man).bit_length() + 1):
-        return mpmath.ldexp(mpmath.mpf(man), exp)
 
 
 def fixed(x, precision=256):
@@ -236,6 +230,22 @@ class TestErrorBound:
             check_bound(AdmissibleFormula(v1, [(Q, 1)]), n, precision)
             check_bound(AdmissibleFormula(PowerSumExpr.const(1), [(Q, 2)]), n, precision)
 
+    @pytest.mark.parametrize("text,n", [("h(13)", 100), ("(h(6) + z*p3)", 57),
+                                        ("energy^2*prod(1 - t + 2*t^2)", 16),
+                                        ("mixed(2,3)", 320)])
+    def test_bound_does_not_depend_on_term_order(self, text, n):
+        # The bound sums one binary log per term; summed in term order,
+        # h(13) at n = 100 with its rows reversed got a bound a relative
+        # 2e-14 lower.
+        F = parse_formula(text)
+        expected = float_eval(F, n)
+        rows = list(F.psi_star.rows.items())
+        rng = random.Random(n)
+        for order in [rows[::-1]] + [rng.sample(rows, len(rows)) for _ in range(4)]:
+            psi = PowerSumExpr.from_rows(F.psi_star.den, {k: list(row) for k, row in order})
+            assert psi == F.psi_star
+            assert float_eval(AdmissibleFormula(psi, F.products), n) == expected, order
+
     def test_precision_too_low_is_refused(self):
         F = AdmissibleFormula(v1 ** (1 << 50))
         with pytest.raises(ValueError, match="raise --precision"):
@@ -355,7 +365,8 @@ class TestCrossCheck:
         F = AdmissibleFormula(v1)
         with pytest.raises(ValueError, match="nonnegative"):
             cross_check(F, 7, tolerance=-1)
-        assert cross_check(F, 7, tolerance=0).tolerance == "0.0"
+        rep = cross_check(F, 7, tolerance=0)
+        assert rep.tolerance == 0 and type(rep.tolerance) is Fraction
 
     def test_string_tolerance_rejected(self):
         # a string would reach Fraction() past the CLI's exponent guard
@@ -363,86 +374,32 @@ class TestCrossCheck:
             cross_check(parse_formula("p1"), 5, tolerance="1/1000")
 
     def test_report_dict(self):
-        F = AdmissibleFormula(v1)
-        d = cross_check(F, 5).to_dict()
+        # the report holds exact values; the CLI builds its dict
+        rc, d = cli_json("oracle", "--formula", "p1", "--n", "5")
+        assert rc == 0
+        assert d["quantity"] == "p1"
         assert d["exact"] == "-1"
         assert d["pass"] is True
         assert "residual" in d and "tolerance" in d
 
 
-def near(q, bits, offset):
-    """The dyadic `offset` units of 2^-bits (relative) away from q > 0."""
-    shift = bits - (q.numerator.bit_length() - q.denominator.bit_length())
-    return (round(q * Fraction(2) ** shift) + offset) / Fraction(2) ** shift
-
-
-mantissas = st.integers(-(1 << 300), 1 << 300)
-offsets = st.integers(-3, 3)
-digit_counts = st.sampled_from([10, 30])
-
-
-class TestDecimalFormatter:
-    """oracle._nstr prints x correctly rounded, half away from zero, as
-    decimal does, and in the layout of mpmath.nstr."""
-
-    def check(self, man, exp, dps):
-        self.check_fraction(man * Fraction(2) ** exp, dps)
-
-    def check_fraction(self, q, dps):
-        context = decimal.Context(prec=dps, rounding=decimal.ROUND_HALF_UP,
-                                  Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-        reference = context.divide(decimal.Decimal(q.numerator), decimal.Decimal(q.denominator))
-        printed = oracle._nstr(q, dps)
-        assert decimal.Decimal(printed) == reference, (q, dps)
-        exp = 1 - q.denominator.bit_length()
-        expected = mpmath.nstr(dyadic(q.numerator, exp), dps)
-        if decimal.Decimal(expected) == reference:
-            assert printed == expected, (q, dps)
-
-    @settings(max_examples=400)
-    @given(man=mantissas, exp=st.integers(-1200, 1200), dps=digit_counts)
-    def test_random_dyadics(self, man, exp, dps):
-        self.check(man, exp, dps)
-
-    @pytest.mark.parametrize("dps", [10, 30])
-    def test_zero_and_small_integers(self, dps):
-        for man in range(-1100, 1101):
-            self.check(man, 0, dps)
-
-    @settings(max_examples=150)
-    @given(man=mantissas, exp=st.integers(3400, 40000), negative=st.booleans(),
-           dps=digit_counts)
-    def test_exponents_beyond_3500_bits(self, man, exp, negative, dps):
-        self.check(man, -exp if negative else exp, dps)
-
-    @settings(max_examples=60)
-    @given(bits=st.integers(3400, 5000), exp=st.integers(-200, 200), dps=digit_counts,
-           data=st.data())
-    def test_long_mantissas(self, bits, exp, dps, data):
-        # bit length past 3500 with a small exponent
-        man = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
-        self.check(man, exp, dps)
-
-    @settings(max_examples=300)
-    @given(e=st.integers(-14, 34), bits=st.sampled_from([60, 120, 320]), offset=offsets,
-           dps=digit_counts)
-    def test_fixed_exponent_switch(self, e, bits, offset, dps):
-        # around 10^e, where the leading digit moves across the switch
-        # between fixed point and an exponent
-        self.check_fraction(near(Fraction(10) ** e, bits, offset), dps)
-
-    @settings(max_examples=300)
-    @given(e=st.integers(-1200, 1200), bits=st.sampled_from([60, 120, 320]),
-           offset=offsets, dps=digit_counts)
-    def test_carries_through_nines(self, e, bits, offset, dps):
-        # 99...99.5 * 10^e: digits ending in ...9995 round up through every nine
-        q = (10 ** (dps + 1) - 5) * Fraction(10) ** e
-        self.check_fraction(near(q, bits, offset), dps)
-
-    def test_just_above_a_tie(self):
-        # 2^-54 relative above 9.9999999995, the tie at 10 digits; mpmath
-        # floors it below the tie in binary and prints 9.999999999
-        q = Fraction(180143985085812641, 2**54)
-        assert q > Fraction("9.9999999995")
-        assert oracle._nstr(q, 10) == "10.0"
-        assert oracle._nstr(-q, 10) == "-10.0"
+class TestCheckReport:
+    @settings(max_examples=100)
+    @given(
+        psi=powersum_exprs(max_d=8),
+        qs=st.lists(qpolys(), max_size=2),
+        n=st.integers(2, 64),
+        tolerance=st.one_of(st.none(), st.integers(0, 3),
+                            st.fractions(min_value=0, max_denominator=10**40)),
+    )
+    def test_report_holds_exact_values(self, psi, qs, n, tolerance):
+        F = AdmissibleFormula(psi, [(Q, 1) for Q in qs])
+        rep = cross_check(F, n, tolerance=tolerance)
+        value, bound = float_eval(F, n)
+        assert rep.exact == evaluate(F, n).value
+        assert rep.value == value
+        assert rep.residual == abs(rep.value - rep.exact)
+        assert rep.passed == (rep.residual <= rep.tolerance)
+        assert rep.tolerance == (bound if tolerance is None else tolerance)
+        assert all(type(x) is Fraction
+                   for x in (rep.exact, rep.value, rep.residual, rep.tolerance))

@@ -153,7 +153,46 @@ def test_method_names_shared_between_classes_are_pinned():
             if method:
                 classes_defining.setdefault(method, set()).add(cls)
     shared = {m for m, classes in classes_defining.items() if len(classes) > 1}
-    assert shared == {"_coerce", "to_dict", "passed"}
+    assert shared == {"_coerce"}
+
+
+# The text forms of exact values, all defined in exactcore.py.
+PRINTERS = {"rat_str", "dyadic_str", "decimal_str", "poly_str"}
+
+
+def _names_read(tree):
+    """Every name a module reads, as a Name or as an attribute, with the
+    node that reads it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+
+
+def test_only_the_cli_prints():
+    callers = sorted(
+        path.name for path in SRC.glob("*.py")
+        for name, node in _names_read(ast.parse(path.read_text(encoding="utf-8")))
+        if name == "print"
+    )
+    assert set(callers) == {"cli.py"}
+
+
+def test_only_the_cli_turns_values_into_text():
+    """The library returns exact values and cli.py alone prints them.
+    The one exception is oracle's refusal of a negative tolerance, whose
+    message prints the tolerance by rat_str, past str()'s digit limit."""
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("cli.py", "exactcore.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_raise = {id(n) for r in ast.walk(tree) if isinstance(r, ast.Raise)
+                    for n in ast.walk(r)}
+        reads += [(path.name, name, id(node) in in_raise)
+                  for name, node in _names_read(tree) if name in PRINTERS]
+    assert reads == [("oracle.py", "rat_str", True)]
 
 
 def test_every_top_level_import_is_read():

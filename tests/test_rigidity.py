@@ -21,7 +21,7 @@ from cyclosum.rigidity import (
 )
 from cyclosum.symfunc import PowerSumExpr
 
-from conftest import powersum_exprs, random_powersum_expr, reference_substitute
+from conftest import cli_json, powersum_exprs, random_powersum_expr, reference_substitute
 from reference import h_stable, punctured_power_sum_stable
 
 v1, v2 = PowerSumExpr.gen(1), PowerSumExpr.gen(2)
@@ -62,10 +62,10 @@ class TestBuild:
 
     def test_render(self):
         F = AdmissibleFormula(z * v2 - v1**2, [(QPoly([1, -1]), 1)])
-        assert F.render() == "(-p1^2 + z*p2) * prod(1 - t)"
-        assert energy().render() == "-p1^2 + z*p2"
+        assert str(F) == "(-p1^2 + z*p2) * prod(1 - t)"
+        assert str(energy()) == "-p1^2 + z*p2"
         G = AdmissibleFormula(PowerSumExpr.const(1), [(QPoly([1, 0, -1]), 3)])
-        assert G.render() == "prod(1 - t^2)^3"
+        assert str(G) == "prod(1 - t^2)^3"
 
 
 class TestStableEval:
@@ -81,7 +81,7 @@ class TestStableEval:
         assert rep.mode == "stable"
         assert rep.power_sums == (-2, 8)
         assert all(type(p) is int for p in rep.power_sums)
-        assert rep.breakdown() == {"P_1": "-2", "P_2": "8"}
+        assert rep.product_values == ()
 
     def test_below_threshold_reports_general_mode(self):
         assert evaluate(energy(), 3).mode == "general"
@@ -210,9 +210,8 @@ class TestVerifyIdentity:
         rep = verify_identity(energy(), conjecture, check_below_threshold=True)
         assert rep.symbolic_match is True
         assert not rep.passed
-        by_n = {c.n: c for c in rep.per_level}
-        assert by_n[2].expected == -1 and by_n[2].got == 0
-        assert by_n[3].passed
+        assert rep.per_level == ((2, -1, 0), (3, 0, 0))
+        assert all(type(g) is Fraction for _, _, g in rep.per_level)
 
     def test_wrong_conjecture_reports_difference(self):
         conjecture = UniPoly([1, Fraction(-3, 2), Fraction(1, 2)])
@@ -227,11 +226,14 @@ class TestVerifyIdentity:
             verify_identity(F, UniPoly([0, 0, 1]))
 
     def test_report_dict(self):
-        conjecture = UniPoly([0, Fraction(-3, 2), Fraction(1, 2)])
-        d = verify_identity(energy(), conjecture, check_below_threshold=True).to_dict()
+        # the report holds exact values; the CLI builds its dict
+        rc, d = cli_json("verify", "--formula", "z*p2 - p1^2",
+                         "--conjecture", "(n^2 - 3*n)/2", "--below-threshold")
+        assert rc == 1
         assert d["symbolic_match"] is True
         assert d["pass"] is False
         assert d["formula"] == "-p1^2 + z*p2"
         assert d["d"] == 2
         assert d["n_star"] == 4
-        assert len(d["per_level"]) == 2
+        assert d["per_level"] == [{"n": 2, "expected": "-1", "got": "0", "pass": False},
+                                  {"n": 3, "expected": "0", "got": "0", "pass": True}]
