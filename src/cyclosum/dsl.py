@@ -15,11 +15,13 @@ A formula is an expression.  prod(...) is an atom that any product may
 hold, with the ordinary "^" INT; a value holding one cannot be added,
 subtracted or divided by.
 
-Every value the parser builds is an AdmissibleFormula: a PowerSumExpr
-psi_star times the product factors.  In psi_star "pN" is the generator
-v_N and "z" the coefficient variable.  Inside prod(...) "t" is v_1, so
-the coefficient of t^k is terms[(k,)]; in a conjecture "n" stands where
-"z" would, and the constant term is the polynomial.  Division is
+One grammar serves the three modes.  A formula parses into an
+AdmissibleFormula: a PowerSumExpr psi_star times the product factors.
+In psi_star "pN" is the generator v_N and "z" the coefficient variable.
+Inside prod(...) "t" is v_1, so the coefficient of t^k is terms[(k,)].
+A conjecture parses straight into a UniPoly in n, with no PowerSumExpr;
+a power of degree above MAX_CONJECTURE_DEGREE is refused before it is
+expanded, and a monomial c*n^j is raised directly.  Division is
 restricted to nonzero rational constants.  Every input yields a value,
 a FormulaSyntaxError that names its line and column, or a
 FormulaSemanticError, which names no position.
@@ -31,16 +33,19 @@ import re
 from fractions import Fraction
 from typing import List, Tuple
 
-from .exactcore import NVAR, TVAR, ZVAR, UniPoly
+from .exactcore import NVAR, TVAR, ZVAR, UniPoly, nonzero_entries
 from .invariants import QPoly
 from .catalan import extract_coefficient_family, h_family
 from .symfunc import PowerSumExpr
-from .rigidity import AdmissibleFormula
+from .rigidity import AdmissibleFormula, ProductDatum
 
 MAX_POWER_SUM_INDEX = 32
 # Longest number token: CPython's default limit on the digits int() reads.
 MAX_NUMBER_DIGITS = 4300
 MAX_NESTING = 100  # groups, (...) or prod(...), open at once
+# Highest degree of a power in a conjecture: n^k is one row of k + 1
+# entries, so a larger k is refused before the row is made.
+MAX_CONJECTURE_DEGREE = 1 << 16
 
 
 class FormulaSyntaxError(ValueError):
@@ -87,6 +92,11 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     return tokens
 
 
+# A value while parsing: its polynomial part, a PowerSumExpr (a UniPoly in
+# n in a conjecture), and its product factors.
+Value = Tuple[object, ProductDatum]
+
+
 def _to_qpoly(psi: PowerSumExpr) -> QPoly:
     """The product factor whose t^k coefficient is that of v_1^k in psi."""
     by_t = {k[0] if k else 0: c for k, c in psi.terms.items()}
@@ -96,14 +106,51 @@ def _to_qpoly(psi: PowerSumExpr) -> QPoly:
         raise FormulaSemanticError(str(exc)) from None
 
 
-def _pure(value: AdmissibleFormula, op: str) -> PowerSumExpr:
-    """The symmetric part of a value without product factors."""
-    if value.products:
+def _pure(value: Value, op: str):
+    """The polynomial part of a value without product factors."""
+    core, products = value
+    if products:
         raise FormulaSemanticError(
             f"product factors cannot take part in {op}; "
             "multiply prod(...) at the top level only"
         )
-    return value.psi_star
+    return core
+
+
+def _constant_row(core) -> tuple:
+    """The integer row over core.den of a rational constant, () for zero,
+    or None when core is not a constant."""
+    if isinstance(core, UniPoly):
+        row = core.row
+    else:
+        row = core.rows.get((), ())
+        if core.rows.keys() - {()}:
+            return None
+    return row if len(row) <= 1 else None
+
+
+def _power_in_n(p: UniPoly, k: int) -> UniPoly:
+    """p^k for a polynomial p in n, refused before any work when its
+    degree would pass MAX_CONJECTURE_DEGREE.  A monomial c*n^j, the zero
+    polynomial included, is raised directly, any other p by binary
+    powering."""
+    if p.degree * k > MAX_CONJECTURE_DEGREE:
+        raise FormulaSemanticError(
+            f"degree {p.degree * k} of a power in n exceeds the configured "
+            f"maximum {MAX_CONJECTURE_DEGREE}"
+        )
+    entries = nonzero_entries(p.row)
+    if len(entries) <= 1:
+        j, c = entries[0] if entries else (0, 0)
+        return UniPoly.from_row(p.den**k, [0] * (j * k) + [c**k])
+    result, base = UniPoly.from_row(1, [1]), p
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
 
 
 class _Parser:
@@ -139,7 +186,7 @@ class _Parser:
         """Raise a syntax error at tok, by default the next token."""
         raise FormulaSyntaxError(message, self.text, (tok or self.peek())[2])
 
-    def group(self) -> AdmissibleFormula:
+    def group(self) -> Value:
         """The expression between '(' and ')'.  A '(' that would open more
         than MAX_NESTING groups is refused, so the recursion stays bounded."""
         tok = self.expect("(")
@@ -152,50 +199,48 @@ class _Parser:
         return value
 
     # expression := [+|-] term { (+|-) term }
-    def expression(self) -> AdmissibleFormula:
+    def expression(self) -> Value:
         kind, sign, _ = self.peek()
         if kind == "op" and sign in "+-":
             self.advance()
         value = self.term()
         if sign == "-":
-            value = AdmissibleFormula(-value.psi_star, value.products)
+            value = (-value[0], value[1])
         while self.peek()[1] in ("+", "-"):
             op = self.advance()[1]
             rhs = self.term()
             name = "addition" if op == "+" else "subtraction"
             a, b = _pure(value, name), _pure(rhs, name)
-            value = AdmissibleFormula(a + b if op == "+" else a - b)
+            value = (a + b if op == "+" else a - b, ())
         return value
 
     # term := factor { (*|/) factor }
-    def term(self) -> AdmissibleFormula:
-        value = self.factor()
+    def term(self) -> Value:
+        core, products = self.factor()
         while self.peek()[1] in ("*", "/"):
             op = self.advance()[1]
             rhs = self.factor()
             if op == "*":
-                value = AdmissibleFormula(value.psi_star * rhs.psi_star,
-                                          value.products + rhs.products)
+                core, products = core * rhs[0], products + rhs[1]
                 continue
             divisor = _pure(rhs, "division")
-            row = divisor.rows.get((), ())
-            if divisor.rows.keys() - {()} or len(row) > 1:
+            row = _constant_row(divisor)
+            if row is None:
                 raise FormulaSemanticError("division is only allowed by rational constants")
             if not row:
                 raise FormulaSemanticError("division by zero")
-            value = AdmissibleFormula(value.psi_star.scale(Fraction(divisor.den, row[0])),
-                                      value.products)
-        return value
+            core = core * Fraction(divisor.den, row[0])
+        return core, products
 
     # factor := atom [ ^ INT ]
-    def factor(self) -> AdmissibleFormula:
-        value = self.atom()
+    def factor(self) -> Value:
+        core, products = self.atom()
         if self.peek()[1] == "^":
             self.advance()
             k = self.integer("expected an integer exponent after '^'")
-            value = AdmissibleFormula(value.psi_star**k,
-                                      tuple((Q, m * k) for Q, m in value.products))
-        return value
+            core = _power_in_n(core, k) if self.mode == "conjecture" else core**k
+            products = tuple((Q, m * k) for Q, m in products) if k else ()
+        return core, products
 
     def _int_args(self, count: int) -> List[int]:
         """'(' INT {',' INT} ')' with `count` integers."""
@@ -208,13 +253,15 @@ class _Parser:
         self.expect(")")
         return args
 
-    def atom(self) -> AdmissibleFormula:
+    def atom(self) -> Value:
         kind, text, _ = tok = self.peek()
         if text == "(":
             return self.group()
         if kind == "number":
             self.advance()
-            return AdmissibleFormula(PowerSumExpr.const(int(text)))
+            c = int(text)
+            return (UniPoly.from_row(1, [c]) if self.mode == "conjecture"
+                    else PowerSumExpr.const(c)), ()
         if kind != "name":
             self.fail(f"unexpected token {text!r}" if text else "unexpected end of input")
         self.advance()
@@ -222,15 +269,15 @@ class _Parser:
             self.mode = "qpoly"
             inner = self.group()
             self.mode = "formula"
-            return AdmissibleFormula(PowerSumExpr.const(1), ((_to_qpoly(inner.psi_star), 1),))
-        return AdmissibleFormula(self.symbol(tok))
+            return PowerSumExpr.const(1), ((_to_qpoly(inner[0]), 1),)
+        return self.symbol(tok), ()
 
-    def symbol(self, tok) -> PowerSumExpr:
+    def symbol(self, tok):
         """The value of a name other than prod, with its arguments."""
         name = tok[1]
         if self.mode == "conjecture":
             if name == NVAR:
-                return PowerSumExpr.z()
+                return UniPoly.from_row(1, [0, 1])
             self.fail(f"unknown symbol {name!r} in a conjecture (only 'n' is allowed)", tok)
         if name == ZVAR:
             return PowerSumExpr.z()
@@ -279,7 +326,7 @@ class _Parser:
                 f"degree {r} exceeds the configured maximum {MAX_POWER_SUM_INDEX}"
             )
 
-    def parse(self) -> AdmissibleFormula:
+    def parse(self) -> Value:
         value = self.expression()
         kind, text, _ = self.peek()
         if kind != "eof":
@@ -289,18 +336,17 @@ class _Parser:
 
 def parse_formula(text: str) -> AdmissibleFormula:
     """Parse DSL text into an AdmissibleFormula."""
-    return _Parser(text, "formula").parse()
+    return AdmissibleFormula(*_Parser(text, "formula").parse())
 
 
 def parse_conjecture(text: str) -> UniPoly:
     """Parse a conjectured eventual polynomial in n."""
-    psi = _Parser(text, "conjecture").parse().psi_star
-    return psi.terms.get((), UniPoly())
+    return _Parser(text, "conjecture").parse()[0]
 
 
 def parse_qpoly(text: str) -> QPoly:
     """Parse a unit-normalized product factor in t (and optionally z)."""
-    return _to_qpoly(_Parser(text, "qpoly").parse().psi_star)
+    return _to_qpoly(_Parser(text, "qpoly").parse()[0])
 
 
 def strip_comments(text: str) -> str:

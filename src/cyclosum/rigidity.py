@@ -153,32 +153,35 @@ def eventual_polynomial(F: AdmissibleFormula) -> UniPoly:
     """The polynomial R(n) agreeing with evaluate for every n >= n_star.
     Only defined in the polynomial case.
 
-    In the stable range P_h(n) is constant for odd h and linear for even
-    h, and z = n - 1, so R has degree at most D, the largest
-    deg c + (sum of the exponents of even generators) over the terms.
-    R interpolates the integer kernel at the D + 1 levels n_star, ...,
-    n_star + D; one level more must agree with it.
+    P_h(n) is at most linear in n > h, so for h <= d the levels n_star
+    and n_star + 1 give its value and slope on n >= d + 1: constant for
+    odd h, linear for even h.  psi_star.fold sets each generator of
+    slope 0 to its value; each generator left is linear in n, as
+    z = n - 1 is, so R has degree at most D, the largest deg c + (sum of
+    the exponents) over the folded terms.  R interpolates the folded
+    kernel at the D + 1 levels n_star, ..., n_star + D, whose power sums
+    follow by slope.  At n = d + 1, below them, the power sums are read
+    directly: the folded ones must keep their values there, and the
+    folded kernel must agree with R, which checks the slopes and the fold
+    as well as the degree bound.  (At d = 0 that level is n = 1, where
+    the kernel reads z = 0 alone.)
     """
     if not F.is_polynomial_case:
         raise ProductCaseError(
             "eventual polynomiality applies to the polynomial case only"
         )
-    D = max(
-        (len(row) - 1 + sum(exps[1::2]) for exps, row in F.psi_star.rows.items()),
-        default=0,
-    )
-    (P, z), (P1, _) = _levels(F, [F.n_star, F.n_star + 1])
-    # P_h is at most linear in n > h, and n_star = d + 2 > h, so the first
-    # two levels give the rest
+    (P, z), (P1, _), check = _levels(F, [F.n_star, F.n_star + 1, F.d + 1])
     slopes = [b - a for a, b in zip(P, P1)]
-    values = F.psi_star.substitute(
-        [([p + i * s for p, s in zip(P, slopes)], z + i) for i in range(D + 2)]
+    constants = {h: p for h, (p, s) in enumerate(zip(P, slopes), 1) if not s}
+    folded = F.psi_star.fold(constants)
+    D = max((len(row) - 1 + sum(exps) for exps, row in folded.rows.items()), default=0)
+    *values, expected = folded.substitute(
+        [([p + i * s for p, s in zip(P, slopes)], z + i) for i in range(D + 1)] + [check]
     )
-    R = _interpolate(F.n_star, values[:-1])
-    check = F.n_star + D + 1
-    if R(check) != values[-1]:
+    R = _interpolate(F.n_star, values)
+    if R(F.d + 1) != expected or any(check[0][h - 1] != p for h, p in constants.items()):
         raise InternalConsistencyError(
-            f"eventual polynomial of degree <= {D} misses the kernel at n={check}"
+            f"eventual polynomial of degree <= {D} misses the kernel at n={F.d + 1}"
         )
     return R
 
@@ -217,6 +220,6 @@ def verify_identity(
         )
     eventual = eventual_polynomial(F)
     ns = range(2, F.n_star) if check_below_threshold else ()
-    values = F.psi_star.substitute(_levels(F, ns))
+    values = F.psi_star.substitute(_levels(F, ns)) if ns else ()
     levels = tuple((n, conjecture(Fraction(n)), v) for n, v in zip(ns, values))
     return VerificationReport(eventual, eventual - conjecture, levels)

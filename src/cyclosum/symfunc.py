@@ -5,7 +5,9 @@ sums p_1..p_d) with coefficients in Q[z], held in one integer form, as a
 UniPoly is: a positive denominator den and, per monomial, the integer
 z-coefficients of den times its coefficient.  Sums, products and powers
 work on these rows and reduce once per result; substitute evaluates at
-integer power sums and integer z, for any number of levels in one pass.
+integer power sums and integer z, for any number of levels in one pass,
+and fold sets chosen generators to integer power sums, merging the terms
+that then share a monomial.
 By stable-range rigidity this presentation is all the pipelines need;
 the monomial-orbit basis and the reduction into power sums, which the
 tests compare against, live in tests/reference.py.
@@ -51,7 +53,8 @@ class PowerSumExpr:
     that monomial; den > 0 and gcd(den, every entry) = 1, so equality is
     structural.  The weighted degree of a monomial is sum_r r*e_r.
     substitute evaluates at integer power sums P_h and an integer z only;
-    the eventual polynomial in n is interpolated from such values.
+    the eventual polynomial in n is interpolated from such values, after
+    fold has set the generators that stay constant in n to their values.
     """
 
     __slots__ = ("den", "rows")
@@ -210,6 +213,40 @@ class PowerSumExpr:
                 total += (cz * mono) << (d - weight)
             values.append(Fraction(total, self.den << d))
         return values
+
+    def fold(self, values: Dict[int, int]) -> "PowerSumExpr":
+        """self with v_h := values[h] / 2^h for each h in values, from
+        integers values[h] = P_h; the other generators stay, and terms
+        that then share a monomial merge.
+
+        With w the folded weight of a term and W the largest, the term
+        adds row * (prod P_h^e) << (W - w) to its merged row over den 2^W,
+        each power read from a table that the terms share.
+        """
+        folded = sorted(h - 1 for h in values)
+        powers = {i: [1] for i in folded}  # powers[h-1][e] = P_h^e
+        parts, W = [], 0
+        for exps, row in self.rows.items():
+            mono, w, key = 1, 0, None
+            for i in folded:
+                if i >= len(exps):
+                    break
+                e = exps[i]
+                if e:
+                    table = powers[i]
+                    while len(table) <= e:
+                        table.append(table[-1] * values[i + 1])
+                    mono *= table[e]
+                    w += (i + 1) * e
+                    if key is None:
+                        key = list(exps)
+                    key[i] = 0
+            parts.append((exps if key is None else _trim(key), mono, w, row))
+            W = max(W, w)
+        out: Dict[Tuple[int, ...], list] = {}
+        for key, mono, w, row in parts:
+            add_into(out.setdefault(key, []), row, mono << (W - w))
+        return PowerSumExpr.from_rows(self.den << W, out)
 
     def max_gen(self) -> int:
         return max((len(k) for k in self.rows), default=0)

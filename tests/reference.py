@@ -11,6 +11,8 @@ The tests check it against the independent routes kept here:
   the stable closed form of P_h as a polynomial in n;
 - the composition p(q) of two polynomials, which UniPoly's call (a
   value at a rational point) does not offer;
+- the eventual polynomial with no generator folded, every term of
+  psi_star substituted at each interpolation level;
 - the Chebyshev polynomial T_n(t), the reference for W_n through
   T_n - 1 = 2^(n-1) (t - 1) W_n;
 - the resultant as the determinant of the Sylvester matrix, the
@@ -33,7 +35,9 @@ from fractions import Fraction
 
 from cyclosum.catalan import catalan_a, h_global_series
 from cyclosum.exactcore import UniPoly, resultant
-from cyclosum.invariants import punctured_min_poly, vieta_lucas_coeffs
+from cyclosum.invariants import (InternalConsistencyError, punctured_min_poly,
+                                 punctured_power_sum, vieta_lucas_coeffs)
+from cyclosum.rigidity import _interpolate
 from cyclosum.symfunc import PowerSumExpr
 
 ONE = UniPoly([1])
@@ -206,6 +210,25 @@ def compose(p, q):
     for c in reversed(p.coeffs):
         result = result * q + c
     return result
+
+
+def eventual_unfolded(F):
+    """The eventual polynomial with no generator folded: every term of
+    psi_star is substituted at the D + 2 levels n_star, ..., n_star + D + 1,
+    power sums by slope from n_star and n_star + 1, with D the largest
+    deg c + (sum of the exponents of even generators); R interpolates the
+    first D + 1 values and must meet the last."""
+    D = max((len(row) - 1 + sum(exps[1::2]) for exps, row in F.psi_star.rows.items()),
+            default=0)
+    hs = range(1, F.d + 1)
+    P = [punctured_power_sum(F.n_star, h) for h in hs]
+    slopes = [punctured_power_sum(F.n_star + 1, h) - p for h, p in zip(hs, P)]
+    values = F.psi_star.substitute(
+        [([p + i * s for p, s in zip(P, slopes)], F.n_star - 1 + i) for i in range(D + 2)])
+    R = _interpolate(F.n_star, values[:-1])
+    if R(F.n_star + D + 1) != values[-1]:
+        raise InternalConsistencyError("the unfolded route misses its extra level")
+    return R
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,11 @@ GOLDEN = [
     (['eventual', '--formula', 'p1 + ' + LONG], 2,
      EMPTY,
      'fa885ecfcd96afa21fdbdb22a56f28add432613c20fc16dbaafad8171000d925'),
+    # A power in a conjecture past the degree cap of 65,536 is refused
+    # before its row is made.
+    (['verify', '--formula', 'energy', '--conjecture', 'n^99999999999999999999'], 2,
+     EMPTY,
+     'c06782164c355b48ffe9db661daa9f80aa4c0d2da23be5989f9857181d2f0cd2'),
     # cos-sum, sin-sum and catalan-a in text, and every command in json and tsv.
     (['cos-sum', '--n', '3', '--h', '2'], 0,
      '8228c6ffceb1891bb4615da65920d06b1b5a44a1747183b163c0abb088c3ea1a',

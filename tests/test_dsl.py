@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from cyclosum.catalan import extract_coefficient_family, h_family
 from cyclosum.dsl import (
+    MAX_CONJECTURE_DEGREE,
     MAX_NESTING,
     MAX_NUMBER_DIGITS,
     FormulaSemanticError,
@@ -234,6 +236,66 @@ class TestConjectureParsing:
     def test_rejects_other_symbols(self):
         with pytest.raises(FormulaSyntaxError, match="only 'n'"):
             parse_conjecture("n + t")
+
+    # Values and messages recorded before conjectures were parsed straight
+    # into Q[n]: a zero exponent, a zero product, a constant divisor with
+    # n in it, the two refused divisors, a power of a sum, a negated group,
+    # and the names of the other modes.
+    @pytest.mark.parametrize("text, expected", [
+        ("n^0", UniPoly([1])),
+        ("0*n^5", UniPoly()),
+        ("n/(n - n + 2)", UniPoly([0, Fraction(1, 2)])),
+        ("n/(2 - 2)", "FormulaSemanticError: division by zero"),
+        ("n/n", "FormulaSemanticError: division is only allowed by rational constants"),
+        ("(n - 1)^12/7", UniPoly([Fraction((-1) ** k * math.comb(12, k), 7)
+                                  for k in range(12, -1, -1)])),
+        ("-(n)^2", UniPoly([0, 0, -1])),
+        ("z", "FormulaSyntaxError: unknown symbol 'z' in a conjecture (only 'n' is allowed)"
+              " (line 1, column 1)"),
+        ("p1", "FormulaSyntaxError: unknown symbol 'p1' in a conjecture (only 'n' is allowed)"
+               " (line 1, column 1)"),
+        ("t", "FormulaSyntaxError: unknown symbol 't' in a conjecture (only 'n' is allowed)"
+              " (line 1, column 1)"),
+        ("prod(1-t)", "FormulaSyntaxError: unknown symbol 'prod' in a conjecture"
+                      " (only 'n' is allowed) (line 1, column 1)"),
+    ])
+    def test_pinned_cases(self, text, expected):
+        try:
+            got = parse_conjecture(text)
+        except (FormulaSyntaxError, FormulaSemanticError) as exc:
+            got = f"{type(exc).__name__}: {exc}"
+        assert got == expected
+
+    def test_builds_no_power_sum_expression(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a conjecture built a PowerSumExpr")
+        monkeypatch.setattr(PowerSumExpr, "__init__", refuse)
+        monkeypatch.setattr(PowerSumExpr, "from_rows", refuse)
+        assert parse_conjecture("(n^2 - 3*n)/2") == UniPoly([0, Fraction(-3, 2), Fraction(1, 2)])
+        assert parse_conjecture("-n*(n+4)*(n+5)/384")(9) == Fraction(-273, 64)
+        assert parse_conjecture("(n - 1)^3 - n^3 + 3*n^2") == UniPoly([-1, 3])
+        with pytest.raises(FormulaSemanticError, match="division by zero"):
+            parse_conjecture("n/(n - n)")
+
+    def test_power_degree_is_capped_before_any_work(self):
+        top = MAX_CONJECTURE_DEGREE
+        assert parse_conjecture(f"n^{top}") == UniPoly([0] * top + [1])
+        assert parse_conjecture(f"(n^2)^{top // 2}") == UniPoly([0] * top + [1])
+        for text, degree in ((f"n^{top + 1}", top + 1),
+                             (f"1 + (n^2)^{top}", 2 * top),
+                             ("n^99999999999999999999", 99999999999999999999)):
+            with pytest.raises(FormulaSemanticError,
+                               match=f"^degree {degree} of a power in n exceeds the "
+                                     f"configured maximum {top}$"):
+                parse_conjecture(text)
+
+    def test_huge_powers_of_units_and_zero(self):
+        # degree 0 (or none): no row to allocate, and c^k is immediate
+        huge = "99999999999999999999"
+        assert parse_conjecture(f"1^{huge}") == UniPoly([1])
+        assert parse_conjecture(f"(-1)^{huge}") == UniPoly([-1])
+        assert parse_conjecture(f"(n - n)^{huge}") == UniPoly()
+        assert parse_conjecture("(n - n)^0") == UniPoly([1])
 
 
 class TestQPolyParsing:

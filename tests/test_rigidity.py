@@ -4,7 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cyclosum import rigidity
 from cyclosum.catalan import h_family
+from cyclosum.dsl import parse_formula
 from cyclosum.exactcore import UniPoly
 from cyclosum.invariants import (
     InternalConsistencyError,
@@ -22,10 +24,19 @@ from cyclosum.rigidity import (
 from cyclosum.symfunc import PowerSumExpr
 
 from conftest import cli_json, powersum_exprs, random_powersum_expr, reference_substitute
-from reference import h_stable, punctured_power_sum_stable
+from reference import eventual_unfolded, h_stable, punctured_power_sum_stable
 
 v1, v2 = PowerSumExpr.gen(1), PowerSumExpr.gen(2)
 z = PowerSumExpr.z()
+
+
+def expanded_in_n(psi):
+    """The eventual polynomial with no interpolation: psi expanded in Q[n]
+    at v_h := P_h(n) / 2^h in the stable closed form (-1 for odd h,
+    C(h, h/2) n / 2^h - 1 for even h) and z := n - 1."""
+    gen_values = {h: punctured_power_sum_stable(h) * Fraction(1, 2**h)
+                  for h in range(1, psi.weighted_degree + 1)}
+    return reference_substitute(psi, gen_values, UniPoly([-1, 1]))
 
 
 def energy():
@@ -162,6 +173,86 @@ class TestEventualPolynomial:
             eventual_polynomial(AdmissibleFormula(v2))
 
 
+# Edge cases of the fold: a constant, z alone, an odd generator alone (all
+# of psi_star folds), z with odd generators only, and a zero difference.
+FOLD_EDGES = ["5/3", "z^3", "p1^3", "z*p3 - p1", "p2 - p2"]
+# Formulas with many odd-generator terms to fold, and two with few.
+FOLD_NAMED = ["h(32)", "e(24)", "h(3)^40", "(p1+p2+p3)^30", "energy^6", "mixed(4,4)"]
+
+
+@st.composite
+def exprs_with_odd_and_even(draw):
+    """A powersum_exprs draw plus a term in z, an odd generator and an
+    even one, so that the fold both sets and keeps generators."""
+    psi = draw(powersum_exprs(max_d=12))
+    odd = PowerSumExpr.gen(draw(st.sampled_from((1, 3, 5))))
+    even = PowerSumExpr.gen(draw(st.sampled_from((2, 4, 6))))
+    c = draw(st.integers(-3, 3))
+    return psi + c * z**draw(st.integers(0, 2)) * odd**draw(st.integers(1, 2)) * even
+
+
+class TestFoldedRoute:
+    """eventual_polynomial folds the generators of slope 0 before it
+    interpolates; the routes of tests/reference.py fold nothing."""
+
+    @settings(max_examples=200)
+    @given(psi=st.one_of(powersum_exprs(), exprs_with_odd_and_even()))
+    @example(psi=h_family(18))
+    @example(psi=(v1 + v2 + z) ** 6)
+    def test_matches_the_unfolded_route(self, psi):
+        F = AdmissibleFormula(psi)
+        assert eventual_polynomial(F) == eventual_unfolded(F)
+
+    @pytest.mark.parametrize("text", FOLD_NAMED + FOLD_EDGES)
+    def test_matches_the_expansion_in_n(self, text):
+        F = parse_formula(text)
+        R = eventual_polynomial(F)
+        assert R == expanded_in_n(F.psi_star)
+        if text in FOLD_EDGES:
+            assert R == eventual_unfolded(F)
+
+    @pytest.mark.parametrize("text", FOLD_EDGES + ["energy", "h(6)", "z^2*p2 + p1"])
+    def test_check_level_is_never_an_interpolation_level(self, text, monkeypatch):
+        # one substitute call: the interpolation levels, then n = d + 1
+        # (z = d); at d = 0 that is n = 1, below the first level n = 2
+        calls = []
+        substitute = PowerSumExpr.substitute
+        monkeypatch.setattr(PowerSumExpr, "substitute", lambda self, levels: (
+            calls.append([zval for _, zval in levels]) or substitute(self, levels)))
+        F = parse_formula(text)
+        eventual_polynomial(F)
+        (zs,) = calls
+        *interpolated, checked = zs
+        assert checked == F.d
+        assert interpolated == list(range(F.n_star - 1, F.n_star - 1 + len(interpolated)))
+
+    def test_check_at_d_zero_is_not_vacuous(self, monkeypatch):
+        # z^2 has d = 0 and D = 2: a kernel z^5 meets no quadratic through
+        # its three interpolation levels, and the check at n = 1 sees it
+        monkeypatch.setattr(PowerSumExpr, "substitute",
+                            lambda self, levels: [Fraction(zval**5) for _, zval in levels])
+        with pytest.raises(InternalConsistencyError, match="misses the kernel at n=1"):
+            eventual_polynomial(AdmissibleFormula(z**2))
+
+    def test_a_wrong_slope_is_caught(self, monkeypatch):
+        # P_2 off by one at n_star + 1 only: every interpolation level
+        # extrapolates the wrong slope, and only n = d + 1 reads P_2 directly
+        F = energy()
+        monkeypatch.setattr(rigidity, "punctured_power_sum", lambda n, h: (
+            punctured_power_sum(n, h) + (n == F.n_star + 1 and h == 2)))
+        with pytest.raises(InternalConsistencyError, match="misses the kernel at n=3"):
+            eventual_polynomial(F)
+
+    def test_a_wrong_folded_value_is_caught(self, monkeypatch):
+        # P_1 off by one at n_star and n_star + 1: its slope is still 0, so
+        # it folds at the wrong value, and n = d + 1 reads the right one
+        F = energy()
+        monkeypatch.setattr(rigidity, "punctured_power_sum", lambda n, h: (
+            punctured_power_sum(n, h) + (n >= F.n_star and h == 1)))
+        with pytest.raises(InternalConsistencyError, match="misses the kernel at n=3"):
+            eventual_polynomial(F)
+
+
 class TestKernelAgainstReference:
     """The integer kernel behind evaluate and eventual_polynomial against
     plain substitution of P_h / 2^h into psi_star."""
@@ -187,13 +278,7 @@ class TestKernelAgainstReference:
     @example(psi=z**3 * v2 - z * v1**2)
     @example(psi=PowerSumExpr())
     def test_eventual_matches_stable_substitution(self, psi):
-        F = AdmissibleFormula(psi)
-        gen_values = {
-            h: punctured_power_sum_stable(h) * Fraction(1, 2**h)
-            for h in range(1, F.d + 1)
-        }
-        expected = reference_substitute(psi, gen_values, UniPoly([-1, 1]))
-        assert eventual_polynomial(F) == expected
+        assert eventual_polynomial(AdmissibleFormula(psi)) == expanded_in_n(psi)
 
 
 class TestVerifyIdentity:

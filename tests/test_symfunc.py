@@ -212,6 +212,37 @@ class TestIntegerKernel:
             assert value == reference_substitute(psi, gen_values, Fraction(zval))
 
 
+class TestFold:
+    """fold sets some generators to integer power sums and keeps the rest;
+    substituting the rest then gives the value of the whole."""
+
+    @settings(max_examples=300)
+    @given(psi=powersum_exprs(), data=st.data())
+    @example(psi=h_family(12), data=None)
+    @example(psi=z**3 * v2 - z * v1**2 + v3 * v1 - v2 * v2, data=None)
+    @example(psi=v1**3 - v1**3, data=None)
+    def test_fold_then_substitute(self, psi, data):
+        d = psi.weighted_degree
+        if data:
+            P = data.draw(st.lists(st.integers(-10**4, 10**4), min_size=d, max_size=d))
+            zval = data.draw(st.integers(-20, 20))
+            folded_hs = data.draw(st.sets(st.integers(1, max(d, 1)))) & set(range(1, d + 1))
+        else:  # the odd generators at their stable values -2^h
+            P, zval = [-(2**h) if h % 2 else 3 * h for h in range(1, d + 1)], 5
+            folded_hs = set(range(1, d + 1, 2))
+        folded = psi.fold({h: P[h - 1] for h in folded_hs})
+        assert_canonical(folded)
+        assert all(len(k) < h or not k[h - 1] for k in folded.rows for h in folded_hs)
+        assert folded.substitute([(P, zval)]) == psi.substitute([(P, zval)])
+
+    def test_terms_that_differ_in_folded_exponents_merge(self):
+        # v1 := -1: z*v1*v2 + v2 - v1^2*v3 -> (1 - z)*v2 - v3
+        psi = z * v1 * v2 + v2 - v1**2 * v3
+        assert psi.fold({1: -2}) == PowerSumExpr({(0, 1): UniPoly([1, -1]), (0, 0, 1): -1})
+        assert psi.fold({}) == psi
+        assert (v1 - v1).fold({1: -2}) == PowerSumExpr()
+
+
 # Sparse z-coefficients, whose zero entries the product skips, and a sum
 # whose z^0 part cancels while its z part stays.
 SPARSE_A = z**5 * v1 + v2 - z**3 * v1**2
