@@ -3,14 +3,18 @@
 Two routes that share no code with the parity-binomial formulas:
 
 - float_eval evaluates a formula at the literal cosine points
-  cos(2 pi k/n), each correctly rounded from its own Taylor series, in
-  fixed point: every real is an integer scaled by 2^W at W = precision
-  bits.  The mirror k <-> n-k leaves only the points k <= n/2 distinct.
+  cos(2 pi k/n) in fixed point: every real is an integer scaled by 2^W
+  at W = precision bits.  The points come from one rotation by a seed
+  angle per level, each correctly rounded by Ziv's test against a proven
+  error bound, with its own Taylor series as the fallback; they read no
+  Chebyshev coefficient and no invariants code.  The mirror k <-> n-k
+  leaves only the points k <= n/2 distinct.
   The same pass bounds its own error (Higham, Accuracy and Stability of
   Numerical Algorithms, ch. 3 and 5), and cross_check takes that bound as
   its default tolerance, so the verdict means the same at every
-  magnitude.  Its value and bound are exact Fractions, and so is every
-  field of cross_check's report; the CLI prints them in decimal.
+  magnitude; a bound that cannot resolve a nonzero value is refused.
+  Its value and bound are exact Fractions, and so is every field of
+  cross_check's report; the CLI prints them in decimal.
 - exact_newton_powersums recovers the power sums from the complete
   homogeneous series h_r of the points by Newton's identities.
 
@@ -34,6 +38,7 @@ DEFAULT_PRECISION = 256
 _GUARD = 64  # bits a product mantissa keeps beyond the working precision
 _HALVINGS = 8  # the cosine's angle is halved this often before its series
 _ZIV_GUARD = 40  # first guard bits of a cosine point; each retry doubles them
+_ROTATION_STEP_ERROR = 2  # units of 2^-B one rotation step adds to E_j, at most
 
 
 @functools.cache
@@ -58,7 +63,7 @@ def _pi_fixed(bits: int) -> int:
 
 
 def _cos_turns(a: int, b: int, precision: int) -> int:
-    """round(2^precision cos(2 pi a/b)) for 0 < a/b <= 1/4, correctly
+    """round(2^precision cos(2 pi a/b)) for 0 <= a/b <= 1/4, correctly
     rounded (Brent and Zimmermann, Modern Computer Arithmetic, ch. 4).
 
     At B = precision + g bits the angle is halved _HALVINGS times, its
@@ -98,23 +103,54 @@ def cosine_points(n: int, precision: int = DEFAULT_PRECISION) -> Tuple[int, ...]
     |X_k - 2^precision cos(2 pi k/n)| < 1/2.  Point n-k equals point k, so
     each stands for two of the n-1 points, except k = n/2 for even n.
 
-    Each point with k/n <= 1/4 is the Taylor series of its own angle, not
-    any recurrence, to stay independent of the Chebyshev machinery; past
-    1/4, cos(2 pi k/n) = -cos(2 pi (1/2 - k/n)).  For even n, 1/2 - k/n
-    is the point n/2 - k, so X_k = -X_(n/2-k) exactly and only k <= n/4
-    sums a series."""
+    With b = n for even n and b = 2n for odd n, every point is +-c_j,
+    c_j = round(2^precision cos(2 pi j/b)) for 0 <= j <= b/4: point k is
+    c_(mk) for mk <= b/4, m = b/n, and past that
+    cos(2 pi k/n) = -cos(2 pi (b/2 - mk)/b) makes it -c_(b/2-mk).  For even
+    n, b/2 - k is the point n/2 - k, so X_k = -X_(n/2-k) exactly.
+
+    The c_j come from one rotation per level, in fixed point at
+    B = precision + g bits, g = bit_length(4 s + 4) + 12 for the s = b//4
+    steps.  The seed z_1 = x_1 + i y_1 is (cos theta, sin theta) for
+    theta = 2 pi/b, with sin theta = cos(2 pi (b - 4)/(4b)), both
+    correctly rounded by _cos_turns at B bits; from z_0 = 2^B,
+    z_(j+1) = z_j z_1 / 2^B with each component rounded to nearest.  Let
+    w_j = 2^B e^(i j theta) and e_j = |z_j - w_j|, so e_0 = 0.  Since
+    |w_j| = 2^B, |z_1 - w_1| <= sqrt(2)/2 and so |z_1| <= 2^B + 1,
+    z_(j+1) - w_(j+1) = (z_j - w_j) z_1/2^B + w_j (z_1 - w_1)/2^B + r_j
+    with the rounding |r_j| <= sqrt(2)/2 gives
+    e_(j+1) <= e_j (1 + 2^-B) + sqrt(2).  So e_j <= sqrt(2) j (1 + 2^-B)^j,
+    which is below E_j = 2j + 1 since j < 2^63 <= 2^(B-13).  Each
+    component of z_j is thus within E_j of 2^B cos(j theta) and
+    2^B sin(j theta).  Ziv's test rounds x_j when x_j - E_j and x_j + E_j
+    round alike; 2^g > 2^13 E_j, so a point fails it with probability
+    below 2^-12, and then falls back to its own series,
+    _cos_turns(j, b, precision).  Either way the point is correctly
+    rounded (2^precision cos is never a half-integer, as _cos_turns
+    notes).  The rotation is fixed-point integer arithmetic that reads
+    no Chebyshev coefficient and no invariants code."""
     check_level(n)
     if precision < 64:
         raise ValueError("precision must be >= 64 bits")
-    X = [1 << precision]  # X_0 = 2^precision, the mirror of k = n/2
-    for k in range(1, n // 2 + 1):
-        if 4 * k <= n:
-            X.append(_cos_turns(k, n, precision))
-        elif n % 2 == 0:
-            X.append(-X[n // 2 - k])
-        else:
-            X.append(-_cos_turns(n - 2 * k, 2 * n, precision))
-    return tuple(X[1:])
+    b = n if n % 2 == 0 else 2 * n
+    steps = b // 4
+    g = (4 * steps + 4).bit_length() + 12
+    B = precision + g
+    half, rnd = 1 << (g - 1), 1 << (B - 1)
+    c = [1 << precision]  # c_0, the mirror of k = n/2
+    if steps:
+        cos1, sin1 = _cos_turns(1, b, B), _cos_turns(b - 4, 4 * b, B)
+        x, y = 1 << B, 0
+        for j in range(1, steps + 1):
+            x, y = (x * cos1 - y * sin1 + rnd) >> B, (x * sin1 + y * cos1 + rnd) >> B
+            err = _ROTATION_STEP_ERROR * j + 1
+            cj = (x - err + half) >> g
+            if cj != (x + err + half) >> g:
+                cj = _cos_turns(j, b, precision)
+            c.append(cj)
+    m = b // n
+    return tuple(c[m * k] if 4 * m * k <= b else -c[b // 2 - m * k]
+                 for k in range(1, n // 2 + 1))
 
 
 def _weighted_sum(values, even: bool):
@@ -320,7 +356,9 @@ def cross_check(
     """Compare float_eval against the exact evaluation at level n.  The
     check passes when |float - exact| is at most the tolerance: by default
     float_eval's own error bound, else the given absolute tolerance,
-    which must be nonnegative."""
+    which must be nonnegative.  A default bound above 2^-32 |exact| for a
+    nonzero exact value would let any value pass, 0 included, so it is
+    refused with a ValueError that asks for more precision."""
     if tolerance is not None:
         tolerance = rat(tolerance)
         if tolerance < 0:
@@ -329,5 +367,10 @@ def cross_check(
     value, bound = float_eval(F, n, precision)
     residual = abs(value - exact)
     if tolerance is None:
+        if exact and bound * 2**32 > abs(exact):
+            raise ValueError(
+                f"precision {precision} is too low to bound the float error "
+                f"below 2^-32 of the value at n={n}; raise --precision"
+            )
         tolerance = bound
     return CheckReport(exact, value, residual, tolerance, residual <= tolerance)

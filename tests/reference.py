@@ -26,7 +26,9 @@ The tests check it against the independent routes kept here:
 - the sums and products with one Fraction operation per coefficient or
   partial product: the PowerSumExpr sum, product and powers, and the
   coefficient extraction with UniPoly weights, references for the
-  library's integer routes and for the DSL's algebra.
+  library's integer routes and for the DSL's algebra;
+- the cosine points with one Taylor series per point, the reference for
+  the rotation of oracle.cosine_points.
 """
 
 import itertools
@@ -37,6 +39,7 @@ from cyclosum.catalan import catalan_a, h_global_series
 from cyclosum.exactcore import UniPoly, resultant
 from cyclosum.invariants import (InternalConsistencyError, punctured_min_poly,
                                  punctured_power_sum, vieta_lucas_coeffs)
+from cyclosum.oracle import _cos_turns
 from cyclosum.rigidity import _interpolate
 from cyclosum.symfunc import PowerSumExpr
 
@@ -471,3 +474,24 @@ def fraction_extract(Q, r):
 
     walk(r, r, ONE)
     return PowerSumExpr({exps: terms[exps] for exps in sorted(terms, reverse=True)})
+
+
+# ---------------------------------------------------------------------------
+# Cosine points, one series per point
+# ---------------------------------------------------------------------------
+
+
+def cosine_points_per_point(n, precision):
+    """round(2^precision cos(2 pi k/n)) for 1 <= k <= n/2, each point with
+    k/n <= 1/4 summed as its own series; past 1/4 the mirror
+    cos(2 pi k/n) = -cos(2 pi (1/2 - k/n)), which for even n is exactly
+    minus the point n/2 - k."""
+    X = [1 << precision]  # X_0 = 2^precision, the mirror of k = n/2
+    for k in range(1, n // 2 + 1):
+        if 4 * k <= n:
+            X.append(_cos_turns(k, n, precision))
+        elif n % 2 == 0:
+            X.append(-X[n // 2 - k])
+        else:
+            X.append(-_cos_turns(n - 2 * k, 2 * n, precision))
+    return tuple(X[1:])

@@ -1,6 +1,9 @@
-"""Smoke test of the benchmark harness: one short seeded run must finish
-and report a correct result.  No timing is asserted."""
+"""Tests of the benchmark harness: one short seeded run must finish and
+report a correct result, and every traced layer but the eight pinned as
+gone must name a function that cyclosum has.  No timing is asserted."""
 
+import importlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -49,3 +52,28 @@ def test_traced_layers_are_imported_with_the_cli():
     assert result["rc"] == 0
     assert {"cli.main", "oracle.cross_check", "oracle.float_eval", "oracle.points",
             "invariants.mq"} <= set(result["names"])
+
+
+# Layers of bench/spans.py whose functions have left cyclosum; a span
+# that names them records nothing.
+GONE = {
+    ("symfunc", "e_to_powersum"), ("symfunc", "h_to_powersum"),
+    ("rigidity", "stable_eval"), ("rigidity", "general_eval"),
+    ("invariants", "chebyshev_T"), ("exactcore", "poly_divrem"),
+    ("exactcore", "series_inv"), ("exactcore", "series_mul"),
+}
+
+
+def test_traced_layer_names_resolve():
+    # A rename in cyclosum fails here instead of silently zeroing a layer.
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = set()
+    for _name, mod_name, attr in spans.LAYERS:
+        owner = importlib.import_module(f"cyclosum.{mod_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.add((mod_name, attr))
+    assert missing == GONE

@@ -305,6 +305,18 @@ GOLDEN = [
     (['oracle', '--formula', 'prod(1 - t)^13', '--n', '300', '--format', 'json'], 0,
      'e462a5e7a287e1b761acc299db50225b5a05590209dc23c4e35665d63a7a8c5f',
      EMPTY),
+    # A product factor of 2^1100: resolved at n = 6; at n = 12 the default
+    # bound would exceed the value (|exact| about 5.53e+2978), so 256 bits
+    # are refused with exit 2 and 2048 bits pass (tolerance 7.44e+2694).
+    (['oracle', '--formula', 'prod(1 + 2^1100*t)', '--n', '6'], 0,
+     '2b04f3a1867abd158237e1d74182926b8c0023f267064bfdff8fe8a4692260ba',
+     EMPTY),
+    (['oracle', '--formula', 'prod(1 + 2^1100*t)', '--n', '12'], 2,
+     EMPTY,
+     'c5f57890a287f003bd568c6e160906de7bff5a5e2d98a54ff3d9321a04e9f94f'),
+    (['oracle', '--formula', 'prod(1 + 2^1100*t)', '--n', '12', '--precision', '2048'], 0,
+     '8e7ed4c17751aef38b7c5ed4a956a3eec95488ce2d002353b61a486db7e56ce5',
+     EMPTY),
     # 4,366 digits: past CPython's default limit for str(int).
     (['power-sum', '--n', '2', '--h', '14500'], 0,
      'fcbd13881a2ceaefb1c37b24599a8ed839f7435cd0f4f37fbf2013bac91b7b20',

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -23,6 +24,7 @@ from cyclosum.rigidity import AdmissibleFormula, evaluate
 from cyclosum.symfunc import PowerSumExpr
 
 from conftest import cli_json, dyadic, powersum_exprs
+from reference import cosine_points_per_point
 
 v1, v2 = PowerSumExpr.gen(1), PowerSumExpr.gen(2)
 z = PowerSumExpr.z()
@@ -106,6 +108,52 @@ class TestCosinePoints:
                     range(1, n // 4 + 1)}
         monkeypatch.setattr(oracle, "_ZIV_GUARD", 1)
         assert {key: oracle._cos_turns(*key, 64) for key in expected} == expected
+
+    @pytest.mark.parametrize("precision,levels", [
+        (64, range(2, 701)),
+        (256, range(2, 701)),
+        (1024, [31, 62, 189, 256, 511, 998, 999, 1000]),
+        (4096, [5, 64, 97, 130]),
+    ])
+    def test_rotation_matches_the_series_per_point(self, precision, levels):
+        # the uncached rotation against one series per point; at 1024
+        # bits, levels 31, 62 and 189 each take the fallback for a point
+        for n in levels:
+            assert cosine_points.__wrapped__(n, precision) == \
+                cosine_points_per_point(n, precision), n
+
+    @staticmethod
+    def _fallbacks(monkeypatch, precision):
+        """Record the (a, b) of every _cos_turns call at `precision` bits:
+        the rotation's seeds run at more bits, its fallbacks at exactly
+        `precision`."""
+        calls = []
+        series = oracle._cos_turns
+
+        def counted(a, b, bits):
+            if bits == precision:
+                calls.append((a, b))
+            return series(a, b, bits)
+
+        monkeypatch.setattr(oracle, "_cos_turns", counted)
+        return calls
+
+    def test_every_point_can_fall_back(self, monkeypatch):
+        # With a bound wider than any rounding interval, Ziv's test fails
+        # at every rotated point and each one comes from its own series.
+        calls = self._fallbacks(monkeypatch, 64)
+        monkeypatch.setattr(oracle, "_ROTATION_STEP_ERROR", 1 << 200)
+        for n in [*range(2, 40), 97, 128]:
+            del calls[:]
+            assert cosine_points.__wrapped__(n, 64) == cosine_points_per_point(n, 64), n
+            b = n if n % 2 == 0 else 2 * n
+            assert calls == [(j, b) for j in range(1, b // 4 + 1)], n
+
+    def test_no_point_falls_back_on_the_benchmark_levels(self, monkeypatch):
+        calls = self._fallbacks(monkeypatch, 256)
+        for n in range(16, 321):
+            cosine_points.__wrapped__(n, 256)
+        assert calls == []
 
     def test_roots_of_min_poly(self):
         # the independent float points must be roots of the exact W_n
@@ -383,6 +431,65 @@ class TestCrossCheck:
         assert "residual" in d and "tolerance" in d
 
 
+REFUSAL = "below 2\\^-32 of the value"
+
+
+def assert_refusal_is_due(F, n, precision=256):
+    """The default bound leaves a nonzero exact value unresolved."""
+    exact = evaluate(F, n).value
+    _, bound = float_eval(F, n, precision)
+    assert exact != 0 and bound * 2**32 > abs(exact)
+
+
+@st.composite
+def wide_qpolys(draw):
+    """A qpolys() factor, or 1 + c t with |c| up to 2^1200, which the
+    chosen precision may fail to resolve."""
+    if draw(st.booleans()):
+        return draw(qpolys())
+    return QPoly([1, draw(st.sampled_from([1, -1])) * 2 ** draw(st.integers(0, 1200))])
+
+
+class TestRefusal:
+    def test_unresolved_product_factor(self):
+        F = parse_formula("prod(1 + 2^1100*t)")
+        assert cross_check(F, 6).passed
+        with pytest.raises(ValueError, match=REFUSAL):
+            cross_check(F, 12)
+        assert_refusal_is_due(F, 12)
+        rep = cross_check(F, 12, precision=2048)
+        assert rep.passed and rep.tolerance * 2**32 <= abs(rep.exact)
+        # an explicit tolerance keeps the absolute check
+        rep = cross_check(F, 12, tolerance=abs(evaluate(F, 12).value))
+        assert rep.passed
+        # a bound below the value by less than 2^-32 (here 2^-11) is
+        # refused too
+        F = parse_formula("prod(1 + 2^240*t)")
+        with pytest.raises(ValueError, match=REFUSAL):
+            cross_check(F, 12)
+        assert_refusal_is_due(F, 12)
+        assert cross_check(F, 12, precision=512).passed
+
+    @settings(max_examples=100)
+    @given(
+        psi=powersum_exprs(max_d=6),
+        qs=st.lists(wide_qpolys(), max_size=2),
+        n=st.integers(2, 40),
+        precision=st.sampled_from([64, 128, 256]),
+    )
+    def test_default_tolerance_resolves_the_value_or_is_refused(self, psi, qs, n, precision):
+        F = AdmissibleFormula(psi, [(Q, 1) for Q in qs])
+        try:
+            rep = cross_check(F, n, precision=precision)
+        except ValueError as exc:
+            assert re.search(REFUSAL, str(exc)), exc
+            assert_refusal_is_due(F, n, precision)
+            return
+        assert rep.passed
+        if rep.exact != 0:
+            assert rep.tolerance * 2**32 <= abs(rep.exact)
+
+
 class TestCheckReport:
     @settings(max_examples=100)
     @given(
@@ -394,7 +501,13 @@ class TestCheckReport:
     )
     def test_report_holds_exact_values(self, psi, qs, n, tolerance):
         F = AdmissibleFormula(psi, [(Q, 1) for Q in qs])
-        rep = cross_check(F, n, tolerance=tolerance)
+        try:
+            rep = cross_check(F, n, tolerance=tolerance)
+        except ValueError as exc:
+            # only the default tolerance refuses an unresolved value
+            assert tolerance is None and re.search(REFUSAL, str(exc)), exc
+            assert_refusal_is_due(F, n)
+            return
         value, bound = float_eval(F, n)
         assert rep.exact == evaluate(F, n).value
         assert rep.value == value
