@@ -59,8 +59,8 @@ def _load_formula(args):
 
 
 def _tolerance(text):
-    """--tolerance as an exact rational in ASCII, or None when it is not
-    given."""
+    """--tolerance as an exact rational in ASCII digits, or None when it
+    is not given."""
     if text is None:
         return None
     exponent = _EXPONENT.search(text)
@@ -72,7 +72,9 @@ def _tolerance(text):
             raise ValueError(f"--tolerance exponent exceeds {MAX_TOLERANCE_EXPONENT}"
                              " in magnitude")
     try:
-        if not text.isascii():  # Fraction reads any Unicode digit
+        # Fraction reads any Unicode digit, and from CPython 3.11 on also
+        # PEP 515 underscores
+        if not text.isascii() or "_" in text:
             raise ValueError
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -191,6 +191,24 @@ class UniPoly:
 
     __rmul__ = __mul__
 
+    def __pow__(self, k: int):
+        """self^k by J. C. P. Miller's recurrence for the powers of a power
+        series (Knuth, TAOCP vol. 2, 4.7), on the integer row.  With
+        row = x^j (a_0 + a_1 x + ... + a_m x^m), a_0 != 0: q_0 = a_0^k and
+        i a_0 q_i = sum_{l=1}^{min(i, m)} ((k + 1) l - i) a_l q_(i-l) for
+        1 <= i <= k m, an exact division, so self^k = x^(j k) q / den^k.
+        A monomial leaves the sum empty, and the zero polynomial gives 0^k."""
+        if k < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        a = nonzero_entries(self.row) or [(0, 0)]
+        (j, a0), m = a[0], a[-1][0] - a[0][0]
+        tail = [(l - j, x) for l, x in a[1:]]
+        q = [a0**k]
+        for i in range(1, k * m + 1):
+            s = sum(((k + 1) * l - i) * x * q[i - l] for l, x in tail if l <= i)
+            q.append(s // (i * a0))
+        return UniPoly.from_row(self.den**k, [0] * (j * k) + q)
+
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:

@@ -240,7 +240,6 @@ def float_eval(
     points = cosine_points(n, W)
     even = n % 2 == 0
     N = n - 1
-    z = Fraction(N)
     psi = F.psi_star
     H = psi.max_gen()
     e_max = max((sum(exps) for exps in psi.rows), default=0)
@@ -266,16 +265,17 @@ def float_eval(
     log_mu = [math.log2(s + (1 << W)) - W for s in Pabs]
 
     # Symmetric part: psi_val = 2^W psi, within sigma K (1 + 2^-10).
-    psi_val, logs = 0, [0.0]
-    for exps, c in psi.terms.items():
-        cz = c(z)
-        term = cz.numerator * math.prod(P[i] ** ei for i, ei in enumerate(exps) if ei)
-        psi_val += (term << W >> (W * sum(exps))) // cz.denominator
+    # Each term is (row(N) prod P_i^e_i) 2^(W - W e) / den, floored once.
+    psi_val, logs, log_den = 0, [0.0], math.log2(psi.den)
+    for exps, row in psi.rows.items():
+        cz = 0
+        for a in reversed(row):
+            cz = cz * N + a
+        term = cz * math.prod(P[i] ** ei for i, ei in enumerate(exps) if ei)
+        psi_val += (term << W >> (W * sum(exps))) // psi.den
         if cz:
-            logs.append(
-                math.log2(abs(cz.numerator)) - math.log2(cz.denominator)
-                + sum(ei * lm for ei, lm in zip(exps, log_mu))
-            )
+            logs.append(math.log2(abs(cz)) - log_den
+                        + sum(ei * lm for ei, lm in zip(exps, log_mu)))
     log_S = _log2_sum(logs)
 
     # Products: the value is man * 2^exp.

@@ -56,8 +56,8 @@ class AdmissibleFormula:
     def __post_init__(self):
         object.__setattr__(self, "products", _normalize_products(self.products))
 
-    # The parser builds one formula per operator, so d scans the terms
-    # only when it is first read.
+    # d is read several times per call (n_star, the levels, the eventual
+    # polynomial, the CLI), so it scans the terms only when first read.
     @functools.cached_property
     def d(self) -> int:
         return self.psi_star.weighted_degree

@@ -97,6 +97,22 @@ def powersum_exprs(draw, max_d=18):
     )
 
 
+@st.composite
+def power_bases(draw):
+    """A base for UniPoly.__pow__: the zero polynomial, a unit, or a row
+    of degree up to 6 over a denominator up to 12, with zero low
+    coefficients, gaps and a lowest coefficient of either sign."""
+    kind = draw(st.sampled_from(("zero", "unit", "row", "row")))
+    if kind == "zero":
+        return UniPoly()
+    if kind == "unit":
+        return UniPoly([draw(st.sampled_from((1, -1)))])
+    low = draw(st.integers(0, 3))
+    lowest = draw(st.integers(-9, 9).filter(bool))
+    rest = draw(st.lists(st.just(0) | st.integers(-9, 9), max_size=6 - low))
+    return UniPoly.from_row(draw(st.integers(1, 12)), [0] * low + [lowest] + rest)
+
+
 def assert_canonical(psi):
     """psi is in PowerSumExpr's one integer form: den > 0, trimmed keys,
     nonzero trimmed integer rows, gcd(den, every entry) = 1; and the

@@ -27,6 +27,8 @@ The tests check it against the independent routes kept here:
   partial product: the PowerSumExpr sum, product and powers, and the
   coefficient extraction with UniPoly weights, references for the
   library's integer routes and for the DSL's algebra;
+- the power of a UniPoly by repeated products of integer rows, the
+  reference for Miller's recurrence in UniPoly.__pow__;
 - the cosine points with one Taylor series per point, the reference for
   the rotation of oracle.cosine_points.
 """
@@ -428,6 +430,19 @@ def fraction_power(base, k):
         if k:
             base = fraction_mul(base, base)
     return result
+
+
+def unipoly_power(p, k):
+    """p^k for a UniPoly p as k products of integer rows over den^k, one
+    partial product at a time: the reference for UniPoly.__pow__."""
+    row = [1]
+    for _ in range(k):
+        out = [0] * (len(row) + len(p.row) - 1)
+        for i, x in enumerate(row):
+            for j, y in enumerate(p.row):
+                out[i + j] += x * y
+        row = out
+    return UniPoly.from_row(p.den**k, row)
 
 
 def log_coeff_list(Q, order):

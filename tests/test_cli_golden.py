@@ -346,6 +346,18 @@ GOLDEN = [
     (['verify', '--formula', 'energy', '--conjecture', 'n^99999999999999999999'], 2,
      EMPTY,
      'c06782164c355b48ffe9db661daa9f80aa4c0d2da23be5989f9857181d2f0cd2'),
+    # A power whose size bound passes 2^26 bits is refused before it is
+    # expanded: a dense power in n below the degree cap, and a constant
+    # power, which has degree 0, in a conjecture and in a formula.
+    (['verify', '--formula', 'energy', '--conjecture', '(2*n - 1)^65536'], 2,
+     EMPTY,
+     '135cd0d976fed3aa69a37c23528d88fcfdb9bd9a161ac1cd78f734291951c9c9'),
+    (['verify', '--formula', 'energy', '--conjecture', '2^99999999999999999999'], 2,
+     EMPTY,
+     '983bd3bcddb82e18fa8e9991d3bea9b224642c457b5164097a9fa623a50bebf6'),
+    (['eval', '--formula', '2^99999999999999999999', '--n', '5'], 2,
+     EMPTY,
+     '983bd3bcddb82e18fa8e9991d3bea9b224642c457b5164097a9fa623a50bebf6'),
     # cos-sum, sin-sum and catalan-a in text, and every command in json and tsv.
     (['cos-sum', '--n', '3', '--h', '2'], 0,
      '8228c6ffceb1891bb4615da65920d06b1b5a44a1747183b163c0abb088c3ea1a',
@@ -506,6 +518,14 @@ GOLDEN = [
     (['oracle', '--formula', 'p1', '--n', '7', '--tolerance', '1e-10000000'], 2,
      EMPTY,
      '84e6aae89bf602e4e9802a0ddbdb6ade698cb2b887562509deda829fa153ede3'),
+    # --tolerance reads no underscore, which Fraction takes only from
+    # CPython 3.11 on.
+    (['oracle', '--formula', 'p1', '--n', '5', '--tolerance', '1_000e-3'], 2,
+     EMPTY,
+     'c57cf32732e95cd17de5394d7ce1b6f29926a5d06670592809db561a501f005d'),
+    (['oracle', '--formula', 'p1', '--n', '5', '--tolerance', '1/1_000'], 2,
+     EMPTY,
+     '305a1cf1c53ff5cf619f0c57a379dffe502d5436baa9d16cb37e6d9d8aab4237'),
     # --tolerance is ASCII too.
     (['oracle', '--formula', 'p1', '--n', '7', '--tolerance', '١e-٣'], 2,
      EMPTY,

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,10 @@ from cyclosum.dsl import (
     MAX_CONJECTURE_DEGREE,
     MAX_NESTING,
     MAX_NUMBER_DIGITS,
+    MAX_POWER_BITS,
     FormulaSemanticError,
     FormulaSyntaxError,
+    _power_bits,
     parse_conjecture,
     parse_formula,
     parse_qpoly,
@@ -23,7 +26,7 @@ from cyclosum.exactcore import NVAR, UniPoly, poly_str
 from cyclosum.invariants import QPoly
 from cyclosum.symfunc import PowerSumExpr
 
-from conftest import newton_e, newton_h, powersum_exprs
+from conftest import newton_e, newton_h, power_bases, powersum_exprs
 
 v1, v2, v3 = (PowerSumExpr.gen(r) for r in (1, 2, 3))
 z = PowerSumExpr.z()
@@ -296,6 +299,61 @@ class TestConjectureParsing:
         assert parse_conjecture(f"(-1)^{huge}") == UniPoly([-1])
         assert parse_conjecture(f"(n - n)^{huge}") == UniPoly()
         assert parse_conjecture("(n - n)^0") == UniPoly([1])
+
+
+class TestPowerSize:
+    """A power is refused before it is expanded when its bound passes
+    MAX_POWER_BITS; below it, a dense power in n takes one pass."""
+
+    def test_dense_power_within_budget(self):
+        start = time.perf_counter()
+        got = parse_conjecture("(2*n - 1)^4096")
+        elapsed = time.perf_counter() - start
+        assert got == UniPoly([math.comb(4096, i) * 2**i * (-1) ** (4096 - i)
+                               for i in range(4097)])
+        assert elapsed < 1.0
+
+    def test_limit_is_the_bound(self):
+        # (2*n - 1)^k: a bound of k + 1 coefficients of 2k bits each
+        k = math.isqrt(MAX_POWER_BITS // 2)
+        while (k + 1) * k * 2 > MAX_POWER_BITS:
+            k -= 1
+        assert parse_conjecture(f"(2*n - 1)^{k}").degree == k
+        bits = (k + 2) * (k + 1) * 2
+        with pytest.raises(FormulaSemanticError,
+                           match=f"^a power of up to {bits} bits exceeds the "
+                                 f"configured maximum {MAX_POWER_BITS} bits$"):
+            parse_conjecture(f"(2*n - 1)^{k + 1}")
+        # a monomial has one coefficient, however high its degree
+        assert parse_conjecture("(2*n^64)^1024") == UniPoly([0] * 65536 + [2**1024])
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_conjecture, "(2*n - 1)^65536"),
+        (parse_conjecture, "2^99999999999999999999"),
+        (parse_conjecture, "n + (1/3)^99999999"),
+        (parse_formula, "2^99999999999999999999"),
+        (parse_formula, "p1 + (1/2)^99999999999999999999"),
+        (parse_qpoly, "1 + 2^99999999999999999999*t"),
+    ])
+    def test_refused_before_any_work(self, parse, text):
+        start = time.perf_counter()
+        with pytest.raises(FormulaSemanticError, match=f"maximum {MAX_POWER_BITS} bits$"):
+            parse(text)
+        assert time.perf_counter() - start < 0.1
+
+    def test_units_and_zero_grow_nothing(self):
+        huge = "99999999999999999999"
+        assert parse_formula(f"(-1)^{huge}*p1").psi_star == -v1
+        assert parse_formula(f"(2 - 2)^{huge} + p1").psi_star == v1
+        assert parse_conjecture(f"(-n + n + 1)^{huge}*n") == UniPoly([0, 1])
+
+    @given(power_bases(), st.integers(0, 12))
+    def test_bound_holds(self, p, k):
+        # ceil(log2) of each nonzero numerator and of the denominator
+        got = p**k
+        size = sum((abs(x) - 1).bit_length() + (got.den - 1).bit_length()
+                   for x in got.row if x)
+        assert size <= (_power_bits(p.row, p.den, k) if p.row else 0)
 
 
 class TestQPolyParsing:

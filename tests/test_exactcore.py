@@ -23,7 +23,8 @@ from cyclosum.exactcore import (
 )
 from cyclosum.invariants import QPoly
 
-from conftest import assert_canonical_unipoly, dyadic, random_rational, random_unipoly
+from conftest import (assert_canonical_unipoly, dyadic, power_bases, random_rational,
+                      random_unipoly)
 from reference import (
     Series,
     a_power_series,
@@ -31,6 +32,7 @@ from reference import (
     log_coeff_list,
     series_mul,
     sylvester_resultant,
+    unipoly_power,
 )
 
 
@@ -298,6 +300,21 @@ class TestUniPoly:
         assert P([Fraction(1, 6), Fraction(-1, 4), 1])(Fraction(-2, 3)) == Fraction(7, 9)
         with pytest.raises(TypeError, match="cannot coerce UniPoly"):
             p(P([-1, 1]))
+
+    # Miller's recurrence against repeated products
+    @given(power_bases(), st.integers(0, 12))
+    @example(UniPoly([-1, 2]), 257)
+    @example(UniPoly.from_row(6, [0, 0, -5, 0, 3, 1]), 64)
+    @example(UniPoly.from_row(3, [2]), 257)
+    @example(UniPoly(), 0)
+    def test_power_matches_repeated_products(self, p, k):
+        got = p**k
+        assert_canonical_unipoly(got)
+        assert got == unipoly_power(p, k)
+
+    def test_power_refuses_a_negative_exponent(self):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            P([1, 1]) ** -1
 
     def test_strings_are_not_rationals(self):
         # text reaches the package only through the CLI's validated readers
