@@ -15,6 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Tuple
 
 from .exactcore import UniPoly
@@ -56,11 +57,18 @@ class AdmissibleFormula:
     def __post_init__(self):
         object.__setattr__(self, "products", _normalize_products(self.products))
 
-    # d is read several times per call (n_star, the levels, the eventual
-    # polynomial, the CLI), so it scans the terms only when first read.
+    # d and generators are read several times per call (n_star, the
+    # levels, the eventual polynomial, the CLI), so each scans the terms
+    # only when first read.
     @functools.cached_property
     def d(self) -> int:
         return self.psi_star.weighted_degree
+
+    @functools.cached_property
+    def generators(self) -> list:
+        """The h whose generator v_h occurs in psi_star, in order."""
+        columns = zip_longest(*self.psi_star.rows, fillvalue=0)
+        return [h for h, column in enumerate(columns, 1) if any(column)]
 
     @property
     def n_star(self) -> int:
@@ -96,11 +104,17 @@ class EvalReport:
     mode: str  # "stable" (n >= n_star) or "general"
 
 
-def _levels(F: AdmissibleFormula, ns) -> list:
+def _levels(F: AdmissibleFormula, ns, hs) -> list:
     """The levels (P_1(n)..P_d(n), n - 1) at which psi_star.substitute
-    evaluates F, one for each n in ns."""
-    hs = range(1, F.d + 1)
-    return [([punctured_power_sum(n, h) for h in hs], n - 1) for n in ns]
+    evaluates F, one for each n in ns, with P_h(n) read for h in hs and
+    left 0 for the other h, whose generators substitute does not read."""
+    levels = []
+    for n in ns:
+        P = [0] * F.d
+        for h in hs:
+            P[h - 1] = punctured_power_sum(n, h)
+        levels.append((P, n - 1))
+    return levels
 
 
 def evaluate(F: AdmissibleFormula, n: int) -> EvalReport:
@@ -112,7 +126,7 @@ def evaluate(F: AdmissibleFormula, n: int) -> EvalReport:
     """
     if n < 2:
         raise ValueError("level n must be >= 2")
-    levels = _levels(F, [n])
+    levels = _levels(F, [n], range(1, F.d + 1))
     (value,) = F.psi_star.substitute(levels)
     mvals = []
     for Q, mult in F.products:
@@ -153,9 +167,10 @@ def eventual_polynomial(F: AdmissibleFormula) -> UniPoly:
     """The polynomial R(n) agreeing with evaluate for every n >= n_star.
     Only defined in the polynomial case.
 
-    P_h(n) is at most linear in n > h, so for h <= d the levels n_star
-    and n_star + 1 give its value and slope on n >= d + 1: constant for
-    odd h, linear for even h.  psi_star.fold sets each generator of
+    P_h(n) is at most linear in n > h, so for each h whose generator
+    occurs in psi_star (the only P_h read) the levels n_star and
+    n_star + 1 give its value and slope on n >= d + 1: constant for odd
+    h, linear for even h.  psi_star.fold sets each generator of
     slope 0 to its value; each generator left is linear in n, as
     z = n - 1 is, so R has degree at most D, the largest deg c + (sum of
     the exponents) over the folded terms.  R interpolates the folded
@@ -170,9 +185,10 @@ def eventual_polynomial(F: AdmissibleFormula) -> UniPoly:
         raise ProductCaseError(
             "eventual polynomiality applies to the polynomial case only"
         )
-    (P, z), (P1, _), check = _levels(F, [F.n_star, F.n_star + 1, F.d + 1])
+    hs = F.generators
+    (P, z), (P1, _), check = _levels(F, [F.n_star, F.n_star + 1, F.d + 1], hs)
     slopes = [b - a for a, b in zip(P, P1)]
-    constants = {h: p for h, (p, s) in enumerate(zip(P, slopes), 1) if not s}
+    constants = {h: P[h - 1] for h in hs if not slopes[h - 1]}
     folded = F.psi_star.fold(constants)
     D = max((len(row) - 1 + sum(exps) for exps, row in folded.rows.items()), default=0)
     *values, expected = folded.substitute(
@@ -220,6 +236,6 @@ def verify_identity(
         )
     eventual = eventual_polynomial(F)
     ns = range(2, F.n_star) if check_below_threshold else ()
-    values = F.psi_star.substitute(_levels(F, ns)) if ns else ()
+    values = F.psi_star.substitute(_levels(F, ns, F.generators)) if ns else ()
     levels = tuple((n, conjecture(Fraction(n)), v) for n, v in zip(ns, values))
     return VerificationReport(eventual, eventual - conjecture, levels)

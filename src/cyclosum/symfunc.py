@@ -5,9 +5,9 @@ sums p_1..p_d) with coefficients in Q[z], held in one integer form, as a
 UniPoly is: a positive denominator den and, per monomial, the integer
 z-coefficients of den times its coefficient.  Sums, products and powers
 work on these rows and reduce once per result; substitute evaluates at
-integer power sums and integer z, for any number of levels in one pass,
-and fold sets chosen generators to integer power sums, merging the terms
-that then share a monomial.
+integer power sums and integer z, for any number of levels from one flat
+plan, and fold sets chosen generators to integer power sums, merging the
+terms that then share a monomial.
 By stable-range rigidity this presentation is all the pipelines need;
 the monomial-orbit basis and the reduction into power sums, which the
 tests compare against, live in tests/reference.py.
@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from itertools import count, repeat
+from operator import add, lshift, mul
 from typing import Dict, List, Tuple
 
 from .exactcore import (UniPoly, add_into, coeff_term, convolve_add, join_terms,
@@ -101,10 +102,7 @@ class PowerSumExpr:
     @property
     def weighted_degree(self) -> int:
         """Max over monomials of sum_r r*e_r (0 for constants and zero)."""
-        return max(
-            (sum((i + 1) * e for i, e in enumerate(k)) for k in self.rows),
-            default=0,
-        )
+        return max((sum(map(mul, k, count(1))) for k in self.rows), default=0)
 
     def _coerce(self, other):
         if isinstance(other, PowerSumExpr):
@@ -183,35 +181,47 @@ class PowerSumExpr:
 
     def substitute(self, levels) -> List[Fraction]:
         """Exact values with v_h := P[h-1] / 2^h and z := z, one for each
-        level (P, z) of integers P[h-1] = P_h and z, where d = len(P) is at
-        least the weighted degree.
+        level (P, z) of integers z and P[h-1] = P_h; P is read only at the
+        generators that occur.
 
-        Each value is one integer over den 2^d: a term adds
-        (row(z) prod P_h^e) << (d - weight), with each monomial read from a
-        table of powers that the level's terms share.  The nonzero
-        exponents and weight of each term are found once for all levels.
+        One flat plan, made in one pass over the terms, serves every level.
+        With m - 1 the highest generator index, slot e*m + i of a level's
+        table holds z^e (i = 0) or P_i^e, filled only for the columns that
+        occur and up to their highest exponent.  Each (term, z^j) becomes
+        one integer, its z^j coefficient shifted by W - w (w the weight of
+        the term, W the weighted degree), paired with the slots of its
+        powers; a level is then sum(coefficient * prod(table[slots])) over
+        den 2^W.
         """
-        terms = []
+        m = self.max_gen() + 1
+        coeffs, slots = [], []
         for exps, row in self.rows.items():
-            pairs = [(i, e) for i, e in enumerate(exps) if e]
-            terms.append((pairs, sum((i + 1) * e for i, e in pairs), row[::-1]))
+            powers = [e * m + i for i, e in enumerate(exps, 1) if e]
+            if len(row) == 1:  # constant in z, as every term of h(r) and e(r) is
+                coeffs.append(row[0])
+                slots.append(powers)
+                continue
+            for j, a in enumerate(row):
+                if a:
+                    coeffs.append(a)
+                    slots.append([j * m, *powers] if j else powers)
+        weight, tops = {}, {}  # weight e*i of slot e*m + i; highest e of column i
+        for s in sorted(set().union(*slots)):
+            e, i = divmod(s, m)
+            weight[s], tops[i] = e * i, e
+        weights = list(map(sum, map(map, repeat(weight.__getitem__), slots)))
+        W = max(weights, default=0)
+        coeffs = list(map(lshift, coeffs, map(W.__sub__, weights)))
+        fill = [(e * m + i, i) for i, top in tops.items() for e in range(1, top + 1)]
+        size, den, prod = m * (max(tops.values(), default=0) + 1), self.den << W, math.prod
         values = []
         for P, z in levels:
-            d = len(P)
-            powers = [[1] for _ in P]  # powers[h-1][e] = P_h^e, filled on demand
-            total = 0
-            for pairs, weight, rev in terms:
-                mono = 1
-                for i, e in pairs:
-                    row = powers[i]
-                    while len(row) <= e:
-                        row.append(row[-1] * P[i])
-                    mono *= row[e]
-                cz = 0
-                for a in rev:
-                    cz = cz * z + a
-                total += (cz * mono) << (d - weight)
-            values.append(Fraction(total, self.den << d))
+            base = (z, *P)
+            table = [1] * size  # row e = 0 stays 1
+            for s, i in fill:
+                table[s] = table[s - m] * base[i]
+            monomials = map(prod, map(map, repeat(table.__getitem__), slots))
+            values.append(Fraction(sum(map(mul, coeffs, monomials)), den))
         return values
 
     def fold(self, values: Dict[int, int]) -> "PowerSumExpr":
@@ -249,7 +259,7 @@ class PowerSumExpr:
         return PowerSumExpr.from_rows(self.den << W, out)
 
     def max_gen(self) -> int:
-        return max((len(k) for k in self.rows), default=0)
+        return max(map(len, self.rows), default=0)
 
     def __str__(self):
         """Text form over tokens p1..pd and z, e.g. "z*p2 - p1^2"."""
@@ -264,5 +274,5 @@ class PowerSumExpr:
 
 
 def _term_sort_key(exps: Tuple[int, ...]):
-    wdeg = sum((i + 1) * e for i, e in enumerate(exps))
+    wdeg = sum(map(mul, exps, count(1)))
     return (-wdeg, tuple(-e for e in exps))

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cyclosum import dsl
 from cyclosum.catalan import extract_coefficient_family, h_family
 from cyclosum.dsl import (
     MAX_CONJECTURE_DEGREE,
     MAX_NESTING,
     MAX_NUMBER_DIGITS,
     MAX_POWER_BITS,
+    MAX_POWER_SUM_INDEX,
     FormulaSemanticError,
     FormulaSyntaxError,
     _power_bits,
@@ -119,6 +121,38 @@ class TestFormulaParsing:
     @given(psi=powersum_exprs())
     def test_powersum_round_trip(self, psi):
         assert parse_formula(str(psi)).psi_star == psi
+
+
+class TestFamilyCache:
+    """h(r) and e(r) are built once per process; every parse that names one
+    shares the same immutable PowerSumExpr."""
+
+    def test_parses_share_one_expression(self):
+        assert parse_formula("h(7)").psi_star is parse_formula("h(7)").psi_star
+        assert parse_formula("e(7)").psi_star is parse_formula("e(7)").psi_star
+
+    def test_cached_values(self):
+        assert parse_formula("h(7)").psi_star == h_family(7)
+        assert parse_formula("e(7)").psi_star == extract_coefficient_family(QPoly([1, 1]), 7)
+
+    def test_at_most_two_entries_per_index(self):
+        for r in range(1, MAX_POWER_SUM_INDEX + 1):
+            parse_formula(f"h({r})")
+            parse_formula(f"e({r})")
+        assert dsl._family.cache_info().currsize == 2 * MAX_POWER_SUM_INDEX == 64
+
+    @pytest.mark.parametrize("text, message", [
+        ("h(0)", "builtin degree must be >= 1"),
+        ("e(0)", "builtin degree must be >= 1"),
+        ("h(33)", "degree 33 exceeds the configured maximum 32"),
+        ("e(33)", "degree 33 exceeds the configured maximum 32"),
+    ])
+    def test_refused_index_adds_no_entry(self, text, message):
+        before = dsl._family.cache_info()
+        with pytest.raises(FormulaSemanticError, match=f"^{message}$"):
+            parse_formula(text)
+        after = dsl._family.cache_info()
+        assert (after.currsize, after.misses) == (before.currsize, before.misses)
 
 
 class TestFormulaErrors:

@@ -281,6 +281,49 @@ class TestKernelAgainstReference:
         assert eventual_polynomial(AdmissibleFormula(psi)) == expanded_in_n(psi)
 
 
+class TestPowerSumsRead:
+    """eventual and verify read P_h(n) only for the generators that occur
+    in psi_star; evaluate still reports every P_1(n)..P_d(n)."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        seen = set()
+
+        def record(n, h):
+            seen.add(h)
+            return punctured_power_sum(n, h)
+
+        monkeypatch.setattr(rigidity, "punctured_power_sum", record)
+        return seen
+
+    @pytest.mark.parametrize("text, hs", [
+        ("mixed(7,11)", {7, 11, 18}),
+        ("energy^9", {1, 2}),
+        ("h(6)", set(range(1, 7))),
+    ])
+    def test_only_the_generators_present(self, text, hs, monkeypatch):
+        F = parse_formula(text)
+        R = eventual_polynomial(F)
+        seen = self._record(monkeypatch)
+        assert eventual_polynomial(F) == R
+        assert seen == hs
+        seen.clear()
+        report = verify_identity(F, R, check_below_threshold=True)
+        assert seen == hs
+        assert report.symbolic_match
+        assert [n for n, _, _ in report.per_level] == list(range(2, F.n_star))
+        for n, _, got in report.per_level:
+            assert got == evaluate(F, n).value
+
+    @pytest.mark.parametrize("n", [5, 20, 25])
+    def test_evaluate_reports_every_power_sum(self, n, monkeypatch):
+        F = parse_formula("mixed(7,11)")
+        seen = self._record(monkeypatch)
+        report = evaluate(F, n)
+        assert seen == set(range(1, 19))
+        assert report.power_sums == tuple(punctured_power_sum(n, h) for h in range(1, 19))
+
+
 class TestVerifyIdentity:
     def test_energy_pass(self):
         conjecture = UniPoly([0, Fraction(-3, 2), Fraction(1, 2)])

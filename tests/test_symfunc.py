@@ -1,13 +1,14 @@
+import copy
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cyclosum.catalan import extract_coefficient_family, h_family
 from cyclosum.exactcore import UniPoly
-from cyclosum.invariants import QPoly
+from cyclosum.invariants import QPoly, punctured_power_sum
 from cyclosum.symfunc import PowerSumExpr
 
 from conftest import assert_canonical, powersum_exprs, random_powersum_expr, reference_substitute
@@ -195,21 +196,85 @@ class TestRendering:
 
 class TestIntegerKernel:
     @settings(max_examples=300)
-    @given(psi=powersum_exprs(), count=st.integers(1, 3), data=st.data())
-    def test_matches_reference_substitution(self, psi, count, data):
-        # 1 to 3 levels in one call, each with any integers P_h and z and
-        # its own d = len(P) at or above the weighted degree
-        levels = []
-        for _ in range(count):
-            size = psi.weighted_degree + data.draw(st.integers(0, 3))
-            P = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=size, max_size=size))
-            levels.append((P, data.draw(st.integers(-50, 50))))
+    @given(psi=powersum_exprs(), data=st.data())
+    @example(psi=h_family(18), data=None)
+    def test_matches_reference_substitution(self, psi, data):
+        if data:
+            # 0 to 20 levels in one call, each with any integers P_h and z
+            # and its own len(P) at or above the weighted degree
+            levels = []
+            for _ in range(data.draw(st.integers(0, 20))):
+                size = psi.weighted_degree + data.draw(st.integers(0, 3))
+                P = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=size, max_size=size))
+                levels.append((P, data.draw(st.integers(-50, 50))))
+        else:  # h(18) at its 18 levels below the threshold n_star = 20
+            levels = [([punctured_power_sum(n, h) for h in range(1, 19)], n - 1)
+                      for n in range(2, 20)]
         got = psi.substitute(levels)
-        assert len(got) == count
+        assert len(got) == len(levels)
         for value, (P, zval) in zip(got, levels):
             gen_values = {h: Fraction(P[h - 1], 2**h) for h in range(1, len(P) + 1)}
             assert isinstance(value, Fraction)
             assert value == reference_substitute(psi, gen_values, Fraction(zval))
+
+    @settings(max_examples=200)
+    @given(data=st.data(), zdeg=st.integers(2, 4), den=st.integers(2, 9))
+    def test_z_rows_over_a_denominator(self, data, zdeg, den):
+        # z-coefficients of degree 2 to 4 over den > 1: each (term, z^j)
+        # of the plan carries its own shifted coefficient and z^j slot
+        rng = data.draw(st.randoms(use_true_random=False))
+        psi = (random_powersum_expr(rng, data.draw(st.integers(0, 12)), max_terms=5, z_degree=zdeg)
+               + (z**zdeg * v1 - z**2 * v2).scale(Fraction(1, den)))
+        assume(psi.den > 1 and max(map(len, psi.rows.values())) > 2)
+        d = psi.weighted_degree
+        levels = [(data.draw(st.lists(st.integers(-10**4, 10**4), min_size=d, max_size=d)),
+                   data.draw(st.integers(-30, 30))) for _ in range(data.draw(st.integers(1, 4)))]
+        for value, (P, zval) in zip(psi.substitute(levels), levels):
+            gen_values = {h: Fraction(P[h - 1], 2**h) for h in range(1, d + 1)}
+            assert value == reference_substitute(psi, gen_values, Fraction(zval))
+
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_zero_gives_one_zero_per_level(self, count):
+        levels = [([3, -4, 5], k) for k in range(count)]
+        for psi in (PowerSumExpr(), z * v1 - v1 * z):
+            got = psi.substitute(levels)
+            assert got == [0] * count
+            assert all(type(x) is Fraction for x in got)
+
+    def test_reads_only_the_generators_that_occur(self):
+        v5 = PowerSumExpr.gen(5)
+        psi = v2 * v5 - (z * v5**2).scale(Fraction(1, 3))
+        (value,) = psi.substitute([([None, 3, None, None, -7], 4)])
+        gen_values = {2: Fraction(3, 4), 5: Fraction(-7, 32)}
+        assert value == reference_substitute(psi, gen_values, Fraction(4))
+
+
+class TestOperandsUnchanged:
+    """The DSL shares each h(r) and e(r) between parses, so no operation
+    may change the expressions it reads."""
+
+    @settings(max_examples=150)
+    @given(a=powersum_exprs(max_d=8), b=powersum_exprs(max_d=8),
+           k=st.integers(0, 3), c=st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
+    @example(a=h_family(6), b=e_family(5), k=2, c=Fraction(-3, 7))
+    def test_no_operation_changes_its_operands(self, a, b, k, c):
+        d = max(a.weighted_degree, 1)
+        P = [3 * h - 7 for h in range(1, d + 1)]
+        operations = {
+            "+": lambda: a + b,
+            "-": lambda: a - b,
+            "*": lambda: a * b,
+            "**": lambda: a**k,
+            "scale": lambda: a.scale(c),
+            "fold": lambda: a.fold({h: P[h - 1] for h in range(1, d + 1, 2)}),
+            "substitute": lambda: a.substitute([(P, 5), (P[::-1], -2)]),
+            "str": lambda: str(a),
+            "weighted_degree": lambda: a.weighted_degree,
+        }
+        for name, operation in operations.items():
+            before = [(p.den, copy.deepcopy(p.rows)) for p in (a, b)]
+            operation()
+            assert [(p.den, p.rows) for p in (a, b)] == before, name
 
 
 class TestFold:
