@@ -15,7 +15,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Tuple
 
 from .exactcore import UniPoly
@@ -57,18 +56,11 @@ class AdmissibleFormula:
     def __post_init__(self):
         object.__setattr__(self, "products", _normalize_products(self.products))
 
-    # d and generators are read several times per call (n_star, the
-    # levels, the eventual polynomial, the CLI), so each scans the terms
-    # only when first read.
+    # d is read several times per call (n_star, the levels, the eventual
+    # polynomial, the CLI), so it scans the terms only when first read.
     @functools.cached_property
     def d(self) -> int:
         return self.psi_star.weighted_degree
-
-    @functools.cached_property
-    def generators(self) -> list:
-        """The h whose generator v_h occurs in psi_star, in order."""
-        columns = zip_longest(*self.psi_star.rows, fillvalue=0)
-        return [h for h, column in enumerate(columns, 1) if any(column)]
 
     @property
     def n_star(self) -> int:
@@ -185,7 +177,7 @@ def eventual_polynomial(F: AdmissibleFormula) -> UniPoly:
         raise ProductCaseError(
             "eventual polynomiality applies to the polynomial case only"
         )
-    hs = F.generators
+    hs = F.psi_star.generators()
     (P, z), (P1, _), check = _levels(F, [F.n_star, F.n_star + 1, F.d + 1], hs)
     slopes = [b - a for a, b in zip(P, P1)]
     constants = {h: P[h - 1] for h in hs if not slopes[h - 1]}
@@ -236,6 +228,6 @@ def verify_identity(
         )
     eventual = eventual_polynomial(F)
     ns = range(2, F.n_star) if check_below_threshold else ()
-    values = F.psi_star.substitute(_levels(F, ns, F.generators)) if ns else ()
+    values = F.psi_star.substitute(_levels(F, ns, F.psi_star.generators())) if ns else ()
     levels = tuple((n, conjecture(Fraction(n)), v) for n, v in zip(ns, values))
     return VerificationReport(eventual, eventual - conjecture, levels)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import count, repeat
+from itertools import count, repeat, zip_longest
 from operator import add, lshift, mul
 from typing import Dict, List, Tuple
 
@@ -185,42 +185,31 @@ class PowerSumExpr:
         generators that occur.
 
         One flat plan, made in one pass over the terms, serves every level.
-        With m - 1 the highest generator index, slot e*m + i of a level's
-        table holds z^e (i = 0) or P_i^e, filled only for the columns that
-        occur and up to their highest exponent.  Each (term, z^j) becomes
-        one integer, its z^j coefficient shifted by W - w (w the weight of
-        the term, W the weighted degree), paired with the slots of its
-        powers; a level is then sum(coefficient * prod(table[slots])) over
-        den 2^W.
+        Slot e*m + i stands for x_i^e, with x_0 = z, x_i = P_i and m - 1
+        the highest generator index.  Each (term, z^j) becomes one integer,
+        its z^j coefficient shifted by W - w (w the weight of the term, the
+        sum of e*i over its slots, and W the largest), paired with the list
+        of its slots.  A level's table holds x_i^e for the slots in use, and
+        its value is sum(coefficient * prod(table[slots])) over den 2^W.
         """
         m = self.max_gen() + 1
         coeffs, slots = [], []
         for exps, row in self.rows.items():
             powers = [e * m + i for i, e in enumerate(exps, 1) if e]
-            if len(row) == 1:  # constant in z, as every term of h(r) and e(r) is
-                coeffs.append(row[0])
-                slots.append(powers)
-                continue
             for j, a in enumerate(row):
                 if a:
                     coeffs.append(a)
                     slots.append([j * m, *powers] if j else powers)
-        weight, tops = {}, {}  # weight e*i of slot e*m + i; highest e of column i
-        for s in sorted(set().union(*slots)):
-            e, i = divmod(s, m)
-            weight[s], tops[i] = e * i, e
-        weights = list(map(sum, map(map, repeat(weight.__getitem__), slots)))
+        used = set().union(*slots)
+        weight = {s: s // m * (s % m) for s in used}.__getitem__
+        weights = list(map(sum, map(map, repeat(weight), slots)))
         W = max(weights, default=0)
         coeffs = list(map(lshift, coeffs, map(W.__sub__, weights)))
-        fill = [(e * m + i, i) for i, top in tops.items() for e in range(1, top + 1)]
-        size, den, prod = m * (max(tops.values(), default=0) + 1), self.den << W, math.prod
-        values = []
+        den, values = self.den << W, []
         for P, z in levels:
-            base = (z, *P)
-            table = [1] * size  # row e = 0 stays 1
-            for s, i in fill:
-                table[s] = table[s - m] * base[i]
-            monomials = map(prod, map(map, repeat(table.__getitem__), slots))
+            x = (z, *P)
+            table = {s: x[s % m] ** (s // m) for s in used}.__getitem__
+            monomials = map(math.prod, map(map, repeat(table), slots))
             values.append(Fraction(sum(map(mul, coeffs, monomials)), den))
         return values
 
@@ -259,7 +248,12 @@ class PowerSumExpr:
         return PowerSumExpr.from_rows(self.den << W, out)
 
     def max_gen(self) -> int:
-        return max(map(len, self.rows), default=0)
+        return max((len(k) for k in self.rows), default=0)
+
+    def generators(self) -> List[int]:
+        """The h whose generator v_h occurs, in increasing order."""
+        columns = zip_longest(*self.rows, fillvalue=0)
+        return [h for h, column in enumerate(columns, 1) if any(column)]
 
     def __str__(self):
         """Text form over tokens p1..pd and z, e.g. "z*p2 - p1^2"."""
@@ -274,5 +268,5 @@ class PowerSumExpr:
 
 
 def _term_sort_key(exps: Tuple[int, ...]):
-    wdeg = sum(map(mul, exps, count(1)))
+    wdeg = sum((i + 1) * e for i, e in enumerate(exps))
     return (-wdeg, tuple(-e for e in exps))

@@ -247,6 +247,14 @@ class TestIntegerKernel:
         (value,) = psi.substitute([([None, 3, None, None, -7], 4)])
         gen_values = {2: Fraction(3, 4), 5: Fraction(-7, 32)}
         assert value == reference_substitute(psi, gen_values, Fraction(4))
+        assert psi.generators() == [2, 5]
+
+    def test_generators(self):
+        v7 = PowerSumExpr.gen(7)
+        assert (v7 * v1 - z * v2**3).generators() == [1, 2, 7]
+        assert h_family(4).generators() == [1, 2, 3, 4]
+        for psi in (PowerSumExpr(), PowerSumExpr.const(3), z**2 - 1):
+            assert psi.generators() == []
 
 
 class TestOperandsUnchanged:
